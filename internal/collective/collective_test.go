@@ -141,7 +141,12 @@ func TestBroadcastUsesTree(t *testing.T) {
 	if err := tp.ValidatePhase(phases[0]); err != nil {
 		t.Fatal(err)
 	}
-	_, maxLoad := phases[0].MaxLoad()
+	var maxLoad float64
+	for _, v := range phases[0].Loads() {
+		if v > maxLoad {
+			maxLoad = v
+		}
+	}
 	if maxLoad != 16*unit.MB {
 		t.Errorf("broadcast tree max link load = %v, want one payload", maxLoad)
 	}

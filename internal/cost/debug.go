@@ -15,18 +15,11 @@ import (
 func Debug(m model.Config, w hw.Wafer, cfg parallel.Config, o Options) string {
 	cfg = cfg.Normalize()
 	topo := mesh.FromWafer(w)
-	var place *parallel.Placement
-	var err error
-	if o.Engine == SMap {
-		place, err = parallel.PlaceLinear(cfg, topo)
-	} else {
-		place, err = parallel.Place(cfg, topo)
-	}
+	state, err := stateFor(topo, cfg, o.Engine == SMap, o.Engine == TCMEEngine)
 	if err != nil {
 		return err.Error()
 	}
-	ev := &evaluator{m: m, w: w, cfg: cfg, o: o, topo: topo,
-		st: newEvalState(topo, place, o.Engine == TCMEEngine), graph: model.BlockGraph(m)}
+	ev := &evaluator{m: m, w: w, cfg: cfg, o: o, topo: topo, st: state, graph: model.BlockGraph(m)}
 	mb := o.microbatch()
 	fwd, extra := ev.layerCompute(mb)
 	st := ev.layerStreamComm(mb, 1, true)

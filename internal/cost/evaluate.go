@@ -561,7 +561,7 @@ func (ev *evaluator) run() (Breakdown, error) {
 	if b.Power > 0 {
 		b.PowerEfficiency = b.ThroughputTokens / b.Power
 	}
-	links := float64(ev.topo.TotalLinks())
+	links := float64(ev.topo.NumLinks())
 	if links > 0 && stepTime > 0 {
 		b.BWUtilization = unit.Clamp(stepLinkBytes/ev.w.Link.Bandwidth/(links*stepTime), 0, 1)
 	}
@@ -862,14 +862,10 @@ func nearestNeighborOrder(t *mesh.Topology, dies []mesh.DieID) []mesh.DieID {
 // evalPhases times a phase sequence, applying TCME when enabled, and
 // accumulates link-byte statistics.
 func (ev *evaluator) evalPhases(phases []mesh.Phase) float64 {
-	if ev.o.Engine == TCMEEngine || ev.replay {
+	if ev.needTCME() {
 		opt, agg := tcme.OptimizeAll(ev.topo, phases, ev.o.TCME)
 		phases = opt
-		ev.tcmeAgg.InitialMaxLoad += agg.InitialMaxLoad
-		ev.tcmeAgg.FinalMaxLoad += agg.FinalMaxLoad
-		ev.tcmeAgg.Iterations += agg.Iterations
-		ev.tcmeAgg.MergedFlows += agg.MergedFlows
-		ev.tcmeAgg.ReroutedFlows += agg.ReroutedFlows
+		ev.tcmeAgg.Add(agg)
 	}
 	pt := ev.topo.SeqTime(phases)
 	ev.linkBytes += pt.LinkBytes

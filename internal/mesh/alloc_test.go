@@ -1,10 +1,63 @@
 package mesh
 
 import (
+	"sort"
 	"testing"
 
 	"temp/internal/hw"
 )
+
+// timeGeneric is the reference kernel the dense Time kernel is pinned
+// against: per-link accumulators live in maps and the bottleneck scan
+// visits links in sorted (From, To) order. It walks routes itself
+// rather than through forEachLink, so a change to the shared walk
+// cannot move both sides at once.
+func timeGeneric(t *Topology, p Phase) PhaseTime {
+	var out PhaseTime
+	loads := make(map[Link]float64)
+	msgBytes := make(map[Link]float64)
+	msgCount := make(map[Link]int)
+	for _, f := range p.Flows {
+		out.TotalBytes += f.Bytes
+		if h := f.Route.Hops(); h > out.MaxHops {
+			out.MaxHops = h
+		}
+	}
+	for _, f := range p.Flows {
+		for j := 0; j+1 < len(f.Route); j++ {
+			l := Link{f.Route[j], f.Route[j+1]}
+			loads[l] += f.Bytes
+			msgBytes[l] += f.Bytes
+			msgCount[l]++
+			out.LinkBytes += f.Bytes
+		}
+	}
+	keys := make([]Link, 0, len(loads))
+	for l := range loads {
+		keys = append(keys, l)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].From != keys[j].From {
+			return keys[i].From < keys[j].From
+		}
+		return keys[i].To < keys[j].To
+	})
+	for _, l := range keys {
+		mean := msgBytes[l] / float64(msgCount[l])
+		bw := t.link.EffectiveBandwidth(mean)
+		if ser := loads[l] / bw; ser > out.Serialization {
+			out.Serialization = ser
+			out.Bottleneck = l
+			out.BottleneckBytes = loads[l]
+		}
+	}
+	out.HopLatency = float64(out.MaxHops) * t.link.Latency
+	return out
+}
+
+// TimeGeneric exposes the reference kernel to the external tests that
+// lower real collectives onto faulted meshes.
+var TimeGeneric = timeGeneric
 
 // TestTimeZeroAllocs pins the dense kernel's allocation contract:
 // steady-state Time and SeqTime must not allocate (scratch comes from
@@ -55,7 +108,7 @@ func TestSeqTimeLoweredMatchesMaterialized(t *testing.T) {
 }
 
 // TestTimeMatchesGenericKernel pins the dense kernel against the
-// historical map kernel bit for bit, including the bottleneck
+// map-based reference kernel bit for bit, including the bottleneck
 // tie-break (sorted link order) and summation order.
 func TestTimeMatchesGenericKernel(t *testing.T) {
 	tp := New(4, 8, hw.TableID2D())
@@ -63,24 +116,34 @@ func TestTimeMatchesGenericKernel(t *testing.T) {
 	// Add flows with shared links so several links tie on load.
 	p.Flows = append(p.Flows, p.Flows...)
 	got := tp.Time(p)
-	want := tp.timeGeneric(p, false, 0)
+	want := timeGeneric(tp, p)
 	if got != want {
 		t.Errorf("dense Time = %+v, generic = %+v", got, want)
 	}
 }
 
-// TestTimeFallbackOffMesh verifies that synthetic routes between
-// non-adjacent dies still evaluate (via the generic kernel).
-func TestTimeFallbackOffMesh(t *testing.T) {
-	tp := New(4, 8, hw.TableID2D())
-	p := Phase{Flows: []Flow{{Src: 0, Dst: 9, Bytes: 100, Route: Path{0, 9}}}}
-	pt := tp.Time(p)
-	if pt.TotalBytes != 100 || pt.Serialization <= 0 {
-		t.Errorf("off-mesh fallback produced %+v", pt)
+// TestTimeOffMeshPanics pins the adjacency contract: a route step
+// between non-adjacent dies — a diagonal, or a row wrap between
+// consecutive IDs — has no link ID, so both the walking kernel and the
+// template profile panic instead of timing a link the mesh lacks.
+func TestTimeOffMeshPanics(t *testing.T) {
+	tp := Shared(4, 8, hw.TableID2D())
+	for _, route := range []Path{{0, 9}, {7, 8}} {
+		p := Phase{Flows: []Flow{{Src: route[0], Dst: route[1], Bytes: 100, Route: route}}}
+		seq := []LoweredSeq{{Tmpl: NewPhaseTemplate([]Phase{p}), Bytes: 100}}
+		mustPanic(t, "Time", func() { tp.Time(p) })
+		mustPanic(t, "SeqTimeLowered", func() { tp.SeqTimeLowered(seq) })
 	}
-	if got, want := pt, tp.timeGeneric(p, false, 0); got != want {
-		t.Errorf("fallback mismatch: %+v vs %+v", got, want)
-	}
+}
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s accepted an off-mesh route step", name)
+		}
+	}()
+	fn()
 }
 
 // TestLinkIndexRoundTrip pins the canonical dense index: IDs ascend

@@ -31,8 +31,8 @@ type LinkLoads map[Link]float64
 
 // forEachLink calls fn for every (flow index, traversed link) pair of
 // the phase, in flow order then route order. It is the single
-// load-accumulation walk shared by Loads, the dense Time kernel and
-// the generic fallback, so their float summation orders cannot drift.
+// load-accumulation walk shared by Loads, the Time kernel and the
+// template profiles, so their float summation orders cannot drift.
 func (p Phase) forEachLink(fn func(i int, l Link)) {
 	for i := range p.Flows {
 		r := p.Flows[i].Route
@@ -47,34 +47,6 @@ func (p Phase) Loads() LinkLoads {
 	out := make(LinkLoads)
 	p.forEachLink(func(i int, l Link) { out[l] += p.Flows[i].Bytes })
 	return out
-}
-
-// MaxLoad returns the most congested link and its load. When the
-// phase is empty it returns a zero link and zero load.
-func (p Phase) MaxLoad() (Link, float64) {
-	loads := p.Loads()
-	var (
-		best     Link
-		bestLoad float64
-		found    bool
-	)
-	// Deterministic tie-break: iterate links in sorted order.
-	keys := make([]Link, 0, len(loads))
-	for l := range loads {
-		keys = append(keys, l)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	for _, l := range keys {
-		if !found || loads[l] > bestLoad {
-			best, bestLoad, found = l, loads[l], true
-		}
-	}
-	return best, bestLoad
 }
 
 // PhaseTime is the latency estimate for one phase: the bottleneck
@@ -136,57 +108,31 @@ func (s *timeScratch) grab(n int) {
 
 // Time evaluates the phase on topology t.
 //
-// The kernel accumulates per-link loads into flat arrays over the
-// canonical link index and scans IDs in ascending order for the
-// bottleneck — bit-identical to the historical map-accumulate-and-sort
-// implementation, because link IDs ascend in exactly the (From, To)
-// order the old sort used and the per-accumulator float summation
-// order (flow order, then route order) is unchanged. Routes that
-// traverse non-mesh links (synthetic test phases) fall back to the
-// generic map path.
-func (t *Topology) Time(p Phase) PhaseTime { return t.timePhase(p, false, 0) }
-
-// timePhase is the shared kernel behind Time and the template
-// evaluation path: when scaled is set every flow carries scale bytes
-// (templates store byte-invariant structures), otherwise each flow's
-// own Bytes field is used.
-func (t *Topology) timePhase(p Phase, scaled bool, scale float64) PhaseTime {
+// Every route must be a sequence of mesh-adjacent steps — the contract
+// Route, RouteWeighted and MulticastTree build to, since the wafer has
+// no long-distance links. A step between non-adjacent dies has no link
+// ID and panics. The kernel accumulates per-link loads into flat
+// arrays over the canonical link index and scans IDs in ascending
+// order for the bottleneck, so ties break by ascending (From, To) and
+// each accumulator sums in flow order, then route order.
+func (t *Topology) Time(p Phase) PhaseTime {
 	var out PhaseTime
 	for i := range p.Flows {
-		b := p.Flows[i].Bytes
-		if scaled {
-			b = scale
-		}
-		out.TotalBytes += b
+		out.TotalBytes += p.Flows[i].Bytes
 		if h := p.Flows[i].Route.Hops(); h > out.MaxHops {
 			out.MaxHops = h
 		}
 	}
 	s := timePool.Get().(*timeScratch)
 	s.grab(len(t.links))
-	ok := true
 	p.forEachLink(func(i int, l Link) {
-		if !ok {
-			return
-		}
 		id := t.LinkID(l)
-		if id < 0 {
-			ok = false
-			return
-		}
 		bytes := p.Flows[i].Bytes
-		if scaled {
-			bytes = scale
-		}
 		s.loads[id] += bytes
 		s.msgBytes[id] += bytes
 		s.msgCount[id]++
 		out.LinkBytes += bytes
 	})
-	if !ok {
-		timePool.Put(s)
-		return t.timeGeneric(p, scaled, scale)
-	}
 	for id := range s.loads {
 		n := s.msgCount[id]
 		if n == 0 {
@@ -206,81 +152,38 @@ func (t *Topology) timePhase(p Phase, scaled bool, scale float64) PhaseTime {
 	return out
 }
 
-// timeGeneric is the historical map-based kernel, kept for phases
-// whose routes step between non-adjacent dies.
-func (t *Topology) timeGeneric(p Phase, scaled bool, scale float64) PhaseTime {
-	var out PhaseTime
-	loads := make(LinkLoads)
-	// Per-link mean message size drives granularity efficiency.
-	msgBytes := make(map[Link]float64)
-	msgCount := make(map[Link]int)
-	for _, f := range p.Flows {
-		b := f.Bytes
-		if scaled {
-			b = scale
-		}
-		out.TotalBytes += b
-		h := f.Route.Hops()
-		if h > out.MaxHops {
-			out.MaxHops = h
-		}
+// seqSum accumulates phases executed back to back: times and volumes
+// add, MaxHops is the longest route, and the bottleneck fields describe
+// the slowest phase (the earliest on ties).
+type seqSum struct {
+	out   PhaseTime
+	worst float64
+}
+
+func (s *seqSum) add(pt PhaseTime) {
+	s.out.Serialization += pt.Serialization
+	s.out.HopLatency += pt.HopLatency
+	s.out.TotalBytes += pt.TotalBytes
+	s.out.LinkBytes += pt.LinkBytes
+	if pt.MaxHops > s.out.MaxHops {
+		s.out.MaxHops = pt.MaxHops
 	}
-	p.forEachLink(func(i int, l Link) {
-		bytes := p.Flows[i].Bytes
-		if scaled {
-			bytes = scale
-		}
-		loads[l] += bytes
-		msgBytes[l] += bytes
-		msgCount[l]++
-		out.LinkBytes += bytes
-	})
-	keys := make([]Link, 0, len(loads))
-	for l := range loads {
-		keys = append(keys, l)
+	if pt.Total() > s.worst {
+		s.worst = pt.Total()
+		s.out.Bottleneck = pt.Bottleneck
+		s.out.BottleneckBytes = pt.BottleneckBytes
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	for _, l := range keys {
-		mean := msgBytes[l] / float64(msgCount[l])
-		bw := t.link.EffectiveBandwidth(mean)
-		ser := loads[l] / bw
-		if ser > out.Serialization {
-			out.Serialization = ser
-			out.Bottleneck = l
-			out.BottleneckBytes = loads[l]
-		}
-	}
-	out.HopLatency = float64(out.MaxHops) * t.link.Latency
-	return out
 }
 
 // SeqTime evaluates a sequence of phases executed back to back and
 // returns the summed PhaseTime (bottleneck fields describe the
 // slowest phase).
 func (t *Topology) SeqTime(phases []Phase) PhaseTime {
-	var out PhaseTime
-	var worst float64
+	var s seqSum
 	for _, p := range phases {
-		pt := t.Time(p)
-		out.Serialization += pt.Serialization
-		out.HopLatency += pt.HopLatency
-		out.TotalBytes += pt.TotalBytes
-		out.LinkBytes += pt.LinkBytes
-		if pt.MaxHops > out.MaxHops {
-			out.MaxHops = pt.MaxHops
-		}
-		if pt.Total() > worst {
-			worst = pt.Total()
-			out.Bottleneck = pt.Bottleneck
-			out.BottleneckBytes = pt.BottleneckBytes
-		}
+		s.add(t.Time(p))
 	}
-	return out
+	return s.out
 }
 
 // Utilization summarises how evenly a phase loads the mesh: the mean

@@ -12,6 +12,17 @@ func flowBetween(tp *Topology, src, dst DieID, bytes float64, payload string) Fl
 	return Flow{Src: src, Dst: dst, Bytes: bytes, Route: tp.RouteXY(src, dst), Payload: payload}
 }
 
+// maxLinkLoad is the heaviest per-link byte load of p.
+func maxLinkLoad(p Phase) float64 {
+	var max float64
+	for _, v := range p.Loads() {
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
 func TestPhaseTimeSingleHop(t *testing.T) {
 	tp := grid(2, 4)
 	bytes := 64 * unit.MB
@@ -65,9 +76,8 @@ func TestPhaseLoads(t *testing.T) {
 	if loads[Link{0, 1}] != 100 {
 		t.Errorf("first link load = %v, want 100", loads[Link{0, 1}])
 	}
-	l, v := p.MaxLoad()
-	if l != (Link{1, 2}) || v != 150 {
-		t.Errorf("MaxLoad = %v/%v", l, v)
+	if pt := tp.Time(p); pt.Bottleneck != (Link{1, 2}) || pt.BottleneckBytes != 150 {
+		t.Errorf("bottleneck = %v/%v, want the shared link at 150", pt.Bottleneck, pt.BottleneckBytes)
 	}
 }
 
@@ -152,8 +162,7 @@ func TestMulticastTreeDedupesBytes(t *testing.T) {
 	if err := tp.ValidatePhase(multi); err != nil {
 		t.Fatal(err)
 	}
-	_, uniMax := uni.MaxLoad()
-	_, multiMax := multi.MaxLoad()
+	uniMax, multiMax := maxLinkLoad(uni), maxLinkLoad(multi)
 	if multiMax >= uniMax {
 		t.Errorf("multicast max load %v not below unicast %v", multiMax, uniMax)
 	}

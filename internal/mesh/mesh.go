@@ -154,8 +154,8 @@ func (t *Topology) NumLinks() int { return len(t.links) }
 func (t *Topology) LinkByID(id int) Link { return t.links[id] }
 
 // LinkID returns the canonical dense ID of a directed mesh link, or -1
-// when the endpoints are not mesh-adjacent (callers fall back to the
-// generic map-based path for such synthetic routes).
+// when the endpoints are not mesh-adjacent. Routes are sequences of
+// mesh links, so the timing kernels index with it directly.
 func (t *Topology) LinkID(l Link) int {
 	from := int(l.From)
 	if from < 0 || from >= t.rows*t.cols {
@@ -262,9 +262,6 @@ func (t *Topology) Links() []Link {
 	}
 	return out
 }
-
-// TotalLinks returns the number of directed links in the healthy mesh.
-func (t *Topology) TotalLinks() int { return len(t.links) }
 
 // DieAlive reports whether die d is functional.
 func (t *Topology) DieAlive(d DieID) bool {

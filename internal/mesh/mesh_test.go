@@ -57,8 +57,8 @@ func TestLinkCount(t *testing.T) {
 	tp := grid(4, 8)
 	// Directed links of an RxC mesh: 2*(R*(C-1) + C*(R-1)).
 	want := 2 * (4*7 + 8*3)
-	if got := tp.TotalLinks(); got != want {
-		t.Errorf("TotalLinks = %d, want %d", got, want)
+	if got := tp.NumLinks(); got != want {
+		t.Errorf("NumLinks = %d, want %d", got, want)
 	}
 	if got := len(tp.Links()); got != want {
 		t.Errorf("alive Links = %d, want %d", got, want)

@@ -160,6 +160,71 @@ func TestFig11Scenario(t *testing.T) {
 	}
 }
 
+// TestOptimizeOnFaultedMesh runs the optimizer on phases whose routes
+// are RouteWeighted detours around dead links: merges and reroutes must
+// stay on alive mesh links and never raise the bottleneck.
+func TestOptimizeOnFaultedMesh(t *testing.T) {
+	c := mesh.Shared(4, 4, hw.TableID2D()).Clone()
+	for _, l := range []mesh.Link{{From: 0, To: 1}, {From: 5, To: 9}, {From: 10, To: 11}} {
+		c.SetLinkAlive(l, false)
+	}
+	tp := c.Intern()
+	seqs := collective.Merge(
+		collective.RingAllGather(tp, []mesh.DieID{0, 1, 5, 4}, 16*unit.MB),
+		collective.RingAllReduce(tp, []mesh.DieID{8, 9, 10, 11, 15, 14, 13, 12}, 16*unit.MB),
+		collective.P2PChain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB, "tatp"),
+		collective.Broadcast(tp, 3, []mesh.DieID{1, 9, 11}, 16*unit.MB, "w"),
+	)
+	// A Fig. 5(b)-style collision plus a replicated payload whose routes
+	// detour around the dead 0↔1 link, so reroute and merge both fire.
+	routed := func(src, dst mesh.DieID, payload string) mesh.Flow {
+		return mesh.Flow{Src: src, Dst: dst, Bytes: 16 * unit.MB, Route: tp.Route(src, dst), Payload: payload}
+	}
+	seqs = append(seqs, mesh.Phase{Flows: []mesh.Flow{
+		routed(12, 14, "a"), routed(13, 15, "b"), routed(1, 0, "rep"), routed(1, 4, "rep"),
+	}})
+	detours, merged, rerouted := 0, 0, 0
+	for i, ph := range seqs {
+		for _, f := range ph.Flows {
+			if f.Route.Hops() > tp.HopDistance(f.Src, f.Dst) {
+				detours++
+			}
+		}
+		res := Optimize(tp, ph, Options{})
+		merged += res.MergedFlows
+		rerouted += res.ReroutedFlows
+		if err := tp.ValidatePhase(res.Phase); err != nil {
+			t.Fatalf("phase %d: %v", i, err)
+		}
+		for l := range res.Phase.Loads() {
+			if !tp.LinkAlive(l) {
+				t.Errorf("phase %d: optimizer loaded dead link %v", i, l)
+			}
+		}
+		if res.FinalMaxLoad > res.InitialMaxLoad {
+			t.Errorf("phase %d: optimizer worsened the bottleneck: %v", i, res)
+		}
+	}
+	if detours == 0 || merged == 0 || rerouted == 0 {
+		t.Fatalf("faulted scenario exercised %d detours, %d merges, %d reroutes; want all > 0",
+			detours, merged, rerouted)
+	}
+}
+
+// TestOptimizeOffMeshPanics pins the adjacency contract: a route step
+// between non-adjacent dies has no link ID, and the optimizer panics
+// rather than pricing a link the mesh does not have.
+func TestOptimizeOffMeshPanics(t *testing.T) {
+	tp := topo(4, 4)
+	p := mesh.Phase{Flows: []mesh.Flow{{Src: 0, Dst: 5, Bytes: unit.MB, Route: mesh.Path{0, 5}, Payload: "diag"}}}
+	defer func() {
+		if recover() == nil {
+			t.Error("Optimize accepted an off-mesh route step")
+		}
+	}()
+	Optimize(tp, p, Options{})
+}
+
 func TestOptimizeEmptyPhase(t *testing.T) {
 	tp := topo(2, 2)
 	res := Optimize(tp, mesh.Phase{}, Options{})
