@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -27,24 +26,21 @@ import (
 	"syscall"
 	"time"
 
-	"temp/internal/distrib"
+	"temp/internal/cli"
 	"temp/internal/engine"
 	"temp/internal/serve"
 )
 
 func main() {
+	c := cli.Config{Name: "tempserve"}
+	c.Register(flag.CommandLine)
 	var (
 		listen        = flag.String("listen", ":8080", "HTTP listen address")
-		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker-pool size")
-		memoDir       = flag.String("memo-dir", os.Getenv("TEMPMEMO"), "persist priced results in this directory and warm-start from them (default $TEMPMEMO)")
 		coalesce      = flag.Duration("coalesce", 2*time.Millisecond, "cross-request miss-coalescing window (0 disables)")
 		maxConcurrent = flag.Int("max-concurrent", runtime.GOMAXPROCS(0), "solve requests running at once")
 		maxQueue      = flag.Int("max-queue", 64, "solve requests waiting past -max-concurrent before 503")
-		distribute    = flag.Int("distribute", 0, "fan multi-scenario requests across N worker subprocesses")
-		syncMemo      = flag.Bool("sync-memo", false, "ship the warm disk-memo to workers over the wire instead of sharing -memo-dir (shared-nothing workers)")
 		drainGrace    = flag.Duration("drain-grace", 30*time.Second, "SIGTERM drain: time in-flight solves get to finish before cancellation")
 		checkpointDir = flag.String("checkpoint-dir", "", "persist best-so-far checkpoints of solves cancelled during drain to this directory")
-		workerMode    = flag.Bool("worker-mode", false, "internal: serve shards from a coordinator over stdio")
 
 		loadtest = flag.Bool("loadtest", false, "run as load generator against -url instead of serving")
 		url      = flag.String("url", "http://127.0.0.1:8080", "-loadtest: daemon base URL")
@@ -55,51 +51,21 @@ func main() {
 		verify   = flag.Bool("verify", true, "-loadtest: byte-compare served results against a direct in-process solve")
 		jsonPath = flag.String("json", "", "-loadtest: write the load report to this file")
 	)
+	flag.BoolVar(&c.SyncMemo, "sync-memo", false, "ship the warm disk-memo to workers over the wire instead of sharing -memo-dir (shared-nothing workers)")
 	flag.Parse()
-	engine.SetWorkers(*workers)
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "tempserve:", err)
-		os.Exit(1)
-	}
-	if *memoDir != "" {
-		dm, err := engine.AttachDiskMemo(*memoDir)
-		if err != nil {
-			fail(err)
-		}
-		defer dm.Close()
-	}
-	if *workerMode {
-		if err := distrib.ServeStdio(); err != nil {
-			fail(err)
-		}
+	defer c.Close()
+	if c.Setup() {
 		return
 	}
 	if *loadtest {
-		runLoadtest(*url, *mixDir, *clients, *repeat, *passes, *verify, *jsonPath, fail)
+		runLoadtest(&c, *url, *mixDir, *clients, *repeat, *passes, *verify, *jsonPath)
 		return
 	}
 
 	if *coalesce > 0 {
 		engine.SetCoalescer(engine.NewCoalescer(nil, *coalesce, 0))
 	}
-	var fab *distrib.Fabric
-	if *distribute > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			fail(err)
-		}
-		cmdline := []string{exe, "-worker-mode", "-workers", fmt.Sprint(*workers)}
-		if *memoDir != "" && !*syncMemo {
-			// Workers share the memo directory; with -sync-memo they
-			// instead receive the warm segment over the wire at attach.
-			cmdline = append(cmdline, "-memo-dir", *memoDir)
-		}
-		if fab, err = distrib.New(distrib.Options{Workers: *distribute, Command: cmdline, SyncMemo: *syncMemo}); err != nil {
-			fmt.Fprintln(os.Stderr, "tempserve: distrib:", err)
-		}
-		defer fab.Shutdown()
-	}
+	fab := c.Fabric(nil)
 
 	srv := serve.New(serve.Options{
 		MaxConcurrent: *maxConcurrent,
@@ -131,9 +97,7 @@ func main() {
 		for _, e := range rep.Errors {
 			fmt.Fprintf(os.Stderr, "tempserve: drain: %s\n", e)
 		}
-		if fab != nil {
-			fab.Drain()
-		}
+		fab.Drain()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		httpSrv.Shutdown(ctx)
@@ -141,25 +105,25 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "tempserve: listening on %s (workers %d, max-concurrent %d, queue %d, coalesce %s, distribute %d)\n",
-		*listen, *workers, *maxConcurrent, *maxQueue, *coalesce, *distribute)
+		*listen, c.Workers, *maxConcurrent, *maxQueue, *coalesce, c.Distribute)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fail(err)
+		c.Fail(err)
 	}
 	<-done
 }
 
 // runLoadtest drives a running daemon and prints the report.
-func runLoadtest(url, mixDir string, clients, repeat, passes int, verify bool, jsonPath string, fail func(error)) {
+func runLoadtest(c *cli.Config, url, mixDir string, clients, repeat, passes int, verify bool, jsonPath string) {
 	mix, err := serve.LoadMix(mixDir)
 	if err != nil {
-		fail(err)
+		c.Fail(err)
 	}
 	rep, err := serve.RunLoad(serve.LoadOptions{
 		URL: url, Clients: clients, Repeat: repeat, Passes: passes,
 		Mix: mix, Verify: verify,
 	})
 	if err != nil {
-		fail(err)
+		c.Fail(err)
 	}
 	for _, p := range rep.Passes {
 		fmt.Printf("pass %d  %4d requests (%d errors)  %8.2f solves/s  p50 %s  p95 %s  p99 %s  queue %s  hit ratio %.2f\n",
@@ -177,15 +141,11 @@ func runLoadtest(url, mixDir string, clients, repeat, passes int, verify bool, j
 		}
 	}
 	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fail(err)
+		if err := cli.WriteJSON(jsonPath, rep); err != nil {
+			c.Fail(err)
 		}
 	}
 	if rep.Verify != nil && !rep.Verify.Match {
-		os.Exit(1)
+		c.Exit(1)
 	}
 }

@@ -15,26 +15,19 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"runtime"
 	"strings"
-	"syscall"
-	"time"
 
+	"temp/internal/cli"
 	"temp/internal/cost"
-	"temp/internal/distrib"
 	"temp/internal/engine"
 	"temp/internal/fault"
 	"temp/internal/hw"
 	"temp/internal/model"
 	"temp/internal/parallel"
 	"temp/internal/sim"
-	"temp/internal/solver"
 	"temp/internal/spec"
 	"temp/internal/unit"
 )
@@ -87,24 +80,6 @@ func printScenarioResult(r sim.ScenarioResult) {
 	fmt.Println(line)
 }
 
-// attachResilience mutates a scenario spec per the -repair and
-// -fault-campaign flags: -repair rides on an existing fault stage;
-// -fault-campaign adds one (the campaign does not need injection
-// rates, so a missing fault stage is created empty).
-func attachResilience(ss *spec.ScenarioSpec, repair, campaign bool) {
-	if repair && ss.Fault != nil && ss.Fault.Repair == nil {
-		ss.Fault.Repair = &spec.RepairSpec{}
-	}
-	if campaign {
-		if ss.Fault == nil {
-			ss.Fault = &spec.FaultSpec{}
-		}
-		if ss.Fault.Campaign == nil {
-			ss.Fault.Campaign = &spec.CampaignSpec{}
-		}
-	}
-}
-
 // printRecovery renders a repair-stage record.
 func printRecovery(rec *fault.Recovery) {
 	fmt.Printf("repair     %d dead links, %d dead dies: re-price %.3f -> repaired %.3f on %s (%s, %d evals, %s)\n",
@@ -126,15 +101,6 @@ func printCampaign(cr *fault.CampaignResult) {
 	}
 }
 
-// writeCampaignJSON writes one campaign result as a JSON artifact.
-func writeCampaignJSON(path string, cr *fault.CampaignResult) error {
-	buf, err := json.MarshalIndent(cr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 // printSolverOutcome renders a scenario's search stage.
 func printSolverOutcome(o *sim.SolverOutcome) {
 	name := o.Strategy
@@ -151,28 +117,9 @@ func printSolverOutcome(o *sim.SolverOutcome) {
 		o.Dominant, o.Share*100)
 }
 
-func runScenarioFile(ctx context.Context, path string, override *spec.SolverStage, costStage *spec.CostStage, repair bool, campaignPath string) error {
-	ss, err := spec.LoadScenario(path)
-	if err != nil {
-		return err
-	}
-	attachResilience(&ss, repair, campaignPath != "")
-	sc, err := ss.Resolve()
-	if err != nil {
-		return err
-	}
-	if override != nil {
-		sc.Solver = override
-	}
-	if costStage != nil {
-		sc.Cost = costStage
-	}
-	// One pass: RunScenarios carries the breakdown plus the optional
-	// solver and fault stages.
-	res := sim.RunScenariosCtx(ctx, []spec.Scenario{sc})[0]
-	if res.Err != nil {
-		return res.Err
-	}
+// printScenario renders one scenario run in full: its breakdown plus
+// every stage that ran.
+func printScenario(sc spec.Scenario, res sim.ScenarioResult) {
 	r := res.Result
 	opts := sc.System.Opts
 	if sc.Wafers > 1 {
@@ -196,216 +143,90 @@ func runScenarioFile(ctx context.Context, path string, override *spec.SolverStag
 	}
 	if res.Campaign != nil {
 		printCampaign(res.Campaign)
-		if campaignPath != "" {
-			if err := writeCampaignJSON(campaignPath, res.Campaign); err != nil {
-				return err
-			}
-		}
 	}
 	if res.Solver != nil {
 		printSolverOutcome(res.Solver)
 	}
-	return nil
 }
 
 func main() {
+	c := cli.Config{Name: "tempsim", Model: "gpt3-6.7b"}
+	c.RegisterBatch(flag.CommandLine)
 	var (
-		name      = flag.String("model", "gpt3-6.7b", "registered model name (-list-models)")
-		waferName = flag.String("wafer", "", "registered wafer name (-list-wafers); overrides -rows/-cols")
-		rows      = flag.Int("rows", 4, "wafer die rows")
-		cols      = flag.Int("cols", 8, "wafer die columns")
-		dp        = flag.Int("dp", 1, "data parallel degree")
-		tp        = flag.Int("tp", 1, "tensor parallel degree")
-		sp        = flag.Int("sp", 1, "sequence parallel degree")
-		cp        = flag.Int("cp", 1, "context parallel degree")
-		tatp      = flag.Int("tatp", 1, "TATP stream parallel degree")
-		pp        = flag.Int("pp", 1, "pipeline degree across wafers")
-		wafers    = flag.Int("wafers", 1, "wafer count")
-		mapper    = flag.String("engine", "tcme", "mapping engine: smap|gmap|tcme")
-		rec       = flag.String("recompute", "selective", "recompute: none|selective|full")
-		fsdp      = flag.Bool("fsdp", false, "fully sharded data parallelism")
-		mesp      = flag.Bool("megatron-sp", false, "Megatron-3 fused sequence parallelism")
-		mb        = flag.Int("microbatch", 0, "sequences per rank per micro-step")
-		debugTr   = flag.Bool("debug", false, "print the calibration trace")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker-pool size")
-		scenario  = flag.String("scenario", "", "run one scenario JSON file")
-		scenarios = flag.String("scenarios", "", "run every *.json scenario in a directory")
-		strategy  = flag.String("strategy", "", "add/override a solver stage on scenario runs (-list-strategies)")
-		budget    = flag.String("budget", "", "solver-stage budget: eval count, duration, or both (\"20000,30s\")")
-		repair    = flag.Bool("repair", false, "add a degradation-aware repair stage to scenario fault stages")
-		campaign  = flag.String("fault-campaign", "", "run a deterministic fault campaign and write survivability JSON to this file")
-		seed      = flag.Int64("seed", 7, "solver-stage and surrogate-training randomness seed")
-		backend   = flag.String("backend", "", "cost backend pricing the evaluation (-list-backends); accepts name or name@seed=N")
-		listM     = flag.Bool("list-models", false, "list registered model names")
-		listW     = flag.Bool("list-wafers", false, "list registered wafer names")
-		listS     = flag.Bool("list-systems", false, "list registered system names")
-		listSt    = flag.Bool("list-strategies", false, "list registered search strategies")
-		listB     = flag.Bool("list-backends", false, "list registered cost backends")
-		memoDir   = flag.String("memo-dir", os.Getenv("TEMPMEMO"),
-			"persist priced results in this directory and warm-start from them (default $TEMPMEMO)")
-		distribute = flag.Int("distribute", 0, "shard -scenarios batches across N worker subprocesses")
-		workerMode = flag.Bool("worker-mode", false, "internal: serve shards from a coordinator over stdio")
+		rows    = flag.Int("rows", 4, "wafer die rows")
+		cols    = flag.Int("cols", 8, "wafer die columns")
+		dp      = flag.Int("dp", 1, "data parallel degree")
+		tp      = flag.Int("tp", 1, "tensor parallel degree")
+		sp      = flag.Int("sp", 1, "sequence parallel degree")
+		cp      = flag.Int("cp", 1, "context parallel degree")
+		tatp    = flag.Int("tatp", 1, "TATP stream parallel degree")
+		pp      = flag.Int("pp", 1, "pipeline degree across wafers")
+		wafers  = flag.Int("wafers", 1, "wafer count")
+		mapper  = flag.String("engine", "tcme", "mapping engine: smap|gmap|tcme")
+		rec     = flag.String("recompute", "selective", "recompute: none|selective|full")
+		fsdp    = flag.Bool("fsdp", false, "fully sharded data parallelism")
+		mesp    = flag.Bool("megatron-sp", false, "Megatron-3 fused sequence parallelism")
+		mb      = flag.Int("microbatch", 0, "sequences per rank per micro-step")
+		debugTr = flag.Bool("debug", false, "print the calibration trace")
+		listS   = flag.Bool("list-systems", false, "list registered system names")
 	)
 	flag.Parse()
-	engine.SetWorkers(*workers)
-
-	// First SIGINT/SIGTERM cancels scenario runs gracefully (solves
-	// stop at their next budget check, distributed shards are
-	// cancelled); a second signal kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *memoDir != "" {
-		dm, err := engine.AttachDiskMemo(*memoDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-		defer dm.Close()
-	}
-	if *workerMode {
-		if err := distrib.ServeStdio(); err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim: worker:", err)
-			os.Exit(1)
-		}
+	defer c.Close()
+	if c.Setup() {
 		return
 	}
-
-	switch {
-	case *listB:
-		for _, n := range cost.BackendNames() {
-			fmt.Println(n)
-		}
-		return
-	case *listM:
-		for _, n := range spec.Models.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listW:
-		for _, n := range spec.Wafers.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listS:
+	if *listS {
 		for _, n := range spec.Systems.Names() {
 			fmt.Println(n)
 		}
 		return
-	case *listSt:
-		for _, n := range solver.StrategyNames() {
-			fmt.Println(n)
-		}
-		return
-	case *scenario != "":
-		override, err := spec.SolverOverride(*strategy, *budget, *seed, *workers)
-		var costStage *spec.CostStage
-		if err == nil {
-			costStage, err = spec.CostOverride(*backend, *seed)
-		}
-		if err == nil {
-			err = runScenarioFile(ctx, *scenario, override, costStage, *repair, *campaign)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-		return
-	case *scenarios != "":
-		override, err := spec.SolverOverride(*strategy, *budget, *seed, *workers)
-		var costStage *spec.CostStage
-		if err == nil {
-			costStage, err = spec.CostOverride(*backend, *seed)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-		specs, err := spec.LoadScenarioDir(*scenarios)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-		for i := range specs {
-			attachResilience(&specs[i], *repair, *campaign != "")
-		}
+	}
+
+	if c.Scenario != "" || c.Scenarios != "" {
 		// -distribute (or a spec-declared distrib block) shards the
-		// batch across worker subprocesses; results merge in spec
-		// order and match the in-process run bit-for-bit.
-		n, shard, retries := *distribute, 0, 0
-		var hb time.Duration
-		missed := 0
-		syncMemo := false
-		for _, ss := range specs {
-			if ss.Distrib != nil {
-				if n == 0 {
-					n = ss.Distrib.Workers
-				}
-				shard, retries = ss.Distrib.ShardSize, ss.Distrib.Retries
-				hb = time.Duration(ss.Distrib.HeartbeatMS) * time.Millisecond
-				missed = ss.Distrib.MissedBeats
-				syncMemo = ss.Distrib.SyncMemo
-				break
-			}
+		// batch across worker subprocesses; results merge in spec order
+		// and match the in-process run bit-for-bit.
+		specs, err := c.Specs()
+		if err != nil {
+			c.Fail(err)
 		}
-		var fab *distrib.Fabric
-		if n > 0 {
-			if exe, eerr := os.Executable(); eerr == nil {
-				cmdline := []string{exe, "-worker-mode", "-workers", fmt.Sprint(*workers)}
-				if *memoDir != "" {
-					cmdline = append(cmdline, "-memo-dir", *memoDir)
-				}
-				var ferr error
-				if fab, ferr = distrib.New(distrib.Options{
-					Workers: n, Command: cmdline, ShardSize: shard, Retries: retries,
-					Heartbeat: hb, MissedBeats: missed, SyncMemo: syncMemo,
-				}); ferr != nil {
-					fmt.Fprintln(os.Stderr, "tempsim: distrib:", ferr)
-				}
-				defer fab.Shutdown()
-			}
+		results, err := c.RunSpecs(specs)
+		if err != nil {
+			c.Fail(err)
 		}
-		var results []sim.ScenarioResult
-		if fab != nil {
-			ov := sim.Overrides{Strategy: *strategy, Budget: *budget, Seed: *seed, Workers: *workers, Backend: *backend}
-			results = sim.RunScenarioSpecsOnCtx(ctx, fab, specs, ov)
-		} else {
-			results = sim.RunScenarioSpecsWithStagesCtx(ctx, specs, override, costStage)
+		if c.Scenario != "" {
+			res := results[0]
+			if res.Err != nil {
+				c.Fail(res.Err)
+			}
+			ov, _ := c.Overrides() // RunSpecs validated them
+			sc, err := ov.Scenario(specs[0])
+			if err != nil {
+				c.Fail(err)
+			}
+			printScenario(sc, res)
+			return
 		}
 		failed := false
-		var lastCampaign *fault.CampaignResult
 		for _, r := range results {
 			printScenarioResult(r)
 			failed = failed || r.Err != nil
-			if r.Campaign != nil {
-				lastCampaign = r.Campaign
-			}
-		}
-		if *campaign != "" && lastCampaign != nil {
-			if err := writeCampaignJSON(*campaign, lastCampaign); err != nil {
-				fmt.Fprintln(os.Stderr, "tempsim:", err)
-				os.Exit(1)
-			}
 		}
 		if failed {
-			os.Exit(1)
+			c.Exit(1)
 		}
 		return
 	}
 
-	m, err := spec.LookupModel(*name)
+	m, err := spec.LookupModel(c.Model)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tempsim:", err)
-		os.Exit(1)
+		c.Fail(err)
 	}
-	var w hw.Wafer
-	if *waferName != "" {
-		if w, err = spec.LookupWafer(*waferName); err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
+	w := hw.WaferWithGrid(*rows, *cols)
+	if c.Wafer != "" {
+		if w, err = spec.LookupWafer(c.Wafer); err != nil {
+			c.Fail(err)
 		}
-	} else {
-		w = hw.WaferWithGrid(*rows, *cols)
 	}
 	cfg := parallel.Config{DP: *dp, TP: *tp, SP: *sp, CP: *cp, TATP: *tatp, PP: *pp,
 		FSDP: *fsdp, MegatronSP: *mesp}
@@ -427,40 +248,36 @@ func main() {
 		o.Recompute = cost.RecomputeSelective
 	}
 
+	stage, err := spec.CostOverride(c.Backend, c.Seed)
+	if err != nil {
+		c.Fail(err)
+	}
 	key := ""
-	if *backend != "" {
-		stage, err := spec.CostOverride(*backend, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
+	if stage != nil {
 		key = stage.Key
 	}
-	if *repair {
-		fmt.Fprintln(os.Stderr, "tempsim: -repair needs a scenario with a fault stage (-scenario/-scenarios)")
-		os.Exit(1)
+	if c.Repair {
+		c.Fail(errors.New("-repair needs a scenario with a fault stage (-scenario/-scenarios)"))
 	}
 	b, err := engine.EvaluateJob(engine.Job{Model: m, Wafer: w, Config: cfg, Opts: o, Backend: key})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tempsim:", err)
-		os.Exit(1)
+		c.Fail(err)
 	}
 	printBreakdown(m, w, cfg, o, b)
 	if *debugTr {
 		fmt.Println("trace     ", cost.Debug(m, w, cfg, o))
 	}
-	if *campaign != "" {
+	if c.FaultCampaign != "" {
 		cr, err := fault.Campaign{
 			Model: m, Wafer: w, Config: cfg, Opts: o,
-			Backend: key, Workers: *workers,
-		}.Run()
+			Backend: key, Workers: c.Workers,
+		}.RunOn(c.Fabric(nil))
 		if err == nil {
 			printCampaign(&cr)
-			err = writeCampaignJSON(*campaign, &cr)
+			err = cli.WriteJSON(c.FaultCampaign, []fault.CampaignResult{cr})
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
+			c.Fail(err)
 		}
 	}
 }

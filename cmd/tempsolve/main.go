@@ -17,19 +17,14 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 
 	"temp/internal/baselines"
+	"temp/internal/cli"
 	"temp/internal/cost"
 	"temp/internal/distrib"
-	"temp/internal/engine"
 	"temp/internal/fault"
 	"temp/internal/hw"
 	"temp/internal/model"
@@ -41,10 +36,12 @@ import (
 
 // resilience carries the -repair/-fault-campaign post-solve stages:
 // both act on the solved dominant configuration, repair warm-starting
-// its search from that mapping.
+// its search from that mapping. Campaigns accumulate into the one
+// survivability artifact, rewritten after each solve.
 type resilience struct {
 	repair       bool
 	campaignPath string
+	campaigns    []fault.CampaignResult
 	in           fault.Injection
 	faultSeed    int64
 	seed         int64
@@ -52,7 +49,7 @@ type resilience struct {
 }
 
 // run applies the stages to the solved mapping.
-func (rz resilience) run(m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options, backendKey string) error {
+func (rz *resilience) run(m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options, backendKey string) error {
 	if rz.repair {
 		rec, err := fault.RepairInjected(m, w, cfg, o, rz.in, rz.faultSeed, fault.RepairOptions{
 			Backend: backendKey, Seed: rz.seed,
@@ -78,11 +75,8 @@ func (rz resilience) run(m model.Config, w hw.Wafer, cfg parallel.Config, o cost
 		}
 		fmt.Printf("campaign     %d cells x %d trials -> %s\n",
 			len(cr.Cells), cr.Trials, rz.campaignPath)
-		buf, err := json.MarshalIndent(cr, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(rz.campaignPath, append(buf, '\n'), 0o644)
+		rz.campaigns = append(rz.campaigns, cr)
+		return cli.WriteJSON(rz.campaignPath, rz.campaigns)
 	}
 	return nil
 }
@@ -91,8 +85,11 @@ func (rz resilience) run(m model.Config, w hw.Wafer, cfg parallel.Config, o cost
 // one model/wafer pair. backendKey selects the cost backend whose
 // operator model prices the search exactly ("" = analytic); the
 // multifid strategy (and the portfolio, which races it) additionally
-// screens on the surrogate tier seeded with screenSeed.
-func solve(ctx context.Context, m model.Config, w hw.Wafer, st solver.Strategy, b solver.Budget, backendKey string, screenSeed int64, o cost.Options, rz resilience, fab *distrib.Fabric, raceSeed int64) error {
+// screens on the surrogate tier seeded with screenSeed. Only a
+// portfolio builds the run's fabric (from -distribute or the specs'
+// distrib block), racing one strategy per worker process.
+func solve(c *cli.Config, specs []spec.ScenarioSpec, m model.Config, w hw.Wafer, st solver.Strategy, b solver.Budget, backendKey string, screenSeed int64, o cost.Options, rz *resilience) error {
+	ctx := c.Ctx
 	g := model.BlockGraph(m)
 	space := parallel.EnumerateConfigs(w.Dies(), true, 0)
 	if len(space) == 0 {
@@ -106,17 +103,20 @@ func solve(ctx context.Context, m model.Config, w hw.Wafer, st solver.Strategy, 
 
 	var assign solver.Assignment
 	var stats solver.Stats
-	if fab != nil && st.Name() == "portfolio" {
+	var fab *distrib.Fabric
+	if st.Name() == "portfolio" {
+		fab = c.Fabric(specs)
+	} else if c.Distribute > 0 {
+		fmt.Fprintln(os.Stderr, "tempsolve: -distribute races the portfolio; strategy", st.Name(), "runs in-process")
+	}
+	if fab != nil {
 		// Distributed racing: one racer per worker process, winner
 		// selection identical to the in-process portfolio.
-		assign, stats, err = solver.DistributedRace(ctx, fab, m, w, backendKey, raceSeed, screenSeed, b)
+		assign, stats, err = solver.DistributedRace(ctx, fab, m, w, backendKey, c.Seed, screenSeed, b)
 		if err != nil {
 			return err
 		}
 	} else {
-		if fab != nil {
-			fmt.Fprintln(os.Stderr, "tempsolve: -distribute races the portfolio; strategy", st.Name(), "runs in-process")
-		}
 		assign, stats = st.Solve(ctx, p, b)
 	}
 	if ctx.Err() != nil {
@@ -176,7 +176,8 @@ func solve(ctx context.Context, m model.Config, w hw.Wafer, st solver.Strategy, 
 // solveScenario resolves a scenario spec and solves its model/wafer.
 // The scenario's own solver stage applies unless the CLI overrides
 // the strategy.
-func solveScenario(ctx context.Context, ss spec.ScenarioSpec, st solver.Strategy, b solver.Budget, override bool, costStage *spec.CostStage, screenSeed int64, rz resilience, fab *distrib.Fabric, raceSeed int64) error {
+func solveScenario(c *cli.Config, specs []spec.ScenarioSpec, ss spec.ScenarioSpec, st solver.Strategy, b solver.Budget, override bool, costStage *spec.CostStage, rz *resilience) error {
+	screenSeed := c.Seed
 	sc, err := ss.Resolve()
 	if err != nil {
 		return err
@@ -205,89 +206,27 @@ func solveScenario(ctx context.Context, ss spec.ScenarioSpec, st solver.Strategy
 	if s := sc.Cost.SurrogateSeed(); s != 0 {
 		screenSeed = s
 	}
-	return solve(ctx, sc.Model, sc.Wafer, st, b, backendKey, screenSeed, sc.System.Opts, rz, fab, raceSeed)
+	return solve(c, specs, sc.Model, sc.Wafer, st, b, backendKey, screenSeed, sc.System.Opts, rz)
 }
 
 func main() {
+	c := cli.Config{Name: "tempsolve", Model: "gpt3-6.7b", Strategy: "ga"}
+	c.RegisterBatch(flag.CommandLine)
 	var (
-		name      = flag.String("model", "gpt3-6.7b", "registered model name (-list-models)")
-		waferName = flag.String("wafer", "", "registered wafer name (-list-wafers); overrides -rows/-cols")
 		rows      = flag.Int("rows", 4, "wafer die rows")
 		cols      = flag.Int("cols", 8, "wafer die columns")
-		strategy  = flag.String("strategy", "ga", "search strategy (-list-strategies)")
-		backend   = flag.String("backend", "", "cost backend whose operator model prices the search (-list-backends)")
-		budget    = flag.String("budget", "", "search budget: eval count, duration, or both (\"20000,30s\")")
 		noGA      = flag.Bool("no-ga", false, "stop after chain dynamic programming (alias for -strategy dp)")
-		seed      = flag.Int64("seed", 7, "search randomness seed")
-		repair    = flag.Bool("repair", false, "after solving, inject a seeded fault mask and repair from the solved mapping")
 		faultLink = flag.Float64("fault-link", 0.15, "-repair link-fault rate")
 		faultCore = flag.Float64("fault-core", 0, "-repair core-fault rate")
 		faultSeed = flag.Int64("fault-seed", 3, "-repair fault-mask seed")
-		campaign  = flag.String("fault-campaign", "", "run a fault campaign on the solved mapping and write survivability JSON to this file")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker-pool size")
-		scenario  = flag.String("scenario", "", "solve the model/wafer of one scenario JSON file")
-		scenarios = flag.String("scenarios", "", "solve every *.json scenario in a directory")
-		listM     = flag.Bool("list-models", false, "list registered model names")
-		listW     = flag.Bool("list-wafers", false, "list registered wafer names")
-		listS     = flag.Bool("list-strategies", false, "list registered search strategies")
-		listB     = flag.Bool("list-backends", false, "list registered cost backends")
-		memoDir   = flag.String("memo-dir", os.Getenv("TEMPMEMO"),
-			"persist priced results in this directory and warm-start from them (default $TEMPMEMO)")
-		distribute = flag.Int("distribute", 0, "race portfolio strategies across N worker subprocesses")
-		workerMode = flag.Bool("worker-mode", false, "internal: serve shards from a coordinator over stdio")
 	)
 	flag.Parse()
-	engine.SetWorkers(*workers)
-
-	// First SIGINT/SIGTERM cancels the solve gracefully — the solver
-	// returns its best-so-far at the next budget check and distributed
-	// shards are cancelled; a second signal kills the process (stop()
-	// restores default handling after the first delivery).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "tempsolve:", err)
-		os.Exit(1)
-	}
-	if *memoDir != "" {
-		dm, err := engine.AttachDiskMemo(*memoDir)
-		if err != nil {
-			fail(err)
-		}
-		defer dm.Close()
-	}
-	if *workerMode {
-		if err := distrib.ServeStdio(); err != nil {
-			fail(err)
-		}
+	defer c.Close()
+	if c.Setup() {
 		return
 	}
 
-	switch {
-	case *listB:
-		for _, n := range cost.BackendNames() {
-			fmt.Println(n)
-		}
-		return
-	case *listM:
-		for _, n := range spec.Models.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listW:
-		for _, n := range spec.Wafers.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listS:
-		for _, n := range solver.StrategyNames() {
-			fmt.Println(n)
-		}
-		return
-	}
-
-	strategyName := *strategy
+	strategyName := c.Strategy
 	overridden := *noGA
 	strategySet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -300,90 +239,63 @@ func main() {
 	})
 	if *noGA {
 		if strategySet && strategyName != "dp" {
-			fail(fmt.Errorf("-no-ga conflicts with -strategy %s (it is an alias for -strategy dp)", strategyName))
+			c.Fail(fmt.Errorf("-no-ga conflicts with -strategy %s (it is an alias for -strategy dp)", strategyName))
 		}
 		strategyName = "dp"
 	}
-	st, err := solver.NewStrategy(strategyName, solver.Params{"seed": float64(*seed)})
+	st, err := solver.NewStrategy(strategyName, solver.Params{"seed": float64(c.Seed)})
 	if err != nil {
-		fail(err)
+		c.Fail(err)
 	}
-	b, err := spec.ParseBudget(*budget)
+	b, err := spec.ParseBudget(c.Budget)
 	if err != nil {
-		fail(err)
+		c.Fail(err)
 	}
-	b.Workers = *workers
-	costStage, err := spec.CostOverride(*backend, *seed)
+	b.Workers = c.Workers
+	costStage, err := spec.CostOverride(c.Backend, c.Seed)
 	if err != nil {
-		fail(err)
+		c.Fail(err)
 	}
 	backendKey := ""
 	if costStage != nil {
 		backendKey = costStage.Key
 	}
-	var fab *distrib.Fabric
-	if *distribute > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			fail(err)
-		}
-		cmdline := []string{exe, "-worker-mode", "-workers", fmt.Sprint(*workers)}
-		if *memoDir != "" {
-			cmdline = append(cmdline, "-memo-dir", *memoDir)
-		}
-		if fab, err = distrib.New(distrib.Options{Workers: *distribute, Command: cmdline}); err != nil {
-			fmt.Fprintln(os.Stderr, "tempsolve: distrib:", err)
-		}
-		defer fab.Shutdown()
-	}
-	rz := resilience{
-		repair:       *repair,
-		campaignPath: *campaign,
+	rz := &resilience{
+		repair:       c.Repair,
+		campaignPath: c.FaultCampaign,
 		in:           fault.Injection{LinkRate: *faultLink, CoreRate: *faultCore, CoresPerDie: 64},
 		faultSeed:    *faultSeed,
-		seed:         *seed,
-		workers:      *workers,
+		seed:         c.Seed,
+		workers:      c.Workers,
 	}
 
-	switch {
-	case *scenario != "":
-		ss, err := spec.LoadScenario(*scenario)
-		if err == nil {
-			err = solveScenario(ctx, ss, st, b, overridden, costStage, *seed, rz, fab, *seed)
-		}
-		if err != nil {
-			fail(err)
-		}
-		return
-	case *scenarios != "":
-		sss, err := spec.LoadScenarioDir(*scenarios)
-		if err != nil {
-			fail(err)
-		}
-		for i, ss := range sss {
+	specs, err := c.Specs()
+	if err != nil {
+		c.Fail(err)
+	}
+	if len(specs) > 0 {
+		for i, ss := range specs {
 			if i > 0 {
 				fmt.Println()
 			}
-			if err := solveScenario(ctx, ss, st, b, overridden, costStage, *seed, rz, fab, *seed); err != nil {
-				fail(err)
+			if err := solveScenario(&c, specs, ss, st, b, overridden, costStage, rz); err != nil {
+				c.Fail(err)
 			}
 		}
 		return
 	}
 
-	m, err := spec.LookupModel(*name)
+	m, err := spec.LookupModel(c.Model)
 	if err != nil {
-		fail(err)
+		c.Fail(err)
 	}
-	var w hw.Wafer
-	if *waferName != "" {
-		if w, err = spec.LookupWafer(*waferName); err != nil {
-			fail(err)
+	w := hw.WaferWithGrid(*rows, *cols)
+	if c.Wafer != "" {
+		if w, err = spec.LookupWafer(c.Wafer); err != nil {
+			c.Fail(err)
 		}
-	} else {
-		w = hw.WaferWithGrid(*rows, *cols)
 	}
-	if err := solve(ctx, m, w, st, b, backendKey, *seed, baselines.TEMP().Opts, rz, fab, *seed); err != nil {
-		fail(err)
+	if err := solve(&c, nil, m, w, st, b, backendKey, c.Seed, baselines.TEMP().Opts, rz); err != nil {
+		c.Fail(err)
 	}
 }

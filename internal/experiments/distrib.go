@@ -39,12 +39,14 @@ func runTableTask(ctx context.Context, t tableTask) (tableOut, error) {
 	return tableOut{Table: *tab, Nanos: time.Since(start).Nanoseconds()}, nil
 }
 
-// AllTimedOn is AllTimed over a fabric: the full-suite tables are
-// sharded across worker processes (in-process when f is nil or
-// degraded) and merged back into DESIGN.md order. Error semantics
-// mirror AllTimed: on failure it returns the tables that precede the
+// All regenerates the full suite and reports each table with its
+// wall-clock time, in DESIGN.md order: one task per table, sharded
+// across f's workers, or run concurrently in-process through the same
+// handler when f is nil or degraded. Runners share the engine's memo,
+// so figures sweeping the same configuration space each pay for an
+// evaluation once. On failure it returns the tables that precede the
 // first failing experiment.
-func AllTimedOn(f *distrib.Fabric, quick bool) ([]*Table, []time.Duration, error) {
+func All(f *distrib.Fabric, quick bool) ([]*Table, []time.Duration, error) {
 	runners := allRunners()
 	tasks := make([]tableTask, len(runners))
 	for i, r := range runners {
@@ -69,12 +71,10 @@ func AllTimedOn(f *distrib.Fabric, quick bool) ([]*Table, []time.Duration, error
 	return tabs, durs, nil
 }
 
-// ByIDOn runs one experiment through the fabric (directly when f is
-// nil), so -exp also exercises the distributed path.
+// ByIDOn runs one experiment as a fabric task (in-process through the
+// same handler when f is nil or degraded), so -exp also exercises the
+// distributed path.
 func ByIDOn(f *distrib.Fabric, id string, quick bool) (*Table, error) {
-	if f == nil {
-		return ByID(id, quick)
-	}
 	outs, errs := distrib.RunTasks[tableTask, tableOut](f, "experiments.table", []tableTask{{ID: id, Quick: quick}})
 	if errs[0] != nil {
 		return nil, errs[0]

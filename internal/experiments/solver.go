@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"temp/internal/cost"
 	"temp/internal/engine"
@@ -252,37 +251,6 @@ func allRunners() []Runner {
 		}
 	}
 	return out
-}
-
-// AllTimed runs every experiment concurrently on the evaluation
-// engine and reports each one's table and wall-clock time in
-// DESIGN.md order. Runners share the engine's memoization cache, so
-// figures sweeping the same configuration space (Fig. 13/14, the
-// baselines.Best calls of Figs. 4b/15/16) each pay for an evaluation
-// once. On error it returns the tables that precede the first
-// failing experiment.
-func AllTimed(quick bool) ([]*Table, []time.Duration, error) {
-	runners := allRunners()
-	tabs := make([]*Table, len(runners))
-	durs := make([]time.Duration, len(runners))
-	errs := make([]error, len(runners))
-	engine.Map(len(runners), func(i int) {
-		start := time.Now()
-		tabs[i], errs[i] = runners[i].Run(quick)
-		durs[i] = time.Since(start)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return tabs[:i], durs[:i], err
-		}
-	}
-	return tabs, durs, nil
-}
-
-// All runs every experiment in DESIGN.md order.
-func All(quick bool) ([]*Table, error) {
-	tabs, _, err := AllTimed(quick)
-	return tabs, err
 }
 
 // ByID returns the runner for one experiment id.

@@ -258,7 +258,7 @@ func (s *Server) solveOnce(ctx context.Context, w http.ResponseWriter, req spec.
 	// attached; single scenarios and streamed solves stay in-process
 	// (results are bit-identical either way).
 	if fab := s.opts.Fabric; fab != nil && fab.Live() > 0 && len(req.Specs()) > 1 {
-		resp.Results = toWire(sim.RunScenarioSpecsOnCtx(ctx, fab, clampedSpecs(req), sim.Overrides{}))
+		resp.Results = toWire(sim.RunScenarioSpecs(ctx, fab, clampedSpecs(req), sim.Overrides{}))
 		resp.Distributed = true
 	} else {
 		scs, err := resolveRequest(req, s.checkpointHook(inf))
@@ -266,7 +266,7 @@ func (s *Server) solveOnce(ctx context.Context, w http.ResponseWriter, req spec.
 			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
-		resp.Results = toWire(sim.RunScenariosCtx(ctx, scs))
+		resp.Results = toWire(sim.RunScenarios(ctx, scs))
 	}
 	if ctx.Err() != nil {
 		// Client gone or drain cut us off — nobody is reading the body.
@@ -325,7 +325,7 @@ func (s *Server) solveStream(ctx context.Context, w http.ResponseWriter, req spe
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	results := sim.RunScenariosCtx(ctx, scs)
+	results := sim.RunScenarios(ctx, scs)
 	resp := Response{
 		ID: req.ID, Tenant: req.Tenant,
 		Results:     toWire(results),

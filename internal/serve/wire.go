@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -168,7 +169,7 @@ func RunRequest(req spec.RequestSpec) ([]ResultWire, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toWire(sim.RunScenarios(scs)), nil
+	return toWire(sim.RunScenarios(context.Background(), scs)), nil
 }
 
 // clampedSpecs applies the request budget clamp to the serializable

@@ -14,14 +14,15 @@ import (
 	"temp/internal/spec"
 )
 
-// Distributed scenario batches: each scenario spec is one task. Specs
+// Scenario-spec batches: each spec is one "sim.scenario" task, run on
+// a fabric's workers or in-process through the same handler. Specs
 // travel as their canonical JSON (they carry custom marshalers gob
 // cannot see through); results travel as gob of a wire mirror whose
 // error is a string.
 
-// Overrides mirrors the CLI's solver/cost override flags in a
-// serializable form so a worker rebuilds the exact stages the
-// coordinator would have used.
+// Overrides is the serializable form of the CLI's solver/cost override
+// flags (-strategy, -budget, -seed, -workers, -backend), so a worker
+// rebuilds the exact stages the coordinator would have used.
 type Overrides struct {
 	Strategy string `json:"strategy,omitempty"`
 	Budget   string `json:"budget,omitempty"`
@@ -31,7 +32,7 @@ type Overrides struct {
 }
 
 // Stages materializes the override stages (nil when the respective
-// flags are unset), exactly as the CLIs build them.
+// flags are unset).
 func (o Overrides) Stages() (*spec.SolverStage, *spec.CostStage, error) {
 	var sol *spec.SolverStage
 	var cst *spec.CostStage
@@ -47,6 +48,26 @@ func (o Overrides) Stages() (*spec.SolverStage, *spec.CostStage, error) {
 		}
 	}
 	return sol, cst, nil
+}
+
+// Scenario resolves a spec and applies the override stages: a non-nil
+// stage replaces the spec-declared one.
+func (o Overrides) Scenario(ss spec.ScenarioSpec) (spec.Scenario, error) {
+	sc, err := ss.Resolve()
+	if err != nil {
+		return spec.Scenario{}, err
+	}
+	sol, cst, err := o.Stages()
+	if err != nil {
+		return spec.Scenario{}, err
+	}
+	if sol != nil {
+		sc.Solver = sol
+	}
+	if cst != nil {
+		sc.Cost = cst
+	}
+	return sc, nil
 }
 
 type scenarioTask struct {
@@ -79,11 +100,12 @@ func runScenarioPayload(ctx context.Context, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, cst, err := t.Ov.Stages()
-	if err != nil {
-		return nil, err
+	res := ScenarioResult{Name: ss.Name}
+	if sc, err := t.Ov.Scenario(ss); err != nil {
+		res.Err = err
+	} else {
+		res = runOne(ctx, sc)
 	}
-	res := RunScenarioSpecsWithStagesCtx(ctx, []spec.ScenarioSpec{ss}, sol, cst)[0]
 	w := scenarioWire{
 		Name: res.Name, Result: res.Result,
 		FaultNormTput: res.FaultNormTput, Faulted: res.Faulted,
@@ -99,18 +121,15 @@ func runScenarioPayload(ctx context.Context, payload []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RunScenarioSpecsOn distributes a scenario batch across the fabric
-// (in-process when f is nil or degraded), merging results back into
-// spec order. It matches RunScenarioSpecsWithStages(specs, ov.Stages())
-// bit-for-bit at any worker count.
-func RunScenarioSpecsOn(f *distrib.Fabric, specs []spec.ScenarioSpec, ov Overrides) []ScenarioResult {
-	return RunScenarioSpecsOnCtx(context.Background(), f, specs, ov)
-}
-
-// RunScenarioSpecsOnCtx is RunScenarioSpecsOn with cancellation:
-// scenarios not finished when ctx ends report ctx.Err(), and workers
-// receive best-effort shard cancellation.
-func RunScenarioSpecsOnCtx(ctx context.Context, f *distrib.Fabric, specs []spec.ScenarioSpec, ov Overrides) []ScenarioResult {
+// RunScenarioSpecs resolves and runs serialized scenario specs with
+// the override stages applied, one task per spec: sharded across f's
+// workers, or in-process through the same handler when f is nil or
+// degraded. Results merge back into spec order and are bit-identical
+// at any worker count. A spec that fails to resolve contributes an
+// error result rather than aborting the batch; scenarios not finished
+// when ctx ends report ctx.Err(), and workers receive best-effort
+// shard cancellation.
+func RunScenarioSpecs(ctx context.Context, f *distrib.Fabric, specs []spec.ScenarioSpec, ov Overrides) []ScenarioResult {
 	payloads := make([][]byte, len(specs))
 	out := make([]ScenarioResult, len(specs))
 	encErr := make([]error, len(specs))

@@ -248,69 +248,16 @@ func runOne(ctx context.Context, sc spec.Scenario) ScenarioResult {
 	return out
 }
 
-// RunScenarios fans a scenario batch out over the evaluation engine
-// and returns results in input order regardless of completion order.
-// Results are deterministic: the cost model is pure and each
-// scenario's fault stage seeds its own RNG, so any worker count
-// produces the same output.
-func RunScenarios(scs []spec.Scenario) []ScenarioResult {
-	return RunScenariosCtx(context.Background(), scs)
-}
-
-// RunScenariosCtx is RunScenarios with cancellation: scenarios not
-// yet started when ctx ends report ctx.Err(); a scenario mid-solve
-// stops at its next budget check and reports the same.
-func RunScenariosCtx(ctx context.Context, scs []spec.Scenario) []ScenarioResult {
+// RunScenarios fans a batch of resolved scenarios out over the
+// evaluation engine and returns results in input order regardless of
+// completion order. Results are deterministic: the cost model is pure
+// and each scenario's fault stage seeds its own RNG, so any worker
+// count produces the same output. Scenarios not yet started when ctx
+// ends report ctx.Err(); a scenario mid-solve stops at its next budget
+// check and reports the same.
+func RunScenarios(ctx context.Context, scs []spec.Scenario) []ScenarioResult {
 	out := make([]ScenarioResult, len(scs))
 	engine.Map(len(scs), func(i int) {
-		out[i] = runOne(ctx, scs[i])
-	})
-	return out
-}
-
-// RunScenarioSpecs resolves and runs serialized scenario specs. A
-// spec that fails to resolve contributes an error result rather than
-// aborting the batch.
-func RunScenarioSpecs(specs []spec.ScenarioSpec) []ScenarioResult {
-	return RunScenarioSpecsWithSolver(specs, nil)
-}
-
-// RunScenarioSpecsWithSolver is RunScenarioSpecs with an optional
-// solver-stage override: when non-nil, every scenario in the batch
-// runs the given search stage in place of (or in addition to) the one
-// its spec declares — the CLI -strategy/-budget flags.
-func RunScenarioSpecsWithSolver(specs []spec.ScenarioSpec, override *spec.SolverStage) []ScenarioResult {
-	return RunScenarioSpecsWithStages(specs, override, nil)
-}
-
-// RunScenarioSpecsWithStages is RunScenarioSpecs with optional
-// solver-stage and cost-stage overrides — the CLI
-// -strategy/-budget/-backend flags. A non-nil stage replaces the
-// corresponding spec-declared stage on every scenario in the batch.
-func RunScenarioSpecsWithStages(specs []spec.ScenarioSpec, override *spec.SolverStage, costStage *spec.CostStage) []ScenarioResult {
-	return RunScenarioSpecsWithStagesCtx(context.Background(), specs, override, costStage)
-}
-
-// RunScenarioSpecsWithStagesCtx is RunScenarioSpecsWithStages with
-// cancellation (see RunScenariosCtx).
-func RunScenarioSpecsWithStagesCtx(ctx context.Context, specs []spec.ScenarioSpec, override *spec.SolverStage, costStage *spec.CostStage) []ScenarioResult {
-	scs := make([]spec.Scenario, len(specs))
-	errs := make([]error, len(specs))
-	for i, s := range specs {
-		scs[i], errs[i] = s.Resolve()
-		if errs[i] == nil && override != nil {
-			scs[i].Solver = override
-		}
-		if errs[i] == nil && costStage != nil {
-			scs[i].Cost = costStage
-		}
-	}
-	out := make([]ScenarioResult, len(specs))
-	engine.Map(len(specs), func(i int) {
-		if errs[i] != nil {
-			out[i] = ScenarioResult{Name: specs[i].Name, Err: errs[i]}
-			return
-		}
 		out[i] = runOne(ctx, scs[i])
 	})
 	return out

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -45,9 +46,9 @@ func TestRunScenariosDeterministic(t *testing.T) {
 	defer engine.SetWorkers(prev)
 
 	engine.SetWorkers(1)
-	serial := RunScenarioSpecs(specs)
+	serial := RunScenarioSpecs(context.Background(), nil, specs, Overrides{})
 	engine.SetWorkers(8)
-	parallel8 := RunScenarioSpecs(specs)
+	parallel8 := RunScenarioSpecs(context.Background(), nil, specs, Overrides{})
 
 	if len(serial) != len(specs) || len(parallel8) != len(specs) {
 		t.Fatalf("result count: serial %d, parallel %d, want %d", len(serial), len(parallel8), len(specs))
@@ -110,7 +111,7 @@ func TestScenarioFaultStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := RunScenarioSpecs([]spec.ScenarioSpec{ss})
+	rs := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})
 	if rs[0].Err != nil {
 		t.Fatal(rs[0].Err)
 	}
@@ -136,9 +137,9 @@ func TestScenarioSolverStage(t *testing.T) {
 	defer engine.SetWorkers(prev)
 
 	engine.SetWorkers(1)
-	serial := RunScenarioSpecs([]spec.ScenarioSpec{ss})[0]
+	serial := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})[0]
 	engine.SetWorkers(8)
-	parallel8 := RunScenarioSpecs([]spec.ScenarioSpec{ss})[0]
+	parallel8 := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})[0]
 
 	for _, r := range []ScenarioResult{serial, parallel8} {
 		if r.Err != nil {
@@ -164,12 +165,8 @@ func TestScenarioSolverStage(t *testing.T) {
 			serial.Solver, parallel8.Solver)
 	}
 
-	// The override hook replaces the declared stage.
-	stage, err := (&spec.SolverSpec{Strategy: "dp"}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	over := RunScenarioSpecsWithSolver([]spec.ScenarioSpec{ss}, stage)[0]
+	// The strategy override replaces the declared stage.
+	over := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{Strategy: "dp"})[0]
 	if over.Err != nil {
 		t.Fatal(over.Err)
 	}
@@ -190,14 +187,14 @@ func TestScenarioCostStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := RunScenarioSpecs([]spec.ScenarioSpec{ss})[0]
+	base := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})[0]
 	if base.Err != nil {
 		t.Fatal(base.Err)
 	}
 
 	withReplay := ss
 	withReplay.Cost = &spec.CostSpec{Backend: "replay"}
-	rp := RunScenarioSpecs([]spec.ScenarioSpec{withReplay})[0]
+	rp := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{withReplay}, Overrides{})[0]
 	if rp.Err != nil {
 		t.Fatal(rp.Err)
 	}
@@ -209,11 +206,7 @@ func TestScenarioCostStage(t *testing.T) {
 	}
 
 	// CLI-style override: same effect without touching the spec.
-	stage, err := spec.CostOverride("replay", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	over := RunScenarioSpecsWithStages([]spec.ScenarioSpec{ss}, nil, stage)[0]
+	over := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{Backend: "replay"})[0]
 	if over.Err != nil {
 		t.Fatal(over.Err)
 	}
@@ -224,7 +217,7 @@ func TestScenarioCostStage(t *testing.T) {
 	mf := ss
 	mf.Cost = &spec.CostSpec{Backend: "surrogate", Seed: 42}
 	mf.Solver = &spec.SolverSpec{Strategy: "multifid", Seed: 7}
-	r := RunScenarioSpecs([]spec.ScenarioSpec{mf})[0]
+	r := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{mf}, Overrides{})[0]
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

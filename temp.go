@@ -274,6 +274,9 @@ type (
 	Scenario = spec.Scenario
 	// ScenarioResult pairs one scenario with its evaluation outcome.
 	ScenarioResult = sim.ScenarioResult
+	// ScenarioOverrides carries the CLI -strategy/-budget/-seed/
+	// -workers/-backend overrides applied to every spec of a batch.
+	ScenarioOverrides = sim.Overrides
 	// SystemEnvelope caps a system's swept configuration space.
 	SystemEnvelope = baselines.Envelope
 )
@@ -289,7 +292,9 @@ var (
 	// batch out over the evaluation engine in input order.
 	RunScenario  = sim.RunScenario
 	RunScenarios = sim.RunScenarios
-	// RunScenarioSpecs resolves and runs serialized specs.
+	// RunScenarioSpecs resolves and runs serialized specs under the
+	// CLI overrides, across a fabric's workers or (nil fabric)
+	// in-process.
 	RunScenarioSpecs = sim.RunScenarioSpecs
 	// RegisteredWafers/Models/Systems are the name-keyed registries,
 	// pre-populated with every paper constructor.
@@ -317,7 +322,8 @@ var (
 	// RunExperiment regenerates one table/figure by id (see
 	// DESIGN.md's per-experiment index).
 	RunExperiment = experiments.ByID
-	// RunAllExperiments regenerates the full evaluation.
+	// RunAllExperiments regenerates the full evaluation, across a
+	// fabric's workers or (nil fabric) in-process.
 	RunAllExperiments = experiments.All
 )
 
@@ -360,8 +366,6 @@ var (
 	ParseChaos = distrib.ParseChaos
 	// RegisterFabricKind adds a task kind to the worker registry.
 	RegisterFabricKind = distrib.RegisterKind
-	// RunScenarioSpecsOn distributes a scenario batch over a fabric.
-	RunScenarioSpecsOn = sim.RunScenarioSpecsOn
 	// RunCampaignOn distributes a fault campaign's grid cells.
 	RunCampaignOn = fault.Campaign.RunOn
 	// RunExperimentOn regenerates one experiment through a fabric.
