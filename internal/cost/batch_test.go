@@ -159,19 +159,22 @@ func TestPriceBatchSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := ab.(cost.BatchBackend)
-	o := cost.TEMPOptions()
-	o.Engine = cost.GMap
 	const k = 64
 	cfgs := batchCandidates(w.Dies(), k)
 	out := make([]cost.Breakdown, k)
 	errs := make([]error, k)
-	be.PriceBatch(m, w, cfgs, o, out, errs) // warm caches + pool
-	avg := testing.AllocsPerRun(20, func() {
-		be.PriceBatch(m, w, cfgs, o, out, errs)
-	})
-	// Budget: well under one allocation per candidate; the only
-	// allowed allocations are constant per batch.
-	if avg > 8 {
-		t.Errorf("steady-state PriceBatch allocates %.1f objects per %d-candidate batch, budget 8", avg, k)
+	for _, e := range []cost.Engine{cost.GMap, cost.TCMEEngine} {
+		o := cost.TEMPOptions()
+		o.Engine = e
+		be.PriceBatch(m, w, cfgs, o, out, errs) // warm caches, route plans + pool
+		avg := testing.AllocsPerRun(20, func() {
+			be.PriceBatch(m, w, cfgs, o, out, errs)
+		})
+		// Budget: well under one allocation per candidate; the only
+		// allowed allocations are constant per batch.
+		t.Logf("%s: %.1f allocs per %d-candidate batch, budget 8", e, avg, k)
+		if avg > 8 {
+			t.Errorf("%s: steady-state PriceBatch allocates %.1f objects per %d-candidate batch, budget 8", e, avg, k)
+		}
 	}
 }

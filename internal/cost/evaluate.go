@@ -72,7 +72,9 @@ type Breakdown struct {
 	// BWUtilization is the fraction of link·seconds carrying data.
 	BWUtilization float64
 
-	// TCME aggregates the optimizer's work when Engine==TCMEEngine.
+	// TCME aggregates the optimizer's work over every communication
+	// phase it optimized: all of them under Engine==TCMEEngine, and
+	// under any engine on the replay tier. Its Phase is empty.
 	TCME tcme.Result
 }
 
@@ -115,11 +117,12 @@ type evalState struct {
 	orders [parallel.NumStrategies][][]mesh.DieID
 
 	// Lazily compiled merged lowering templates (all TATP orchs merged;
-	// each strategy × ring-collective kind merged over its groups),
-	// shared by every evaluation of this state.
+	// each strategy × ring-collective kind merged over its groups) and
+	// their TCME route plans, shared by every evaluation of this state.
 	mu     sync.Mutex
 	stream *mesh.PhaseTemplate
 	coll   map[collKey]collTemplate
+	plans  map[planKey]*routePlan
 }
 
 // Ring-collective kinds the evaluator lowers through merged templates.
@@ -291,6 +294,12 @@ type evaluator struct {
 	// steady-state candidates allocate nothing.
 	seqBuf  []mesh.LoweredSeq
 	collSeq [1]mesh.LoweredSeq
+
+	// planned, when set, gets a copy of every template sequence the
+	// TCME path prices through route plans; the plan oracle test
+	// replays them through the materialized optimizer. (Handing it seq
+	// itself would move the evaluator to the heap.)
+	planned func([]mesh.LoweredSeq)
 }
 
 // needTCME reports whether phases must pass through the TCME
@@ -309,12 +318,20 @@ func (ev *evaluator) merge(seqs ...[]mesh.Phase) []mesh.Phase {
 	return collective.MergeFlows(seqs...)
 }
 
-// evalLowered times a scaled-template sequence: the TCME path
-// materializes real phases for the optimizer to mutate; the analytic
-// path evaluates the templates in place, allocation-free.
+// evalLowered times a scaled-template sequence in place,
+// allocation-free once warm. The TCME path times each template's route
+// plan instead of the template and aggregates the plans' statistics
+// exactly as OptimizeAll over the materialized sequence would.
 func (ev *evaluator) evalLowered(seq []mesh.LoweredSeq) float64 {
 	if ev.needTCME() {
-		return ev.evalPhases(mesh.MaterializeSeq(seq))
+		if ev.planned != nil {
+			ev.planned(append([]mesh.LoweredSeq(nil), seq...))
+		}
+		var agg tcme.Result
+		for i := range seq {
+			seq[i].Prof = ev.st.planFor(ev.topo, seq[i].Tmpl, ev.o.TCME).price(seq[i].Bytes, &agg)
+		}
+		ev.tcmeAgg.Add(agg)
 	}
 	pt := ev.topo.SeqTimeLowered(seq)
 	ev.linkBytes += pt.LinkBytes
@@ -859,8 +876,10 @@ func nearestNeighborOrder(t *mesh.Topology, dies []mesh.DieID) []mesh.DieID {
 	return out
 }
 
-// evalPhases times a phase sequence, applying TCME when enabled, and
-// accumulates link-byte statistics.
+// evalPhases times a materialized phase sequence, applying TCME when
+// enabled, and accumulates link-byte statistics. Only phases whose
+// flows carry different byte counts come here (the FSDP×TATP merged
+// stream, unequal survivor groups); templates go through evalLowered.
 func (ev *evaluator) evalPhases(phases []mesh.Phase) float64 {
 	if ev.needTCME() {
 		opt, agg := tcme.OptimizeAll(ev.topo, phases, ev.o.TCME)

@@ -1,0 +1,167 @@
+package cost
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"temp/internal/hw"
+	"temp/internal/mesh"
+	"temp/internal/model"
+	"temp/internal/parallel"
+	"temp/internal/tcme"
+)
+
+// materializedTime is the path route plans replaced, kept as their
+// reference: materialize every template at its query bytes, optimize
+// the concatenation with tcme.OptimizeAll and time it with SeqTime.
+func materializedTime(t *mesh.Topology, seq []mesh.LoweredSeq, opts tcme.Options) (mesh.PhaseTime, tcme.Result) {
+	var phases []mesh.Phase
+	for _, ls := range seq {
+		phases = append(phases, ls.Tmpl.Materialize(ls.Bytes)...)
+	}
+	opt, agg := tcme.OptimizeAll(t, phases, opts)
+	return t.SeqTime(opt), agg
+}
+
+// planOracle records the template sequences real evaluations price
+// through route plans and checks each against materializedTime.
+type planOracle struct {
+	t *testing.T
+	// seen lists each distinct template once, with an evaluator whose
+	// state owns it, for the byte-scale grid.
+	seen  []mesh.LoweredSeq
+	owner map[*mesh.PhaseTemplate]*evaluator
+	// queries counts the sequences checked.
+	queries int
+}
+
+// check prices seq through evalLowered on a fresh evaluator sharing
+// ev's state and options, and compares the total time, LinkBytes and
+// tcme.Result with the materialized reference bit for bit.
+func (po *planOracle) check(name string, ev *evaluator, seq []mesh.LoweredSeq) {
+	po.t.Helper()
+	po.queries++
+	want, wantAgg := materializedTime(ev.topo, seq, ev.o.TCME)
+	got := evaluator{topo: ev.topo, st: ev.st, o: ev.o, replay: ev.replay}
+	total := got.evalLowered(append([]mesh.LoweredSeq(nil), seq...))
+	if total != want.Total() || got.linkBytes != want.LinkBytes || !reflect.DeepEqual(got.tcmeAgg, wantAgg) {
+		po.t.Errorf("%s, bytes %v: plan total %v link bytes %v %v; materialized %v %v %v",
+			name, seqBytes(seq), total, got.linkBytes, got.tcmeAgg, want.Total(), want.LinkBytes, wantAgg)
+	}
+}
+
+func seqBytes(seq []mesh.LoweredSeq) []float64 {
+	out := make([]float64, len(seq))
+	for i, ls := range seq {
+		out[i] = ls.Bytes
+	}
+	return out
+}
+
+// run evaluates ev, checking every sequence its TCME path prices.
+func (po *planOracle) run(name string, ev *evaluator) {
+	po.t.Helper()
+	var seqs [][]mesh.LoweredSeq
+	ev.planned = func(seq []mesh.LoweredSeq) { seqs = append(seqs, seq) }
+	if _, err := ev.run(); err != nil {
+		po.t.Fatalf("%s: %v", name, err)
+	}
+	for _, seq := range seqs {
+		po.check(name, ev, seq)
+		for _, ls := range seq {
+			if po.owner[ls.Tmpl] == nil {
+				po.owner[ls.Tmpl] = ev
+				po.seen = append(po.seen, ls)
+			}
+		}
+	}
+}
+
+// oracleConfigs is every configuration TEMP sweeps on a wafer (the
+// power-of-two DP×TP×SP×TATP space, with and without Megatron-style
+// SP fusion) plus the FSDP variant of each data-parallel one.
+func oracleConfigs(dies int) []parallel.Config {
+	var out []parallel.Config
+	for _, c := range parallel.EnumerateConfigs(dies, true, 0) {
+		out = append(out, c)
+		if c.SP > 1 {
+			c.MegatronSP = true
+			out = append(out, c)
+			c.MegatronSP = false
+		}
+		if c.DP > 1 {
+			c.FSDP = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestRoutePlansMatchMaterialized pins the route-plan path of
+// evalLowered against re-optimizing the materialized phases per query.
+// On wsc-4x8 it covers every stream and collective template of every
+// TEMP configuration in both placement families, the replay tier's
+// SMap/GMap states, and one faulted interned mesh lowered from an
+// external placement as evaluateOn does — each at the evaluator's own
+// bytes for every zoo model — then a byte-scale grid on every distinct
+// template. -short checks two models, every fifth configuration and
+// every fifth template of the grid.
+func TestRoutePlansMatchMaterialized(t *testing.T) {
+	w := hw.EvaluationWafer()
+	topo := mesh.FromWafer(w)
+	models, cfgs, stride := model.Zoo(), oracleConfigs(w.Dies()), 1
+	if testing.Short() {
+		models, stride = models[:2], 5
+	}
+	po := &planOracle{t: t, owner: map[*mesh.PhaseTemplate]*evaluator{}}
+	evalOn := func(name string, m model.Config, cfg parallel.Config, o Options,
+		topo *mesh.Topology, st *evalState, replay bool) {
+		po.run(name, &evaluator{m: m, w: w, cfg: cfg, o: o, topo: topo, st: st,
+			graph: model.BlockGraph(m), replay: replay})
+	}
+
+	for _, m := range models {
+		for i := 0; i < len(cfgs); i += stride {
+			cfg := cfgs[i].Normalize()
+			for _, linear := range []bool{false, true} {
+				if st, err := stateFor(topo, cfg, linear, true); err == nil {
+					evalOn(fmt.Sprintf("%s/%s/TCME linear=%v", m.Name, cfg, linear), m, cfg, TEMPOptions(), topo, st, false)
+				}
+			}
+			for _, e := range []Engine{SMap, GMap} {
+				if st, err := stateFor(topo, cfg, e == SMap, false); err == nil {
+					o := TEMPOptions()
+					o.Engine = e
+					evalOn(fmt.Sprintf("%s/%s/replay %s", m.Name, cfg, e), m, cfg, o, topo, st, true)
+				}
+			}
+		}
+	}
+
+	c := topo.Clone()
+	for _, l := range []mesh.Link{{From: 1, To: 2}, {From: 9, To: 10}, {From: 3, To: 11}} {
+		c.SetLinkAlive(l, false)
+	}
+	faulted := c.Intern()
+	for i := 0; i < len(cfgs); i += stride {
+		cfg := cfgs[i].Normalize()
+		if place, err := parallel.Place(cfg, faulted); err == nil {
+			st := newEvalState(faulted, place, true)
+			evalOn(fmt.Sprintf("faulted/%s/%s", models[0].Name, cfg), models[0], cfg, TEMPOptions(), faulted, st, false)
+		}
+	}
+
+	evalQueries := po.queries
+	grid := []float64{0, 1e-3, 0.1, 3, 12345.678, math.Ldexp(1, 40) + 1}
+	for i := 0; i < len(po.seen); i += stride {
+		ls := po.seen[i]
+		ev := po.owner[ls.Tmpl]
+		for _, b := range grid {
+			po.check(fmt.Sprintf("grid template %d (%s)", i, ev.cfg), ev, []mesh.LoweredSeq{{Tmpl: ls.Tmpl, Bytes: b}})
+		}
+	}
+	t.Logf("%d evaluator sequences, %d distinct templates, %d grid queries",
+		evalQueries, len(po.seen), po.queries-evalQueries)
+}

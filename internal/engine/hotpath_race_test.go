@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,23 +12,31 @@ import (
 )
 
 // TestSweepSharesHotPathCaches hammers the evaluation hot path's
-// shared structures from a concurrent Sweep: the topology interner,
-// the per-topology derived state (placements, orchestrations,
-// compiled lowering templates) and the collective lowering cache are
-// all populated and read by every worker at once. Run under -race
+// shared structures from concurrent Sweeps: the topology interner,
+// the per-topology derived state (placements, orchestrations, compiled
+// lowering templates, their link profiles and TCME route plans) and
+// the collective lowering cache are all built and read by every
+// worker at once. The pools run first, on a wafer no other test in
+// this package interns, so they race the construction of every one
+// of those structures, not just reads of warm ones. Run under -race
 // this is the concurrency contract test for the hot-path caches; the
-// result check doubles as a determinism guard (parallel and serial
-// sweeps must agree bit for bit).
+// result check doubles as a determinism guard (parallel sweeps must
+// equal a serial sweep run after them, bit for bit).
 func TestSweepSharesHotPathCaches(t *testing.T) {
 	m := model.GPT3_6_7B()
-	wafers := []hw.Wafer{hw.EvaluationWafer(), hw.ReferenceWafer()}
+	w := hw.EvaluationWafer()
+	w.Name = "wsc-4x8-race"
+	w.Link.Bandwidth *= 1.5
 	var jobs []Job
-	for _, w := range wafers {
-		for _, cfg := range parallel.EnumerateConfigs(w.Dies(), true, 0) {
-			jobs = append(jobs, Job{Model: m, Wafer: w, Config: cfg, Opts: cost.TEMPOptions()})
+	for _, cfg := range parallel.EnumerateConfigs(w.Dies(), true, 0) {
+		jobs = append(jobs, Job{Model: m, Wafer: w, Config: cfg, Opts: cost.TEMPOptions()})
+		// The replay tier runs SMap/GMap states through route plans too.
+		for _, e := range []cost.Engine{cost.SMap, cost.GMap} {
+			o := cost.TEMPOptions()
+			o.Engine = e
+			jobs = append(jobs, Job{Model: m, Wafer: w, Config: cfg, Opts: o, Backend: "replay"})
 		}
 	}
-	serial := New(1).Sweep(jobs)
 
 	// Two parallel pools race each other on the process-global caches.
 	pools := []*Pool{New(8), New(8)}
@@ -41,20 +50,16 @@ func TestSweepSharesHotPathCaches(t *testing.T) {
 		}(i, p)
 	}
 	wg.Wait()
+	serial := New(1).Sweep(jobs)
 
 	for i, rs := range results {
 		for j, r := range rs {
 			if (r.Err == nil) != (serial[j].Err == nil) {
 				t.Fatalf("pool %d job %d error mismatch: %v vs %v", i, j, r.Err, serial[j].Err)
 			}
-			if r.Err != nil {
-				continue
-			}
-			got, want := r.Breakdown, serial[j].Breakdown
-			if got.StepTime != want.StepTime || got.ComputeTime != want.ComputeTime ||
-				got.StreamTime != want.StreamTime || got.CollectiveTime != want.CollectiveTime ||
-				got.ThroughputTokens != want.ThroughputTokens || got.EnergyComm != want.EnergyComm {
-				t.Fatalf("pool %d job %d (%s) diverged from serial sweep", i, j, jobs[j].Config)
+			if !reflect.DeepEqual(r.Breakdown, serial[j].Breakdown) {
+				t.Fatalf("pool %d job %d (%s, %s, backend %q) diverged from the serial sweep:\n%+v\n%+v",
+					i, j, jobs[j].Config, jobs[j].Opts.Engine, jobs[j].Backend, r.Breakdown, serial[j].Breakdown)
 			}
 		}
 	}

@@ -59,6 +59,20 @@ func timeGeneric(t *Topology, p Phase) PhaseTime {
 // lower real collectives onto faulted meshes.
 var TimeGeneric = timeGeneric
 
+// MaterializeSeq concatenates the materialized phases of a scaled
+// template sequence, in order: the reference SeqTimeLowered is pinned
+// against.
+func MaterializeSeq(seq []LoweredSeq) []Phase {
+	var out []Phase
+	for _, ls := range seq {
+		if ls.Tmpl == nil {
+			continue
+		}
+		out = append(out, ls.Tmpl.Materialize(ls.Bytes)...)
+	}
+	return out
+}
+
 // TestTimeZeroAllocs pins the dense kernel's allocation contract:
 // steady-state Time and SeqTime must not allocate (scratch comes from
 // the pool, the bottleneck scan walks the link index).
@@ -104,6 +118,34 @@ func TestSeqTimeLoweredMatchesMaterialized(t *testing.T) {
 	want := tp.SeqTime(MaterializeSeq(seq))
 	if got != want {
 		t.Errorf("SeqTimeLowered = %+v, materialized SeqTime = %+v", got, want)
+	}
+
+	// A compiled profile of other uniform phases (here the template's
+	// flows detoured YX, as a TCME reroute would) replaces the
+	// template's own profile.
+	alt := tmpl.Materialize(1)
+	for i := range alt {
+		for j := range alt[i].Flows {
+			f := &alt[i].Flows[j]
+			f.Route = tp.RouteYX(f.Src, f.Dst)
+		}
+	}
+	prof := tp.CompileProfile(alt)
+	for i := range seq {
+		seq[i].Prof = prof
+	}
+	var scaled []Phase
+	for _, ls := range seq {
+		for _, ph := range alt {
+			flows := append([]Flow(nil), ph.Flows...)
+			for j := range flows {
+				flows[j].Bytes = ls.Bytes
+			}
+			scaled = append(scaled, Phase{Label: ph.Label, Flows: flows})
+		}
+	}
+	if got, want := tp.SeqTimeLowered(seq), tp.SeqTime(scaled); got != want {
+		t.Errorf("SeqTimeLowered over a compiled profile = %+v, materialized SeqTime = %+v", got, want)
 	}
 }
 

@@ -1,6 +1,10 @@
 package mesh
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"temp/internal/unit"
+)
 
 // PhaseTemplate is an immutable, byte-invariant compiled phase
 // sequence: the route structures, payloads and labels of a lowered
@@ -22,18 +26,19 @@ type PhaseTemplate struct {
 	// prof heads a tiny list of per-topology SoA link-load profiles
 	// (almost always exactly one: templates are compiled from one
 	// topology's routes and only ever timed on it).
-	prof atomic.Pointer[linkProfile]
+	prof atomic.Pointer[LinkProfile]
 }
 
-// linkProfile is the structure-of-arrays distillation of one template
-// on one topology: for every phase, the touched canonical link IDs in
-// ascending order with their traversal counts, plus the per-phase flow
-// count, total traversal count and longest route. Because all of a
-// template's flows carry one byte value per evaluation, these counts
-// are sufficient to reproduce the dense Time walk bit-for-bit —
-// each link's load is the same value added count times — without
-// zeroing per-link scratch or re-deriving link IDs per candidate.
-type linkProfile struct {
+// LinkProfile is the structure-of-arrays distillation of a phase
+// sequence on one topology: for every phase, the touched canonical
+// link IDs in ascending order with their traversal counts, plus the
+// per-phase flow count, total traversal count and longest route.
+// Because every flow carries one byte value per evaluation (a
+// template's flows, or TCME's optimization of them), these counts are
+// sufficient to reproduce the dense Time walk bit-for-bit — each
+// link's load is the same value added count times — without zeroing
+// per-link scratch or re-deriving link IDs per candidate.
+type LinkProfile struct {
 	topo *Topology
 	// off[p]..off[p+1] bounds phase p's entries in ids/counts.
 	off    []int32
@@ -46,20 +51,20 @@ type linkProfile struct {
 	hops  []int32
 	// next links profiles for other topologies (rare; bounded by the
 	// interned-topology count).
-	next *linkProfile
+	next *LinkProfile
 }
 
 // profileFor returns the template's SoA profile on t, compiling it on
 // first use. Lookup is one atomic load plus a pointer compare, so the
 // steady-state evaluation path stays allocation-free.
-func (t *Topology) profileFor(tmpl *PhaseTemplate) *linkProfile {
+func (t *Topology) profileFor(tmpl *PhaseTemplate) *LinkProfile {
 	head := tmpl.prof.Load()
 	for p := head; p != nil; p = p.next {
 		if p.topo == t {
 			return p
 		}
 	}
-	p := t.buildProfile(tmpl)
+	p := t.CompileProfile(tmpl.phases)
 	p.next = head
 	// A lost race leaves the other builder's profile installed; ours
 	// is still correct for this call and simply rebuilt next time.
@@ -67,11 +72,13 @@ func (t *Topology) profileFor(tmpl *PhaseTemplate) *linkProfile {
 	return p
 }
 
-// buildProfile counts each phase's per-link traversals through the
-// same forEachLink walk the timing kernels use.
-func (t *Topology) buildProfile(tmpl *PhaseTemplate) *linkProfile {
-	n := len(tmpl.phases)
-	p := &linkProfile{
+// CompileProfile counts each phase's per-link traversals through the
+// same forEachLink walk the timing kernels use. Flow byte values are
+// ignored: the profile is timed at a byte value per query (see
+// LoweredSeq.Prof), and keeps no reference to the phases.
+func (t *Topology) CompileProfile(phases []Phase) *LinkProfile {
+	n := len(phases)
+	p := &LinkProfile{
 		topo:  t,
 		off:   make([]int32, 1, n+1),
 		flows: make([]int32, 0, n),
@@ -79,7 +86,7 @@ func (t *Topology) buildProfile(tmpl *PhaseTemplate) *linkProfile {
 		hops:  make([]int32, 0, n),
 	}
 	s := timePool.Get().(*timeScratch)
-	for _, ph := range tmpl.phases {
+	for _, ph := range phases {
 		s.grab(len(t.links))
 		maxHops := 0
 		for i := range ph.Flows {
@@ -107,35 +114,24 @@ func (t *Topology) buildProfile(tmpl *PhaseTemplate) *linkProfile {
 	return p
 }
 
-// repAdd sums v added to a zero accumulator n times — the exact float
-// chain a dense walk produces for a link traversed n times by equal
-// flows. It is NOT n*v in general (0.1 added three times ≠ 0.3·…),
-// and the goldens pin the walk's value.
-func repAdd(v float64, n int32) float64 {
-	var s float64
-	for i := int32(0); i < n; i++ {
-		s += v
-	}
-	return s
-}
-
-// timePhaseProfiled evaluates phase ph of a profiled template with
-// every flow carrying scale bytes, bit-identical to Time on the phase
+// timePhaseProfiled evaluates phase ph of a profile with every flow
+// carrying scale bytes, bit-identical to Time on the phase
 // materialized at scale bytes: per-link loads are the same repeated
-// additions, the bottleneck scan visits the same IDs in the same
-// ascending order with the same strictly-greater tie-break, and the
-// aggregate fields replicate their walk-order summation chains.
-func (t *Topology) timePhaseProfiled(p *linkProfile, ph int, scale float64) PhaseTime {
+// additions (unit.RepAdd), the bottleneck scan visits the same IDs in
+// the same ascending order with the same strictly-greater tie-break,
+// and the aggregate fields replicate their walk-order summation
+// chains.
+func (t *Topology) timePhaseProfiled(p *LinkProfile, ph int, scale float64) PhaseTime {
 	var out PhaseTime
-	out.TotalBytes = repAdd(scale, p.flows[ph])
-	out.LinkBytes = repAdd(scale, p.travs[ph])
+	out.TotalBytes = unit.RepAdd(scale, p.flows[ph])
+	out.LinkBytes = unit.RepAdd(scale, p.travs[ph])
 	out.MaxHops = int(p.hops[ph])
 	lastN := int32(-1)
 	var load float64
 	for k := p.off[ph]; k < p.off[ph+1]; k++ {
 		n := p.counts[k]
 		if n != lastN {
-			load = repAdd(scale, n)
+			load = unit.RepAdd(scale, n)
 			lastN = n
 		}
 		mean := load / float64(n)
@@ -184,44 +180,38 @@ func (t *PhaseTemplate) Flows() int { return len(t.flows) }
 type LoweredSeq struct {
 	Tmpl  *PhaseTemplate
 	Bytes float64
+	// Prof, when set, is timed in place of Tmpl's own profile: a
+	// profile of phases derived from Tmpl whose flows still all carry
+	// Bytes (TCME's optimization of the template), compiled with
+	// CompileProfile on the same topology.
+	Prof *LinkProfile
 }
 
 // SeqTimeLowered evaluates the concatenation of scaled templates
 // exactly as SeqTime would evaluate the materialized concatenation —
 // same phase order, same per-accumulator float summation order — but
 // without materializing anything. This is the zero-allocation
-// collective path of the analytic cost model; the TCME path still
-// materializes (MaterializeSeq) because the optimizer mutates phases.
+// collective path of the cost model.
 //
-// Phases run through the template's compiled SoA link profile (see
-// linkProfile), so pricing K candidate byte sizes against one template
-// costs K bottleneck scans over the touched links instead of K full
-// route walks with per-link scratch zeroing.
+// Phases run through each template's compiled SoA link profile (see
+// LinkProfile), so pricing K candidate byte sizes against one
+// template costs K bottleneck scans over the touched links instead of
+// K full route walks with per-link scratch zeroing.
 func (t *Topology) SeqTimeLowered(seq []LoweredSeq) PhaseTime {
 	var s seqSum
 	for _, ls := range seq {
-		if ls.Tmpl == nil {
-			continue
+		prof := ls.Prof
+		if prof == nil {
+			if ls.Tmpl == nil {
+				continue
+			}
+			prof = t.profileFor(ls.Tmpl)
 		}
-		prof := t.profileFor(ls.Tmpl)
-		for i := range ls.Tmpl.phases {
+		for i := range prof.flows {
 			s.add(t.timePhaseProfiled(prof, i, ls.Bytes))
 		}
 	}
 	return s.out
-}
-
-// MaterializeSeq concatenates the materialized phases of a scaled
-// template sequence, in order.
-func MaterializeSeq(seq []LoweredSeq) []Phase {
-	var out []Phase
-	for _, ls := range seq {
-		if ls.Tmpl == nil {
-			continue
-		}
-		out = append(out, ls.Tmpl.Materialize(ls.Bytes)...)
-	}
-	return out
 }
 
 // Materialize returns the template's phase sequence with every flow

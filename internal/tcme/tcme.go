@@ -168,6 +168,7 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 		maxIter = DefaultMaxIter
 	}
 	cur := clonePhase(p)
+	uniform := uniformBytes(cur)
 	res := Result{}
 	d := newDense(t)
 	_, res.InitialMaxLoad = d.maxLoad(cur)
@@ -198,7 +199,7 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 				mcl, _ = d.maxLoad(cur)
 				hot = hotFlowIdx(cur, mcl)
 			}
-			rr := reroute(t, &cur, hot, d)
+			rr := reroute(t, &cur, hot, d, uniform)
 			res.ReroutedFlows += rr
 			moves += rr
 		}
@@ -233,6 +234,18 @@ func (r *Result) Add(o Result) {
 	r.Iterations += o.Iterations
 	r.MergedFlows += o.MergedFlows
 	r.ReroutedFlows += o.ReroutedFlows
+}
+
+// uniformBytes reports whether every flow of p carries the same
+// bytes. Every move keeps each flow's bytes (merged trees carry their
+// group's), so a phase stays uniform throughout an Optimize run.
+func uniformBytes(p mesh.Phase) bool {
+	for i := range p.Flows {
+		if p.Flows[i].Bytes != p.Flows[0].Bytes {
+			return false
+		}
+	}
+	return true
 }
 
 func clonePhase(p mesh.Phase) mesh.Phase {
@@ -484,7 +497,12 @@ func reverseGroups(t *mesh.Topology, p *mesh.Phase, d *denseState) int {
 // CanReroute step of Fig. 11(d)). A reroute is accepted only when it
 // strictly decreases the phase potential, which keeps the loop
 // monotone. Returns the number of accepted reroutes.
-func reroute(t *mesh.Topology, p *mesh.Phase, hot []int, d *denseState) int {
+//
+// In a uniform phase every load is one byte value added count times,
+// so links are weighed by traversal count: weighing by the rounded
+// load-minus-own-bytes would let the byte scale pick between
+// equal-cost routes. At unit bytes the two weights are equal.
+func reroute(t *mesh.Topology, p *mesh.Phase, hot []int, d *denseState, uniform bool) int {
 	count := 0
 	for _, i := range hot {
 		f := p.Flows[i]
@@ -495,7 +513,14 @@ func reroute(t *mesh.Topology, p *mesh.Phase, hot []int, d *denseState) int {
 		// Remove this flow's own contribution so the weight reflects
 		// the load it would join.
 		for j := 0; j+1 < len(f.Route); j++ {
-			d.loads[t.LinkID(mesh.Link{From: f.Route[j], To: f.Route[j+1]})] -= f.Bytes
+			id := t.LinkID(mesh.Link{From: f.Route[j], To: f.Route[j+1]})
+			d.loads[id] -= f.Bytes
+			d.cnt[id]--
+		}
+		if uniform {
+			for _, id := range d.touched {
+				d.loads[id] = float64(d.cnt[id])
+			}
 		}
 		var norm float64
 		for _, id := range d.touched {

@@ -1,6 +1,7 @@
 package tcme
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -263,5 +264,89 @@ func TestImprovementZeroFinal(t *testing.T) {
 	r := Result{InitialMaxLoad: 0, FinalMaxLoad: 0}
 	if r.Improvement() != 1 {
 		t.Errorf("degenerate improvement = %v, want 1", r.Improvement())
+	}
+}
+
+// TestOptimizeUniformPhaseScaleInvariant pins the property route plans
+// in cost rely on: when every flow of a phase carries the same bytes,
+// the optimizer's moves do not depend on that byte value. Ring
+// collectives merged across groups make contended phases: strided
+// logical-order groups (the SMap layouts of DP×TP×SP) and the ring
+// orders of 2×2 blocks (GMap/TEMP rectangles), on a healthy 4×8 mesh
+// and on one with three dead links. Each phase is optimized at unit
+// bytes and at scales whose repeated sums round, and must make the
+// same moves, end on the same routes, and report max loads equal to
+// the scale added the unit run's counts times.
+func TestOptimizeUniformPhaseScaleInvariant(t *testing.T) {
+	healthy := mesh.Shared(4, 8, hw.TableID2D())
+	c := healthy.Clone()
+	for _, l := range []mesh.Link{{From: 1, To: 2}, {From: 9, To: 10}, {From: 3, To: 11}} {
+		c.SetLinkAlive(l, false)
+	}
+	var groupings [][][]mesh.DieID
+	for _, n := range []int{2, 4, 8} {
+		for _, stride := range []int{1, 2, 4, 8} {
+			if n*stride > 32 {
+				continue
+			}
+			var groups [][]mesh.DieID
+			for g := 0; g < 32/n; g++ {
+				order := make([]mesh.DieID, n)
+				for k := range order {
+					order[k] = mesh.DieID(g/stride*n*stride + g%stride + k*stride)
+				}
+				groups = append(groups, order)
+			}
+			groupings = append(groupings, groups)
+		}
+	}
+	var blocks [][]mesh.DieID
+	for r := 0; r < 4; r += 2 {
+		for col := 0; col < 8; col += 2 {
+			d := mesh.DieID(r*8 + col)
+			blocks = append(blocks, []mesh.DieID{d, d + 8, d + 9, d + 1})
+		}
+	}
+	groupings = append(groupings, blocks)
+
+	scaled := func(p mesh.Phase, b float64) mesh.Phase {
+		out := clonePhase(p)
+		for i := range out.Flows {
+			out.Flows[i].Bytes = b
+		}
+		return out
+	}
+	for _, tp := range []*mesh.Topology{healthy, c.Intern()} {
+		var phases []mesh.Phase
+		for _, groups := range groupings {
+			var ars, ags, rss [][]mesh.Phase
+			for _, order := range groups {
+				n := float64(len(order))
+				ars = append(ars, collective.RingAllReduce(tp, order, n))
+				ags = append(ags, collective.RingAllGather(tp, order, 1))
+				rss = append(rss, collective.RingReduceScatter(tp, order, n))
+			}
+			for _, seqs := range [][][]mesh.Phase{ars, ags, rss} {
+				phases = append(phases, collective.Merge(seqs...)...)
+			}
+		}
+		for i, p := range phases {
+			ref := Optimize(tp, scaled(p, 1), Options{})
+			for _, b := range []float64{0.1, 3, 12345.678, math.Ldexp(1, 40) + 1} {
+				r := Optimize(tp, scaled(p, b), Options{})
+				if r.Iterations != ref.Iterations || r.MergedFlows != ref.MergedFlows ||
+					r.ReroutedFlows != ref.ReroutedFlows ||
+					r.InitialMaxLoad != unit.RepAdd(b, int32(ref.InitialMaxLoad)) ||
+					r.FinalMaxLoad != unit.RepAdd(b, int32(ref.FinalMaxLoad)) {
+					t.Fatalf("phase %d at %v bytes: %v; at unit bytes %v", i, b, r, ref)
+				}
+				for j := range r.Phase.Flows {
+					if !samePath(r.Phase.Flows[j].Route, ref.Phase.Flows[j].Route) {
+						t.Fatalf("phase %d at %v bytes: flow %d routed %v, at unit bytes %v",
+							i, b, j, r.Phase.Flows[j].Route, ref.Phase.Flows[j].Route)
+					}
+				}
+			}
+		}
 	}
 }

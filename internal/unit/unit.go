@@ -174,3 +174,16 @@ func MinF(a, b float64) float64 {
 	}
 	return b
 }
+
+// RepAdd sums v added to a zero accumulator n times — the exact float
+// chain a dense link-load walk produces for a link traversed n times
+// by equal flows. It is NOT n*v in general (0.1 added ten times is
+// 0.9999999999999999, 10*0.1 is 1), and the goldens pin the walk's
+// value.
+func RepAdd(v float64, n int32) float64 {
+	var s float64
+	for i := int32(0); i < n; i++ {
+		s += v
+	}
+	return s
+}
