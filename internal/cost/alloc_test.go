@@ -12,12 +12,12 @@ import (
 // TestEvaluateSteadyStateAllocs pins the hot path's allocation budget.
 // After the first evaluation warms the interned topology's derived
 // caches (placement, orchestrations, compiled lowering templates and
-// their TCME route plans), an evaluation runs in a handful of
-// allocations on every engine and on the replay tier (currently 4 —
-// a few template sequence headers — and 8 for TEMP, which prices both
-// placement families) — the regression guard leaves headroom but
-// catches any return of the per-evaluation map/route churn or of
-// per-query TCME runs, which cost thousands.
+// their TCME route plans) and the pooled pricing scratch, a scalar
+// evaluation is a batch of one on that scratch and allocates nothing
+// on every engine and on the replay tier — the budget of 4 leaves
+// headroom for an occasional pool refill but catches any return of
+// per-evaluation buffers, of the map/route churn or of per-query TCME
+// runs, which cost thousands.
 func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -35,12 +35,12 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 		replay bool
 		budget float64
 	}{
-		{"GMap", cost.GMap, false, 32},
-		{"SMap", cost.SMap, false, 32},
-		{"TEMP", cost.TCMEEngine, false, 32},
-		{"replay GMap", cost.GMap, true, 32},
-		{"replay SMap", cost.SMap, true, 32},
-		{"replay TEMP", cost.TCMEEngine, true, 32},
+		{"GMap", cost.GMap, false, 4},
+		{"SMap", cost.SMap, false, 4},
+		{"TEMP", cost.TCMEEngine, false, 4},
+		{"replay GMap", cost.GMap, true, 4},
+		{"replay SMap", cost.SMap, true, 4},
+		{"replay TEMP", cost.TCMEEngine, true, 4},
 	} {
 		o := cost.TEMPOptions()
 		o.Engine = tc.engine

@@ -67,8 +67,11 @@ func EvaluateWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o
 	return Evaluate(m, w, cfg, o)
 }
 
-// EvaluateOnWith is EvaluateOn at a backend's fidelity, with the same
-// analytic fallback for tiers that cannot price a degraded topology.
+// EvaluateOnWith prices one full step against an existing (possibly
+// fault-degraded) topology and placement at a backend's fidelity — the
+// entry point the fault-tolerance study uses after re-partitioning
+// around failed hardware — with the same analytic fallback for tiers
+// that cannot price a degraded topology.
 func EvaluateOnWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
 	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
 	be, err := NewBackend(key)
@@ -78,7 +81,7 @@ func EvaluateOnWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config,
 	if pb, ok := be.(PlacementBackend); ok {
 		return pb.PriceOn(m, w, cfg, o, topo, place)
 	}
-	return EvaluateOn(m, w, cfg, o, topo, place)
+	return evaluateOn(m, w, cfg, o, topo, place, false)
 }
 
 // BackendFactory builds a backend instance. The seed drives any

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"sync"
 
 	"temp/internal/hw"
@@ -40,15 +41,17 @@ func PriceBatch(be Backend, m model.Config, w hw.Wafer, cfgs []parallel.Config, 
 
 // batchScratch is the pooled per-batch pricing state: one reusable
 // evaluator value, the lowered-sequence buffer it threads through the
-// stream/collective terms, a normalized-config dedupe index and a
+// stream/collective terms, a normalized-config dedupe index, a
 // per-topology evalState cache that skips the interface boxing of
-// Topology.Derived on repeat candidates.
+// Topology.Derived on repeat candidates, and the layer terms of the
+// last priceOne.
 type batchScratch struct {
 	ev     evaluator
 	seq    []mesh.LoweredSeq
 	seen   map[parallel.Config]int32
 	topo   *mesh.Topology
 	states map[stateKey]*evalState
+	terms  layerTerms
 }
 
 var batchPool = sync.Pool{New: func() any {
@@ -80,13 +83,13 @@ func (s *batchScratch) stateFor(cfg parallel.Config, linear, tcmeOrders bool) (*
 	return st, err
 }
 
-// evaluateState prices one (cfg, state) pair on the reused evaluator,
-// bit-identical to the scalar evaluateState.
+// evaluateState prices one (cfg, state) pair on topo with the reused
+// evaluator.
 func (s *batchScratch) evaluateState(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	st *evalState, graph model.Graph, replay bool) (Breakdown, error) {
+	topo *mesh.Topology, st *evalState, graph model.Graph, replay bool) (Breakdown, error) {
 	s.ev = evaluator{
 		m: m, w: w, cfg: cfg, o: o,
-		topo: s.topo, st: st,
+		topo: topo, st: st,
 		graph:  graph,
 		replay: replay,
 		seqBuf: s.seq[:0],
@@ -96,50 +99,46 @@ func (s *batchScratch) evaluateState(m model.Config, w hw.Wafer, cfg parallel.Co
 	return b, err
 }
 
-// priceOne replicates the scalar evaluate() engine dispatch (including
-// the default engine's rectangular-vs-linear placement race) against
-// the scratch's cached states.
+// priceOne is the engine dispatch every step price runs through, on
+// the scratch's cached states: SMap and GMap price their one placement
+// family; the TEMP engine prices both and keeps the faster, the
+// rectangular family winning ties. It keeps the winner's layer terms
+// for Debug.
 func (s *batchScratch) priceOne(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
 	graph model.Graph, replay bool) (Breakdown, error) {
-	tcmeOrders := o.Engine == TCMEEngine
-	switch o.Engine {
-	case SMap:
-		st, err := s.stateFor(cfg, true, tcmeOrders)
+	if o.Engine == SMap || o.Engine == GMap {
+		st, err := s.stateFor(cfg, o.Engine == SMap, false)
 		if err != nil {
 			return Breakdown{}, err
 		}
-		return s.evaluateState(m, w, cfg, o, st, graph, replay)
-	case GMap:
-		st, err := s.stateFor(cfg, false, tcmeOrders)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		return s.evaluateState(m, w, cfg, o, st, graph, replay)
-	default:
-		rect, rectErr := s.stateFor(cfg, false, tcmeOrders)
-		lin, linErr := s.stateFor(cfg, true, tcmeOrders)
-		if rectErr != nil && linErr != nil {
-			return Breakdown{}, rectErr
-		}
-		var best Breakdown
-		have := false
-		if rectErr == nil {
-			b, err := s.evaluateState(m, w, cfg, o, rect, graph, replay)
-			if err == nil {
-				best, have = b, true
-			}
-		}
-		if linErr == nil {
-			b, err := s.evaluateState(m, w, cfg, o, lin, graph, replay)
-			if err == nil && (!have || b.StepTime < best.StepTime) {
-				best, have = b, true
-			}
-		}
-		if !have {
-			return Breakdown{}, noViablePlacement(cfg)
-		}
-		return best, nil
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, st, graph, replay)
+		s.terms = s.ev.terms
+		return b, err
 	}
+	tcmeOrders := o.Engine == TCMEEngine
+	rect, rectErr := s.stateFor(cfg, false, tcmeOrders)
+	lin, linErr := s.stateFor(cfg, true, tcmeOrders)
+	if rectErr != nil && linErr != nil {
+		return Breakdown{}, rectErr
+	}
+	var best Breakdown
+	have := false
+	if rectErr == nil {
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, rect, graph, replay)
+		if err == nil {
+			best, s.terms, have = b, s.ev.terms, true
+		}
+	}
+	if linErr == nil {
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, lin, graph, replay)
+		if err == nil && (!have || b.StepTime < best.StepTime) {
+			best, s.terms, have = b, s.ev.terms, true
+		}
+	}
+	if !have {
+		return Breakdown{}, fmt.Errorf("cost: no viable placement for %s", cfg)
+	}
+	return best, nil
 }
 
 // priceBatch is the shared batched walk: normalize, dedupe, price each

@@ -10,7 +10,7 @@ import (
 	"temp/internal/parallel"
 )
 
-// batchWafers are the floorplans the batched-vs-scalar equivalence is
+// batchWafers are the floorplans the batch-vs-Price equivalence is
 // pinned on (the two evaluation grids of the paper).
 func batchWafers() []hw.Wafer {
 	return []hw.Wafer{hw.EvaluationWafer(), hw.ReferenceWafer()}
@@ -49,11 +49,12 @@ func batchCandidates(dies, k int) []parallel.Config {
 	return out
 }
 
-// TestPriceBatchMatchesPrice pins the batched kernels to the scalar
-// path: for every zoo model on both floorplans, PriceBatch must
-// reproduce per-candidate Price bit-identically (full Breakdown
-// equality, matching error text) at K ∈ {1, 7, 64} including
-// duplicate candidates.
+// TestPriceBatchMatchesPrice pins a K-candidate batch to per-candidate
+// Price calls, each a batch of one: for every zoo model on both
+// floorplans, PriceBatch must reproduce them bit-identically (full
+// Breakdown equality, matching error text) at K ∈ {1, 7, 64} including
+// duplicate candidates, so nothing the scratch carries between
+// candidates leaks into a price.
 func TestPriceBatchMatchesPrice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full zoo sweep is not -short")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"temp/internal/hw"
+	"temp/internal/mesh"
 	"temp/internal/model"
 	"temp/internal/parallel"
 )
@@ -339,11 +340,74 @@ func TestEvaluateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestDebugTrace smoke-tests the calibration trace.
-func TestDebugTrace(t *testing.T) {
+// TestDebugMatchesEvaluation checks Debug prints the layer terms of
+// the evaluation Evaluate runs. Each case rebuilds every placement
+// family its engine considers with stateFor and a fresh evaluator and
+// keeps the faster, the rectangular family winning ties. The cases are
+// every wsc-4x8 configuration under each engine, a two-stage pipeline
+// (the DP all-reduce covers one stage's layers) and DP=32 at batch 64
+// (the micro-batch clamps to one sequence per rank).
+func TestDebugMatchesEvaluation(t *testing.T) {
 	m, w := temp825()
-	s := Debug(m, w, parallel.Config{DP: 4, TATP: 8}, TEMPOptions())
-	if len(s) == 0 {
-		t.Fatal("empty debug trace")
+	topo := mesh.FromWafer(w)
+	type debugCase struct {
+		m   model.Config
+		cfg parallel.Config
+		o   Options
 	}
+	var cases []debugCase
+	for _, cfg := range parallel.EnumerateConfigs(w.Dies(), true, 0) {
+		for _, e := range []Engine{SMap, GMap, TCMEEngine} {
+			o := TEMPOptions()
+			o.Engine = e
+			cases = append(cases, debugCase{m, cfg, o})
+		}
+	}
+	staged := TEMPOptions()
+	staged.Wafers = 2
+	small := m
+	small.Batch = 64
+	cases = append(cases,
+		debugCase{m, parallel.Config{DP: 4, TATP: 8, PP: 2}, staged},
+		debugCase{small, parallel.Config{DP: 32}, TEMPOptions()})
+
+	linearWins := 0
+	for _, c := range cases {
+		cfg := c.cfg.Normalize()
+		tcmeOrders := c.o.Engine == TCMEEngine
+		families := []bool{false, true}
+		if !tcmeOrders {
+			families = []bool{c.o.Engine == SMap}
+		}
+		var best *evaluator
+		var bestStep float64
+		bestLinear := false
+		for _, linear := range families {
+			st, err := stateFor(topo, cfg, linear, tcmeOrders)
+			if err != nil {
+				continue
+			}
+			ev := &evaluator{m: c.m, w: w, cfg: cfg, o: c.o, topo: topo, st: st, graph: model.BlockGraph(c.m)}
+			b, err := ev.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", cfg, c.o.Engine, err)
+			}
+			if best == nil || b.StepTime < bestStep {
+				best, bestStep, bestLinear = ev, b.StepTime, linear
+			}
+		}
+		if best == nil {
+			continue
+		}
+		if tcmeOrders && bestLinear {
+			linearWins++
+		}
+		if got, want := Debug(c.m, w, c.cfg, c.o), best.terms.String(); got != want {
+			t.Errorf("%s batch %d %s: Debug\n  %s\nwant the evaluated terms\n  %s", cfg, c.m.Batch, c.o.Engine, got, want)
+		}
+	}
+	if linearWins == 0 {
+		t.Error("the linear family never won under TEMP; the cases no longer cover its terms")
+	}
+	t.Logf("%d cases, linear family won %d under TEMP", len(cases), linearWins)
 }

@@ -10,21 +10,21 @@ import (
 	"temp/internal/unit"
 )
 
-// Debug returns a per-component trace of one evaluation; used by the
-// calibration tooling and kept exported for cmd/tempsim -debug.
+// Debug returns the layer terms of the analytic evaluation Evaluate
+// runs — for the TEMP engine, those of the winning placement family;
+// printed by cmd/tempsim -debug.
 func Debug(m model.Config, w hw.Wafer, cfg parallel.Config, o Options) string {
-	cfg = cfg.Normalize()
-	topo := mesh.FromWafer(w)
-	state, err := stateFor(topo, cfg, o.Engine == SMap, o.Engine == TCMEEngine)
-	if err != nil {
+	s := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(s)
+	s.retarget(mesh.FromWafer(w))
+	if _, err := s.priceOne(m, w, cfg.Normalize(), o, model.BlockGraph(m), false); err != nil {
 		return err.Error()
 	}
-	ev := &evaluator{m: m, w: w, cfg: cfg, o: o, topo: topo, st: state, graph: model.BlockGraph(m)}
-	mb := o.microbatch()
-	fwd, extra := ev.layerCompute(mb)
-	st := ev.layerStreamComm(mb, 1, true)
-	coll := ev.layerCollectives(mb)
-	dp := ev.dpAllReduce(m.Layers)
+	return s.terms.String()
+}
+
+// String formats the terms as Debug prints them.
+func (t layerTerms) String() string {
 	return fmt.Sprintf("fwd/layer=%s recomp=%s stream/layer=%s coll/layer=%s dpAR=%s",
-		unit.Seconds(fwd), unit.Seconds(extra), unit.Seconds(st), unit.Seconds(coll), unit.Seconds(dp))
+		unit.Seconds(t.fwd), unit.Seconds(t.recompute), unit.Seconds(t.stream), unit.Seconds(t.coll), unit.Seconds(t.dpAR))
 }

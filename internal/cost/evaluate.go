@@ -289,17 +289,28 @@ type evaluator struct {
 	tcmeAgg   tcme.Result
 
 	// seqBuf and collSeq are reusable lowered-sequence scratch for the
-	// stream and collective terms. A nil seqBuf grows on demand (the
-	// scalar path); the batch pricer threads a pooled buffer through so
+	// stream and collective terms. A nil seqBuf grows on demand; the
+	// pooled scratch threads one buffer through every evaluation so
 	// steady-state candidates allocate nothing.
 	seqBuf  []mesh.LoweredSeq
 	collSeq [1]mesh.LoweredSeq
+
+	// terms is what run priced per layer, for Debug.
+	terms layerTerms
 
 	// planned, when set, gets a copy of every template sequence the
 	// TCME path prices through route plans; the plan oracle test
 	// replays them through the materialized optimizer. (Handing it seq
 	// itself would move the evaluator to the heap.)
 	planned func([]mesh.LoweredSeq)
+}
+
+// layerTerms are the terms run builds a step from: per layer and
+// micro-step, the forward compute (after core slowdown), the backward
+// recompute surcharge, the forward TATP stream and the exposed forward
+// collectives; and once a step, the DP gradient all-reduce.
+type layerTerms struct {
+	fwd, recompute, stream, coll, dpAR float64
 }
 
 // needTCME reports whether phases must pass through the TCME
@@ -346,86 +357,26 @@ func Evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o Options) (Break
 	return evaluate(m, w, cfg, o, false)
 }
 
-// evaluate is the shared Price core; replay selects the contention
-// replay fidelity of the "replay" backend.
+// evaluate is the shared Price core, a batch of one; replay selects
+// the contention replay fidelity of the "replay" backend.
 func evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o Options, replay bool) (Breakdown, error) {
-	cfg = cfg.Normalize()
-	topo := mesh.FromWafer(w)
-	tcmeOrders := o.Engine == TCMEEngine
-	switch o.Engine {
-	case SMap:
-		st, err := stateFor(topo, cfg, true, tcmeOrders)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		return evaluateState(m, w, cfg, o, topo, st, replay)
-	case GMap:
-		st, err := stateFor(topo, cfg, false, tcmeOrders)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		return evaluateState(m, w, cfg, o, topo, st, replay)
-	default:
-		rect, rectErr := stateFor(topo, cfg, false, tcmeOrders)
-		lin, linErr := stateFor(topo, cfg, true, tcmeOrders)
-		if rectErr != nil && linErr != nil {
-			return Breakdown{}, rectErr
-		}
-		var best Breakdown
-		have := false
-		if rectErr == nil {
-			b, err := evaluateState(m, w, cfg, o, topo, rect, replay)
-			if err == nil {
-				best, have = b, true
-			}
-		}
-		if linErr == nil {
-			b, err := evaluateState(m, w, cfg, o, topo, lin, replay)
-			if err == nil && (!have || b.StepTime < best.StepTime) {
-				best, have = b, true
-			}
-		}
-		if !have {
-			return Breakdown{}, noViablePlacement(cfg)
-		}
-		return best, nil
-	}
-}
-
-// noViablePlacement is the default engine's both-families-failed
-// error, shared by the scalar and batched pricers so their messages
-// cannot drift.
-func noViablePlacement(cfg parallel.Config) error {
-	return fmt.Errorf("cost: no viable placement for %s", cfg)
-}
-
-// EvaluateOn runs the cost model against an existing topology and
-// placement — the entry point the fault-tolerance study uses after
-// re-partitioning around failed hardware.
-func EvaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
-	return evaluateOn(m, w, cfg, o, topo, place, false)
+	var out [1]Breakdown
+	var errs [1]error
+	priceBatch(m, w, []parallel.Config{cfg}, o, out[:], errs[:], replay)
+	return out[0], errs[0]
 }
 
 // evaluateOn lowers an externally supplied placement (fault studies)
-// and prices it; the lowering state is built fresh because the caller
-// owns the placement.
+// and prices it on a pooled scratch. The lowering state is built fresh
+// because the caller owns the placement, and the scratch is not
+// retargeted, so it keeps its cached healthy-topology states.
 func evaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
 	topo *mesh.Topology, place *parallel.Placement, replay bool) (Breakdown, error) {
-	cfg = cfg.Normalize()
 	st := newEvalState(topo, place, o.Engine == TCMEEngine)
-	return evaluateState(m, w, cfg, o, topo, st, replay)
-}
-
-func evaluateState(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, st *evalState, replay bool) (Breakdown, error) {
-	ev := &evaluator{
-		m: m, w: w, cfg: cfg, o: o,
-		topo: topo, st: st,
-		graph:  model.BlockGraph(m),
-		replay: replay,
-	}
-	return ev.run()
+	s := batchPool.Get().(*batchScratch)
+	b, err := s.evaluateState(m, w, cfg.Normalize(), o, topo, st, model.BlockGraph(m), replay)
+	batchPool.Put(s)
+	return b, err
 }
 
 // aliveOnly filters dead dies out of a group (fault adaptation keeps
@@ -513,6 +464,7 @@ func (ev *evaluator) run() (Breakdown, error) {
 	dpAR := ev.dpAllReduce(layersPerStage)
 	stepLinkBytes0 := ev.linkBytes - layerLinkBytes
 	ev.linkBytes = layerLinkBytes
+	ev.terms = layerTerms{fwd: fwdComp, recompute: recompExtra, stream: streamComm, coll: collPerLayerFwd, dpAR: dpAR}
 	bwdPerMicro := float64(layersPerStage) * layerBwd
 	dpExposed := unit.MaxF(0, dpAR-0.5*bwdPerMicro)
 
@@ -616,47 +568,14 @@ func (ev *evaluator) coreSlowdown() float64 {
 }
 
 // layerCompute returns the per-die forward compute time of one block
-// for a micro-step of mb sequences, and the recomputation surcharge
-// applied during backward.
-//
-// GEMM-class operators divide across every model-parallel dimension.
-// Vector operators (layer norms, softmax, GeLU, residuals) divide
-// only across the dimensions that actually shard activations: plain
-// Megatron TP replicates them on every TP rank — the redundant
-// computation Megatron-3's sequence parallelism was built to remove.
-// Flash-fused attention ops never spill the score matrix to DRAM, so
-// they are costed on vector throughput alone.
+// for a micro-step of mb sequences (opCompute summed over the block's
+// operators), and the recomputation surcharge applied during backward.
 func (ev *evaluator) layerCompute(mb int) (fwd, recompExtra float64) {
-	cfg := ev.cfg
-	die := ev.w.Die
-	gemmShard := float64(cfg.TP * cfg.SP * cfg.CP * cfg.TATP)
 	frac := float64(mb) / float64(ev.m.Batch) // micro-step share per DP rank
 	var attn float64
-	for _, op := range ev.graph.Ops {
-		var t float64
-		if op.Kind.IsGEMM() {
-			shard := op.FLOPs * frac / gemmShard
-			per := shard
-			if cfg.TATP > 1 && op.HasWeight() {
-				per = shard / float64(cfg.TATP) // per-round tile
-			}
-			eff := per / (per + gemmHalfEff)
-			if eff < 0.05 {
-				eff = 0.05
-			}
-			t = shard / (die.PeakFLOPS * eff)
-		} else {
-			vecShard := float64(cfg.SP * cfg.CP * cfg.TATP)
-			if op.TPSharded || cfg.MegatronSP {
-				vecShard *= float64(cfg.TP)
-			}
-			shard := op.FLOPs * frac / vecShard
-			t = shard / die.VectorFLOPS
-			if !op.FlashFused || ev.o.NoFlashAttention {
-				bytes := (op.Input.Bytes() + op.Output.Bytes()) * frac / vecShard
-				t = unit.MaxF(t, bytes/die.MemBandwidth())
-			}
-		}
+	for i := range ev.graph.Ops {
+		op := &ev.graph.Ops[i]
+		t := opCompute(&ev.w.Die, op, ev.cfg, frac, ev.o.NoFlashAttention)
 		fwd += t
 		if op.FlashFused {
 			attn += t

@@ -57,14 +57,28 @@ func (a *OperatorAnalytic) mb() float64 {
 // tier-independent part every backend's Intra shares (the fidelity
 // axis is communication).
 func (a *OperatorAnalytic) computeTerm(op model.Op, cfg parallel.Config) float64 {
-	die := a.W.Die
-	frac := a.mb() / float64(a.M.Batch)
-	gemmShard := float64(cfg.TP * cfg.SP * cfg.CP * cfg.TATP)
+	return opCompute(&a.W.Die, &op, cfg, a.mb()/float64(a.M.Batch), false)
+}
+
+// opCompute returns the per-die compute time of one operator on a frac
+// share of the global batch — the one per-op compute formula of the
+// step evaluator and the operator models.
+//
+// GEMM-class operators divide across every model-parallel dimension,
+// at a tile efficiency set by the per-round shard. Vector operators
+// (layer norms, softmax, GeLU, residuals) divide only across the
+// dimensions that actually shard activations: plain Megatron TP
+// replicates them on every TP rank — the redundant computation
+// Megatron-3's sequence parallelism was built to remove. Flash-fused
+// attention ops never spill the score matrix to DRAM, so unless
+// noFlash is set they are costed on vector throughput alone; every
+// other vector op is also bound by its DRAM traffic.
+func opCompute(die *hw.Die, op *model.Op, cfg parallel.Config, frac float64, noFlash bool) float64 {
 	if op.Kind.IsGEMM() {
-		shard := op.FLOPs * frac / gemmShard
+		shard := op.FLOPs * frac / float64(cfg.TP*cfg.SP*cfg.CP*cfg.TATP)
 		per := shard
 		if cfg.TATP > 1 && op.HasWeight() {
-			per = shard / float64(cfg.TATP)
+			per = shard / float64(cfg.TATP) // per-round tile
 		}
 		eff := per / (per + gemmHalfEff)
 		if eff < 0.05 {
@@ -78,7 +92,7 @@ func (a *OperatorAnalytic) computeTerm(op model.Op, cfg parallel.Config) float64
 	}
 	shard := op.FLOPs * frac / vecShard
 	comp := shard / die.VectorFLOPS
-	if !op.FlashFused {
+	if !op.FlashFused || noFlash {
 		bytes := (op.Input.Bytes() + op.Output.Bytes()) * frac / vecShard
 		comp = unit.MaxF(comp, bytes/die.MemBandwidth())
 	}

@@ -294,7 +294,7 @@ func TestPoolWarmStartsFromDiskMemo(t *testing.T) {
 	// Single-job evaluations warm-start too.
 	p3 := New(2)
 	p3.SetDiskMemo(d2)
-	b, err := p3.Evaluate(jobs[0].Model, jobs[0].Wafer, jobs[0].Config, jobs[0].Opts)
+	b, err := p3.EvaluateJob(jobs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,17 +195,6 @@ func priceJob(j Job) Result {
 	return Result{Breakdown: b, Err: err}
 }
 
-// Evaluate returns the memoized cost-model result for one job.
-func (c *Cache) Evaluate(j Job) (cost.Breakdown, error) {
-	// Normalize so equivalent configurations (and equivalent backend
-	// spellings) share one entry; the cost model normalizes
-	// internally, so the result is identical.
-	j.Config = j.Config.Normalize()
-	j.Backend = cost.CanonicalBackendKey(j.Backend)
-	r, _, _ := c.get(j, func() Result { return priceJob(j) })
-	return r.Breakdown, r.Err
-}
-
 // get serves a normalized job through the memo hierarchy: in-memory
 // memo, then the disk memo (when attached), then price. It maintains
 // the hit/miss/disk counters; price runs at most once per distinct
@@ -336,16 +325,20 @@ func (p *Pool) Workers() int { return p.workers }
 // Cache returns the pool's cache.
 func (p *Pool) Cache() *Cache { return p.cache }
 
-// Evaluate runs one memoized cost-model evaluation under the pool's
-// global bound.
-func (p *Pool) Evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options) (cost.Breakdown, error) {
-	return p.evaluate(Job{Model: m, Wafer: w, Config: cfg, Opts: o})
-}
-
 // EvaluateJob runs one memoized evaluation of an explicit job
-// (including its backend key) under the pool's global bound.
+// (including its backend key), acquiring a worker token of the pool's
+// global bound only for the miss path (the actual cost-model
+// computation).
 func (p *Pool) EvaluateJob(j Job) (cost.Breakdown, error) {
-	return p.evaluate(j)
+	j = p.normalize(j)
+	r, _, _ := p.cache.get(j, func() Result {
+		var res Result
+		p.Do(func() {
+			res = priceJob(j)
+		})
+		return res
+	})
+	return r.Breakdown, r.Err
 }
 
 // normalize canonicalizes a job for cache keying: equivalent
@@ -358,20 +351,6 @@ func (p *Pool) normalize(j Job) Job {
 	}
 	j.Backend = cost.CanonicalBackendKey(j.Backend)
 	return j
-}
-
-// evaluate serves a job from the cache, acquiring a worker token
-// only for the miss path (the actual cost-model computation).
-func (p *Pool) evaluate(j Job) (cost.Breakdown, error) {
-	j = p.normalize(j)
-	r, _, _ := p.cache.get(j, func() Result {
-		var res Result
-		p.Do(func() {
-			res = priceJob(j)
-		})
-		return res
-	})
-	return r.Breakdown, r.Err
 }
 
 // jobFamily is what a batch of candidates shares: everything in a Job
@@ -398,8 +377,8 @@ const sweepChunkCap = 64
 // chunked through cost.PriceBatch, so a population-sized sweep pays
 // the per-family setup once per chunk instead of once per candidate.
 // Results and cache-counter semantics are identical to evaluating
-// each job individually (batched kernels are bit-exact against the
-// scalar path).
+// each job individually (a batch prices each candidate bit-exactly as
+// a batch of one does).
 func (p *Pool) Sweep(jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	norm := make([]Job, len(jobs))
@@ -731,11 +710,6 @@ func CountersSnapshot() Stats { return Default().cache.Stats() }
 // EvaluateJob runs one memoized evaluation of an explicit job on the
 // shared pool.
 func EvaluateJob(j Job) (cost.Breakdown, error) { return Default().EvaluateJob(j) }
-
-// Evaluate runs one memoized evaluation on the shared pool.
-func Evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options) (cost.Breakdown, error) {
-	return Default().Evaluate(m, w, cfg, o)
-}
 
 // Sweep fans jobs out on the shared pool.
 func Sweep(jobs []Job) []Result { return Default().Sweep(jobs) }

@@ -71,12 +71,12 @@ func TestCacheHits(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentSafety hammers one cache from many goroutines
-// over an overlapping job set; run under -race this is the data-race
-// proof for the sharded cache.
+// TestCacheConcurrentSafety hammers one pool's cache from many
+// goroutines over an overlapping job set; run under -race this is the
+// data-race proof for the sharded cache.
 func TestCacheConcurrentSafety(t *testing.T) {
 	jobs := testJobs(t)[:16]
-	c := NewCache()
+	p := New(4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -84,7 +84,7 @@ func TestCacheConcurrentSafety(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4*len(jobs); i++ {
 				j := jobs[(g+i)%len(jobs)]
-				b, err := c.Evaluate(j)
+				b, err := p.EvaluateJob(j)
 				if err != nil {
 					t.Errorf("evaluate %s: %v", j.Config, err)
 					return
@@ -97,7 +97,7 @@ func TestCacheConcurrentSafety(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s := c.Stats(); s.Entries > 16 {
+	if s := p.Cache().Stats(); s.Entries > 16 {
 		t.Errorf("cache grew past the distinct key count: %+v", s)
 	}
 }
@@ -228,7 +228,7 @@ func TestDefaultBackendRetarget(t *testing.T) {
 	w := hw.EvaluationWafer()
 	cfg := parallel.Config{DP: 2, TP: 2, TATP: 8}
 	o := cost.TEMPOptions()
-	viaDefault, err := Evaluate(m, w, cfg, o)
+	viaDefault, err := EvaluateJob(Job{Model: m, Wafer: w, Config: cfg, Opts: o})
 	if err != nil {
 		t.Fatal(err)
 	}

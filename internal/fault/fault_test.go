@@ -123,7 +123,7 @@ func TestAdaptiveRebalanceBeatsLockstep(t *testing.T) {
 	adaptive := cost.TEMPOptions()
 	adaptive.AdaptiveRebalance = true
 	lockstep := cost.TEMPOptions()
-	ba, err := cost.EvaluateOn(m, w, cfg, adaptive, topoA, place)
+	ba, err := cost.EvaluateOnWith("", m, w, cfg, adaptive, topoA, place)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAdaptiveRebalanceBeatsLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := cost.EvaluateOn(m, w, cfg, lockstep, topoB, placeB)
+	bl, err := cost.EvaluateOnWith("", m, w, cfg, lockstep, topoB, placeB)
 	if err != nil {
 		t.Fatal(err)
 	}
