@@ -189,55 +189,6 @@ func AllToAll(t *mesh.Topology, order []mesh.DieID, bytesPerPair float64) []mesh
 	})
 }
 
-// Time sums the phase times of a lowered collective on t.
-func Time(t *mesh.Topology, phases []mesh.Phase) float64 {
-	return t.SeqTime(phases).Total()
-}
-
-// Energy sums the D2D energy of a lowered collective on t.
-func Energy(t *mesh.Topology, phases []mesh.Phase) float64 {
-	var e float64
-	for _, p := range phases {
-		e += t.EnergyJoules(p)
-	}
-	return e
-}
-
-// MergeFlows combines concurrent phase sequences exactly like Merge —
-// step k of every sequence lands in one shared phase, flows in the
-// same order — but skips the per-flow payload retagging and phase
-// labels. Only the TCME optimizer reads payloads, so the analytic
-// (non-TCME) evaluation path merges with this allocation-lean form;
-// the contention model's result is identical because phase timing
-// never consults payloads or labels.
-func MergeFlows(seqs ...[]mesh.Phase) []mesh.Phase {
-	maxLen, total := 0, 0
-	for _, s := range seqs {
-		if len(s) > maxLen {
-			maxLen = len(s)
-		}
-		for _, p := range s {
-			total += len(p.Flows)
-		}
-	}
-	if maxLen == 0 {
-		return nil
-	}
-	out := make([]mesh.Phase, maxLen)
-	flows := make([]mesh.Flow, 0, total)
-	for k := 0; k < maxLen; k++ {
-		start := len(flows)
-		for _, s := range seqs {
-			if k < len(s) {
-				flows = append(flows, s[k].Flows...)
-			}
-		}
-		end := len(flows)
-		out[k].Flows = flows[start:end:end]
-	}
-	return out
-}
-
 // Merge combines the flows of several concurrently executing phase
 // sequences into a single phase sequence, aligning step k of every
 // sequence into one shared phase. This is how hybrid parallelism's

@@ -182,12 +182,13 @@ func TestAllToAllPairCount(t *testing.T) {
 func TestTimeAndEnergyPositive(t *testing.T) {
 	tp := topo(2, 4)
 	order := ringOrder(tp, mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 3})
-	phases := RingAllReduce(tp, order, 64*unit.MB)
-	if Time(tp, phases) <= 0 {
+	pt := tp.SeqTime(RingAllReduce(tp, order, 64*unit.MB))
+	if pt.Total() <= 0 {
 		t.Error("collective time should be positive")
 	}
-	if Energy(tp, phases) <= 0 {
-		t.Error("collective energy should be positive")
+	// D2D energy is charged from the link bytes.
+	if pt.LinkBytes <= 0 {
+		t.Error("collective link bytes should be positive")
 	}
 }
 
@@ -199,8 +200,8 @@ func TestAllReduceTimeScalesInverseWithRing(t *testing.T) {
 	bytes := 256 * unit.MB
 	tp4 := topo(2, 2)
 	tp16 := topo(2, 8)
-	t4 := Time(tp4, RingAllReduce(tp4, ringOrder(tp4, mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 1}), bytes))
-	t16 := Time(tp16, RingAllReduce(tp16, ringOrder(tp16, mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 7}), bytes))
+	t4 := tp4.SeqTime(RingAllReduce(tp4, ringOrder(tp4, mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 1}), bytes)).Total()
+	t16 := tp16.SeqTime(RingAllReduce(tp16, ringOrder(tp16, mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 7}), bytes)).Total()
 	ratio := t16 / t4
 	if ratio < 1.0 || ratio > 3.0 {
 		t.Errorf("all-reduce time ratio 16v4 = %.2f, want ~flat (1..3; granularity makes finer chunks pricier)", ratio)

@@ -154,7 +154,8 @@ func TestReplayOperatorModel(t *testing.T) {
 		if rt <= 0 {
 			t.Errorf("op %s: non-positive replay intra %v", op.Name, rt)
 		}
-		// Determinism: the cached placement must serve identical times.
+		// Determinism: the memoized lowering state must serve identical
+		// times.
 		if rt2 := om.Intra(op, *commCfg); rt2 != rt {
 			t.Errorf("op %s: replay intra not deterministic: %v vs %v", op.Name, rt, rt2)
 		}

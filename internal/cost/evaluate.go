@@ -318,17 +318,6 @@ type layerTerms struct {
 // contention fidelity).
 func (ev *evaluator) needTCME() bool { return ev.o.Engine == TCMEEngine || ev.replay }
 
-// merge combines concurrent phase sequences. Only the TCME optimizer
-// reads flow payloads; when no TCME pass will run, the payload-free
-// merge produces the identical flow order without the per-flow string
-// retagging.
-func (ev *evaluator) merge(seqs ...[]mesh.Phase) []mesh.Phase {
-	if ev.needTCME() {
-		return collective.Merge(seqs...)
-	}
-	return collective.MergeFlows(seqs...)
-}
-
 // evalLowered times a scaled-template sequence in place,
 // allocation-free once warm. The TCME path times each template's route
 // plan instead of the template and aggregates the plans' statistics
@@ -639,7 +628,7 @@ func (ev *evaluator) layerStreamComm(mb int, scale float64, withFSDP bool) float
 		for _, orch := range ev.st.orchs {
 			seqs = append(seqs, orch.Phases(sub))
 		}
-		streamSeq = append(streamSeq, ev.merge(seqs...)...)
+		streamSeq = append(streamSeq, collective.Merge(seqs...)...)
 		rounds += cfg.TATP
 	}
 	layerW := ev.graph.WeightBytes() / float64(cfg.TP*cfg.TATP)
@@ -649,7 +638,7 @@ func (ev *evaluator) layerStreamComm(mb int, scale float64, withFSDP bool) float
 		agSeqs = append(agSeqs, collective.RingAllGather(ev.topo, order, shard))
 	}
 	if len(agSeqs) > 0 {
-		streamSeq = ev.merge(append([][]mesh.Phase{streamSeq}, agSeqs...)...)
+		streamSeq = collective.Merge(append([][]mesh.Phase{streamSeq}, agSeqs...)...)
 	}
 	return ev.evalPhases(streamSeq) + float64(rounds)*streamRoundSync
 }
@@ -747,7 +736,7 @@ func (ev *evaluator) groupCollective(s parallel.Strategy, kind byte, bytes float
 	for _, order := range orders {
 		seqs = append(seqs, lowerRingKind(ev.topo, kind, order, bytes))
 	}
-	merged := ev.merge(seqs...)
+	merged := collective.Merge(seqs...)
 	return ev.evalPhases(merged) + float64(len(merged))*streamRoundSync
 }
 

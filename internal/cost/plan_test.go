@@ -6,11 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"temp/internal/collective"
 	"temp/internal/hw"
 	"temp/internal/mesh"
 	"temp/internal/model"
 	"temp/internal/parallel"
 	"temp/internal/tcme"
+	"temp/internal/unit"
 )
 
 // materializedTime is the path route plans replaced, kept as their
@@ -164,4 +166,82 @@ func TestRoutePlansMatchMaterialized(t *testing.T) {
 	}
 	t.Logf("%d evaluator sequences, %d distinct templates, %d grid queries",
 		evalQueries, len(po.seen), po.queries-evalQueries)
+}
+
+// materializedIntra is OperatorReplay.Intra's reference on st: the
+// TATP orchestrations materialized at the op's sub-tensor bytes and
+// the TP orders' ring all-reduces at the all-reduce bytes, each merged
+// with collective.Merge, optimized with tcme.OptimizeAll and timed
+// with SeqTime.
+func materializedIntra(t *mesh.Topology, a *OperatorAnalytic, st *evalState, op model.Op, cfg parallel.Config) float64 {
+	replay := func(phases []mesh.Phase) float64 {
+		opt, _ := tcme.OptimizeAll(t, phases, tcme.Options{})
+		return t.SeqTime(opt).Total()
+	}
+	var streamT, coll float64
+	if cfg.TATP > 1 && op.HasWeight() && len(st.orchs) > 0 {
+		_, sub := a.streamedBytes(op, cfg)
+		var seqs [][]mesh.Phase
+		for _, orch := range st.orchs {
+			seqs = append(seqs, orch.Phases(sub))
+		}
+		streamT = replay(collective.Merge(seqs...)) + float64(cfg.TATP)*streamRoundSync
+	}
+	if cfg.TP > 1 && op.HasWeight() {
+		var seqs [][]mesh.Phase
+		for _, order := range st.orders[parallel.TP] {
+			seqs = append(seqs, collective.RingAllReduce(t, order, a.arBytes(cfg)))
+		}
+		merged := collective.Merge(seqs...)
+		coll = 0.5 * (replay(merged) + float64(len(merged))*streamRoundSync)
+	}
+	return unit.MaxF(a.computeTerm(op, cfg), streamT) + coll
+}
+
+// TestOperatorReplayMatchesMaterialized pins OperatorReplay.Intra
+// against materializedIntra on the evaluator state it prices on (the
+// closed-form terms where no placement family fits), bit for bit. It
+// covers every zoo model, wsc-4x8 configuration and block op on the
+// healthy mesh and on an interned mesh with one dead die and one dead
+// link, whose unequal survivor groups take groupCollective's per-group
+// path. -short checks two models.
+func TestOperatorReplayMatchesMaterialized(t *testing.T) {
+	w := hw.EvaluationWafer()
+	c := mesh.FromWafer(w).Clone()
+	c.SetDieAlive(9, false)
+	c.SetLinkAlive(mesh.Link{From: 1, To: 2}, false)
+	meshes := []struct {
+		name string
+		topo *mesh.Topology
+	}{{"healthy", mesh.FromWafer(w)}, {"faulted", c.Intern()}}
+	models := model.Zoo()
+	if testing.Short() {
+		models = models[:2]
+	}
+	space := parallel.EnumerateConfigs(w.Dies(), true, 0)
+
+	terms := 0
+	for _, msh := range meshes {
+		for _, m := range models {
+			r := NewOperatorReplayOn(m, w, msh.topo)
+			for _, cfg := range space {
+				cfg = cfg.Normalize()
+				st, err := stateFor(msh.topo, cfg, false, true)
+				if err != nil {
+					st, err = stateFor(msh.topo, cfg, true, true)
+				}
+				for _, op := range model.BlockGraph(m).Ops {
+					terms++
+					want := r.analytic.Intra(op, cfg)
+					if err == nil {
+						want = materializedIntra(msh.topo, &r.analytic, st, op, cfg)
+					}
+					if got := r.Intra(op, cfg); got != want {
+						t.Errorf("%s/%s/%s/%s: Intra %v, materialized %v", msh.name, m.Name, cfg, op.Name, got, want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d terms", terms)
 }

@@ -19,10 +19,11 @@ import (
 // topology: the replay operator model pinned to the degraded mesh, so
 // candidate configurations are ranked by how their TATP streams and TP
 // collectives actually route around dead links (the closed-form
-// analytic tier cannot see the fault mask at all). The topology is
-// interned so repeated models on the same mask share lowering caches.
+// analytic tier cannot see the fault mask at all). The model interns
+// the topology, so repeated models on the same mask share its lowering
+// states and route plans.
 func DegradedModel(m model.Config, w hw.Wafer, topo *mesh.Topology) solver.CostModel {
-	return cost.NewOperatorReplayOn(m, w, topo.Intern())
+	return cost.NewOperatorReplayOn(m, w, topo)
 }
 
 // RepairOptions tunes the degradation-aware repair search.

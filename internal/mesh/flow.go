@@ -186,41 +186,6 @@ func (t *Topology) SeqTime(phases []Phase) PhaseTime {
 	return s.out
 }
 
-// Utilization summarises how evenly a phase loads the mesh: the mean
-// link load divided by the bottleneck load over alive links that
-// carry traffic, and the fraction of alive links used at all. Both
-// feed the bandwidth-utilization figures (Fig. 4(b)).
-type Utilization struct {
-	// Balance is mean(loaded links) / max load, in (0,1].
-	Balance float64
-	// Coverage is loaded links / alive links, in [0,1].
-	Coverage float64
-}
-
-// Utilization computes phase utilization on t.
-func (t *Topology) Utilization(p Phase) Utilization {
-	loads := p.Loads()
-	if len(loads) == 0 {
-		return Utilization{}
-	}
-	var sum, max float64
-	for _, v := range loads {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	alive := t.aliveLinks()
-	u := Utilization{}
-	if max > 0 {
-		u.Balance = sum / float64(len(loads)) / max
-	}
-	if alive > 0 {
-		u.Coverage = float64(len(loads)) / float64(alive)
-	}
-	return u
-}
-
 // MulticastTree merges a set of same-payload flows from a common
 // source into a tree: each link carries the payload once instead of
 // once per destination. It returns the equivalent flows (one per
@@ -319,14 +284,4 @@ func (t *Topology) ValidatePhase(p Phase) error {
 		}
 	}
 	return nil
-}
-
-// EnergyJoules returns the D2D transfer energy of a phase: every byte
-// is charged per traversed link at the link's energy/bit.
-func (t *Topology) EnergyJoules(p Phase) float64 {
-	var linkBytes float64
-	for _, f := range p.Flows {
-		linkBytes += f.Bytes * float64(f.Route.Hops())
-	}
-	return linkBytes * 8 * t.link.EnergyPerBit
 }

@@ -92,28 +92,6 @@ func TestSeqTimeAccumulates(t *testing.T) {
 	}
 }
 
-func TestUtilizationBalanced(t *testing.T) {
-	tp := grid(1, 3)
-	// Two equal single-hop flows on disjoint links: perfectly balanced.
-	p := Phase{Flows: []Flow{
-		flowBetween(tp, 0, 1, 100, "a"),
-		flowBetween(tp, 1, 2, 100, "b"),
-	}}
-	u := tp.Utilization(p)
-	if u.Balance != 1.0 {
-		t.Errorf("Balance = %v, want 1.0", u.Balance)
-	}
-	// Skewed loads reduce balance.
-	p2 := Phase{Flows: []Flow{
-		flowBetween(tp, 0, 1, 300, "a"),
-		flowBetween(tp, 1, 2, 100, "b"),
-	}}
-	u2 := tp.Utilization(p2)
-	if u2.Balance >= 1.0 {
-		t.Errorf("skewed Balance = %v, want <1", u2.Balance)
-	}
-}
-
 func TestValidatePhase(t *testing.T) {
 	tp := grid(2, 2)
 	good := Phase{Flows: []Flow{flowBetween(tp, 0, 3, 10, "ok")}}
@@ -138,13 +116,14 @@ func TestEnergyScalesWithHops(t *testing.T) {
 	tp := grid(1, 8)
 	oneHop := Phase{Flows: []Flow{flowBetween(tp, 0, 1, 1*unit.MB, "x")}}
 	sevenHops := Phase{Flows: []Flow{flowBetween(tp, 0, 7, 1*unit.MB, "x")}}
-	e1, e7 := tp.EnergyJoules(oneHop), tp.EnergyJoules(sevenHops)
-	if math.Abs(e7/e1-7) > 1e-9 {
-		t.Errorf("energy ratio = %v, want 7 (per-hop charging)", e7/e1)
+	// EnergyComm is charged from LinkBytes: every byte once per
+	// traversed link.
+	b1, b7 := tp.Time(oneHop).LinkBytes, tp.Time(sevenHops).LinkBytes
+	if math.Abs(b7/b1-7) > 1e-9 {
+		t.Errorf("link-byte ratio = %v, want 7 (per-hop charging)", b7/b1)
 	}
-	want := 1 * unit.MB * 8 * hw.TableID2D().EnergyPerBit
-	if math.Abs(e1-want)/want > 1e-9 {
-		t.Errorf("one-hop energy = %v, want %v", e1, want)
+	if want := 1 * unit.MB; b1 != want {
+		t.Errorf("one-hop link bytes = %v, want %v", b1, want)
 	}
 }
 

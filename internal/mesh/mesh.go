@@ -186,9 +186,6 @@ func (t *Topology) Cols() int { return t.cols }
 // Dies returns the total die count (including failed dies).
 func (t *Topology) Dies() int { return t.rows * t.cols }
 
-// LinkParams returns the D2D parameters of every mesh link.
-func (t *Topology) LinkParams() hw.D2D { return t.link }
-
 // ID converts a coordinate to a die ID.
 func (t *Topology) ID(c Coord) DieID { return DieID(c.R*t.cols + c.C) }
 
@@ -571,9 +568,6 @@ func (t *Topology) Route(src, dst DieID) Path {
 }
 
 func (t *Topology) healthy() bool { return t.deadDies == 0 && t.deadLinks == 0 }
-
-// aliveLinks returns the number of functional directed links.
-func (t *Topology) aliveLinks() int { return len(t.links) - t.deadLinks }
 
 // Connected reports whether all alive dies form one connected
 // component over alive links. The BFS runs over dense slices with

@@ -24,10 +24,10 @@ import (
 // whole GA populations across Budget.Workers goroutines (GOMAXPROCS
 // by default), so Intra/Inter/MemoryOK may be called from several
 // goroutines at once. Stateless or read-only models qualify as-is:
-// Analytic is a read-only struct, the replay tier only mutates an
-// internally-locked placement cache, and trained surrogates serve
-// predictions from frozen weights. A model that mutates shared state
-// must either synchronize internally or be run with Workers: 1.
+// Analytic is a read-only struct, the replay tier prices on lowering
+// states memoized on its interned topology, and trained surrogates
+// serve predictions from frozen weights. A model that mutates shared
+// state must either synchronize internally or be run with Workers: 1.
 type CostModel interface {
 	// Intra returns T_intra(op) of Eq. (2): compute overlapped with
 	// streaming plus exposed collectives, under the strategy.

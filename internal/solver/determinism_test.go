@@ -3,6 +3,7 @@ package solver
 import (
 	"testing"
 
+	"temp/internal/cost"
 	"temp/internal/hw"
 	"temp/internal/model"
 	"temp/internal/parallel"
@@ -18,18 +19,29 @@ func TestDLSWorkerCountInvariance(t *testing.T) {
 	w := hw.EvaluationWafer()
 	space := parallel.EnumerateConfigs(w.Dies(), true, 0)
 	cases := []struct {
-		m    model.Config
-		seed int64
+		m      model.Config
+		seed   int64
+		replay bool
 	}{
-		{model.GPT3_6_7B(), 7},
-		{model.GPT3_6_7B(), 42},
-		{model.Llama3_70B(), 7},
+		{model.GPT3_6_7B(), 7, false},
+		{model.GPT3_6_7B(), 42, false},
+		{model.Llama3_70B(), 7, false},
+		// The replay tier's workers share lowering states and route
+		// plans through the topology's derived cache.
+		{model.GPT3_6_7B(), 7, true},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.m.Name, func(t *testing.T) {
+		name := tc.m.Name
+		if tc.replay {
+			name += " replay"
+		}
+		t.Run(name, func(t *testing.T) {
 			g := model.BlockGraph(tc.m)
-			cm := &Analytic{W: w, M: tc.m}
+			var cm CostModel = &Analytic{W: w, M: tc.m}
+			if tc.replay {
+				cm = cost.NewOperatorReplay(tc.m, w)
+			}
 			refAssign, refStats, err := DLS(g, space, cm, DLSOptions{Seed: tc.seed, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
