@@ -16,10 +16,10 @@ import (
 // count changes with the query — so each combination compiles to a
 // mesh.PhaseTemplate once and is rescaled per query.
 //
-// Only frozen (interned) topologies are cached: a mutable topology's
-// routes can change under fault injection, and its pointer identity
-// would pin stale templates. Mutable topologies take the uncached
-// build path, which is the historical behaviour.
+// Only frozen topologies are cached — the shared healthy mesh, or a
+// faulted mesh its trial interned: a mutable topology's routes can
+// change under fault injection, and its pointer identity would pin
+// stale templates. Mutable topologies take the uncached build path.
 
 // Lowering kinds, one key byte each.
 const (
@@ -35,8 +35,8 @@ const (
 // lowerMap is one topology's compiled-lowering store. It lives ON the
 // topology (via Topology.Derived), not in a package-global map keyed
 // by topology pointer: caches share the topology's lifetime, so a
-// faulted topology that falls out of the interner takes its templates
-// with it instead of pinning them process-wide.
+// faulted trial's topology takes its templates with it when the trial
+// drops it instead of pinning them process-wide.
 type lowerMap struct {
 	sync.RWMutex
 	m map[string]*mesh.PhaseTemplate

@@ -18,9 +18,9 @@ import (
 // to position (i+1) mod N along the order, tagging flows with the
 // payload prefix. On an open chain the N-1→0 step is a multi-hop
 // route.
-func ringStep(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, label, payload string) mesh.Phase {
+func ringStep(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, payload string) mesh.Phase {
 	n := len(order)
-	ph := mesh.Phase{Label: label}
+	var ph mesh.Phase
 	for i := 0; i < n; i++ {
 		src, dst := order[i], order[(i+1)%n]
 		route := t.Route(src, dst)
@@ -49,12 +49,10 @@ func RingAllReduce(t *mesh.Topology, order []mesh.DieID, bytes float64) []mesh.P
 	return lower(t, kindAllReduce, "", order, bytes/float64(n), func(chunk float64) []mesh.Phase {
 		phases := make([]mesh.Phase, 0, 2*(n-1))
 		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, chunk,
-				fmt.Sprintf("allreduce-rs-%d", s), fmt.Sprintf("ar.rs%d", s)))
+			phases = append(phases, ringStep(t, order, chunk, fmt.Sprintf("ar.rs%d", s)))
 		}
 		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, chunk,
-				fmt.Sprintf("allreduce-ag-%d", s), fmt.Sprintf("ar.ag%d", s)))
+			phases = append(phases, ringStep(t, order, chunk, fmt.Sprintf("ar.ag%d", s)))
 		}
 		return phases
 	})
@@ -71,8 +69,7 @@ func RingAllGather(t *mesh.Topology, order []mesh.DieID, shardBytes float64) []m
 	return lower(t, kindAllGather, "", order, shardBytes, func(shard float64) []mesh.Phase {
 		phases := make([]mesh.Phase, 0, n-1)
 		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, shard,
-				fmt.Sprintf("allgather-%d", s), fmt.Sprintf("ag%d", s)))
+			phases = append(phases, ringStep(t, order, shard, fmt.Sprintf("ag%d", s)))
 		}
 		return phases
 	})
@@ -88,8 +85,7 @@ func RingReduceScatter(t *mesh.Topology, order []mesh.DieID, bytes float64) []me
 	return lower(t, kindReduceScatter, "", order, bytes/float64(n), func(chunk float64) []mesh.Phase {
 		phases := make([]mesh.Phase, 0, n-1)
 		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, chunk,
-				fmt.Sprintf("reducescatter-%d", s), fmt.Sprintf("rs%d", s)))
+			phases = append(phases, ringStep(t, order, chunk, fmt.Sprintf("rs%d", s)))
 		}
 		return phases
 	})
@@ -107,7 +103,7 @@ func Broadcast(t *mesh.Topology, root mesh.DieID, dsts []mesh.DieID, bytes float
 		if len(flows) == 0 {
 			return nil
 		}
-		return []mesh.Phase{{Label: "broadcast", Flows: flows}}
+		return []mesh.Phase{{Flows: flows}}
 	})
 }
 
@@ -122,7 +118,6 @@ func P2P(t *mesh.Topology, src, dst mesh.DieID, bytes float64, payload string) [
 			return nil
 		}
 		return []mesh.Phase{{
-			Label: "p2p",
 			Flows: []mesh.Flow{{Src: src, Dst: dst, Bytes: bytes, Route: route, Payload: payload}},
 		}}
 	})
@@ -136,7 +131,7 @@ func P2PChain(t *mesh.Topology, order []mesh.DieID, bytes float64, payload strin
 		return nil
 	}
 	return lower(t, kindChain, payload, order, bytes, func(bytes float64) []mesh.Phase {
-		ph := mesh.Phase{Label: "p2p-chain"}
+		var ph mesh.Phase
 		for i := 0; i+1 < len(order); i++ {
 			route := t.Route(order[i], order[i+1])
 			if route == nil {
@@ -166,7 +161,7 @@ func AllToAll(t *mesh.Topology, order []mesh.DieID, bytesPerPair float64) []mesh
 		return nil
 	}
 	return lower(t, kindAllToAll, "", order, bytesPerPair, func(bytes float64) []mesh.Phase {
-		ph := mesh.Phase{Label: "alltoall"}
+		var ph mesh.Phase
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i == j {
@@ -203,7 +198,6 @@ func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 	}
 	out := make([]mesh.Phase, maxLen)
 	for k := 0; k < maxLen; k++ {
-		out[k].Label = fmt.Sprintf("merged-%d", k)
 		for si, s := range seqs {
 			if k < len(s) {
 				for _, f := range s[k].Flows {

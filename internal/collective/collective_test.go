@@ -32,7 +32,7 @@ func TestRingAllReducePhaseCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(ph.Flows) != len(order) {
-			t.Fatalf("phase %s has %d flows, want %d", ph.Label, len(ph.Flows), len(order))
+			t.Fatalf("phase has %d flows, want %d", len(ph.Flows), len(order))
 		}
 	}
 }

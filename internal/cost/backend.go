@@ -40,48 +40,55 @@ type Backend interface {
 	Operator(m model.Config, w hw.Wafer) (OperatorModel, error)
 }
 
-// PlacementBackend is the optional interface of tiers that can price
-// against an existing (possibly fault-degraded) topology and
-// placement — the entry point the fault-tolerance study uses after
-// re-partitioning around failed hardware. The analytic and replay
-// tiers implement it; the surrogate tier has no degraded-topology
-// model and does not.
-type PlacementBackend interface {
-	PriceOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-		topo *mesh.Topology, place *parallel.Placement) (Breakdown, error)
-}
-
 // EvaluateWith prices one full step at a backend's fidelity,
-// resolving the key through the registry. Tiers without a
-// placement-aware path (the surrogate screening tier) fall back to
-// the analytic model, so fault studies normalize against a
+// resolving the key through the registry. Only the replay tier
+// replays contention; every other tier (the surrogate screening tier
+// included) prices analytically, so fault studies normalize against a
 // consistent tier.
 func EvaluateWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o Options) (Breakdown, error) {
-	be, err := NewBackend(key)
+	replay, err := isReplay(key)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	if _, ok := be.(PlacementBackend); ok {
-		return be.Price(m, w, cfg, o)
-	}
-	return Evaluate(m, w, cfg, o)
+	return evaluate(m, w, cfg, o, replay)
 }
 
-// EvaluateOnWith prices one full step against an existing (possibly
-// fault-degraded) topology and placement at a backend's fidelity — the
-// entry point the fault-tolerance study uses after re-partitioning
-// around failed hardware — with the same analytic fallback for tiers
-// that cannot price a degraded topology.
+// EvaluateOnWith prices one full step on a (possibly fault-degraded)
+// topology at a backend's fidelity, with EvaluateWith's tier rule —
+// the entry point the fault-tolerance study uses after re-partitioning
+// around failed hardware. It interns topo (freezing a faulted mesh in
+// place) and prices the one placement family the engine maps with:
+// linear runs under SMap, rectangles otherwise. The lowering state is
+// memoized on the topology, so every price on one degraded mesh — and
+// on the shared healthy mesh — lowers and plans each configuration
+// once.
 func EvaluateOnWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
-	be, err := NewBackend(key)
+	topo *mesh.Topology) (Breakdown, error) {
+	replay, err := isReplay(key)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	if pb, ok := be.(PlacementBackend); ok {
-		return pb.PriceOn(m, w, cfg, o, topo, place)
+	topo = topo.Intern()
+	cfg = cfg.Normalize()
+	st, err := stateFor(topo, cfg, o.Engine == SMap, o.Engine == TCMEEngine)
+	if err != nil {
+		return Breakdown{}, err
 	}
-	return evaluateOn(m, w, cfg, o, topo, place, false)
+	s := batchPool.Get().(*batchScratch)
+	b, err := s.evaluateState(m, w, cfg, o, topo, st, model.BlockGraph(m), replay)
+	batchPool.Put(s)
+	return b, err
+}
+
+// isReplay resolves a backend key and reports whether it names the
+// replay tier.
+func isReplay(key string) (bool, error) {
+	be, err := NewBackend(key)
+	if err != nil {
+		return false, err
+	}
+	_, ok := be.(*replayBackend)
+	return ok, nil
 }
 
 // BackendFactory builds a backend instance. The seed drives any
@@ -245,12 +252,6 @@ func (analyticBackend) Price(m model.Config, w hw.Wafer, cfg parallel.Config, o 
 // Operator implements Backend.
 func (analyticBackend) Operator(m model.Config, w hw.Wafer) (OperatorModel, error) {
 	return &OperatorAnalytic{W: w, M: m}, nil
-}
-
-// PriceOn implements PlacementBackend.
-func (analyticBackend) PriceOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
-	return evaluateOn(m, w, cfg, o, topo, place, false)
 }
 
 func init() {

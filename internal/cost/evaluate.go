@@ -355,19 +355,6 @@ func evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o Options, replay
 	return out[0], errs[0]
 }
 
-// evaluateOn lowers an externally supplied placement (fault studies)
-// and prices it on a pooled scratch. The lowering state is built fresh
-// because the caller owns the placement, and the scratch is not
-// retargeted, so it keeps its cached healthy-topology states.
-func evaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement, replay bool) (Breakdown, error) {
-	st := newEvalState(topo, place, o.Engine == TCMEEngine)
-	s := batchPool.Get().(*batchScratch)
-	b, err := s.evaluateState(m, w, cfg.Normalize(), o, topo, st, model.BlockGraph(m), replay)
-	batchPool.Put(s)
-	return b, err
-}
-
 // aliveOnly filters dead dies out of a group (fault adaptation keeps
 // the survivors streaming).
 func aliveOnly(t *mesh.Topology, dies []mesh.DieID) []mesh.DieID {

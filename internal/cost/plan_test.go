@@ -105,11 +105,11 @@ func oracleConfigs(dies int) []parallel.Config {
 // evalLowered against re-optimizing the materialized phases per query.
 // On wsc-4x8 it covers every stream and collective template of every
 // TEMP configuration in both placement families, the replay tier's
-// SMap/GMap states, and one faulted interned mesh lowered from an
-// external placement as evaluateOn does — each at the evaluator's own
-// bytes for every zoo model — then a byte-scale grid on every distinct
-// template. -short checks two models, every fifth configuration and
-// every fifth template of the grid.
+// SMap/GMap states, and one faulted interned mesh lowered fresh from
+// its placement — each at the evaluator's own bytes for every zoo
+// model — then a byte-scale grid on every distinct template. -short
+// checks two models, every fifth configuration and every fifth
+// template of the grid.
 func TestRoutePlansMatchMaterialized(t *testing.T) {
 	w := hw.EvaluationWafer()
 	topo := mesh.FromWafer(w)
@@ -244,4 +244,75 @@ func TestOperatorReplayMatchesMaterialized(t *testing.T) {
 		}
 	}
 	t.Logf("%d terms", terms)
+}
+
+// freshPlacementPrice is EvaluateOnWith's reference: the engine's
+// placement family (PlaceLinear under SMap, Place otherwise) lowered
+// into a fresh state and priced on a pooled scratch, replaying only
+// for the replay key.
+func freshPlacementPrice(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
+	topo *mesh.Topology) (Breakdown, error) {
+	place := parallel.Place
+	if o.Engine == SMap {
+		place = parallel.PlaceLinear
+	}
+	p, err := place(cfg, topo)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	st := newEvalState(topo, p, o.Engine == TCMEEngine)
+	s := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(s)
+	return s.evaluateState(m, w, cfg.Normalize(), o, topo, st, model.BlockGraph(m), key == "replay")
+}
+
+// TestEvaluateOnWithMatchesFreshPlacement pins EvaluateOnWith, which
+// prices on the topology's memoized lowering state, against
+// freshPlacementPrice: breakdowns equal under reflect.DeepEqual and
+// errors agreeing. It covers GPT-3 6.7B and Llama3 70B on the shared
+// healthy mesh and on a mesh with die 9 dead, link 1→2 dead and die 4
+// at half its cores, for every backend key, engine and wsc-4x8
+// configuration with adaptive re-balancing on. The keys run in order
+// on one frozen topology, so later tiers price on the states and plans
+// earlier tiers built. -short checks one model.
+func TestEvaluateOnWithMatchesFreshPlacement(t *testing.T) {
+	w := hw.EvaluationWafer()
+	c := mesh.FromWafer(w).Clone()
+	c.SetDieAlive(9, false)
+	c.SetLinkAlive(mesh.Link{From: 1, To: 2}, false)
+	c.SetCoreFraction(4, 0.5)
+	meshes := []struct {
+		name string
+		topo *mesh.Topology
+	}{{"healthy", mesh.FromWafer(w)}, {"faulted", c.Intern()}}
+	models := []model.Config{model.GPT3_6_7B(), model.Llama3_70B()}
+	if testing.Short() {
+		models = models[:1]
+	}
+	space := parallel.EnumerateConfigs(w.Dies(), true, 0)
+
+	cases := 0
+	for _, msh := range meshes {
+		for _, key := range []string{"", "replay", "surrogate"} {
+			for _, m := range models {
+				for _, e := range []Engine{SMap, GMap, TCMEEngine} {
+					o := TEMPOptions()
+					o.Engine = e
+					o.AdaptiveRebalance = true
+					for _, cfg := range space {
+						cases++
+						name := fmt.Sprintf("%s/%q/%s/%s/%s", msh.name, key, m.Name, e, cfg)
+						got, gotErr := EvaluateOnWith(key, m, w, cfg, o, msh.topo)
+						want, wantErr := freshPlacementPrice(key, m, w, cfg, o, msh.topo)
+						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+							t.Errorf("%s: error %v, fresh placement %v", name, gotErr, wantErr)
+						} else if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: breakdown\n%+v\nfresh placement\n%+v", name, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases", cases)
 }

@@ -35,13 +35,6 @@ func (*replayBackend) Operator(m model.Config, w hw.Wafer) (OperatorModel, error
 	return NewOperatorReplay(m, w), nil
 }
 
-// PriceOn implements PlacementBackend: fault studies replay degraded
-// topologies at the same contention fidelity as healthy ones.
-func (*replayBackend) PriceOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
-	return evaluateOn(m, w, cfg, o, topo, place, true)
-}
-
 // OperatorReplay is the replay backend's per-operator model: the
 // compute and memory terms match the analytic tier (they are not
 // communication), but the TATP stream and TP collective terms are
@@ -70,9 +63,9 @@ func NewOperatorReplay(m model.Config, w hw.Wafer) *OperatorReplay {
 // topology — typically a fault-degraded mesh, so searches can rank
 // candidate configurations by how well their streams and collectives
 // route around dead links (the repair solver's degraded cost model).
-// The topology is interned (freezing it if it becomes the canonical
-// instance), so every model and evaluation on the same fault mask
-// shares one lowering state per configuration.
+// The topology is interned (a faulted one is frozen in place), so
+// every model and EvaluateOnWith price on the same topology shares one
+// lowering state per configuration.
 func NewOperatorReplayOn(m model.Config, w hw.Wafer, topo *mesh.Topology) *OperatorReplay {
 	return &OperatorReplay{analytic: OperatorAnalytic{W: w, M: m}, topo: topo.Intern()}
 }

@@ -40,8 +40,7 @@ func (in Injection) Active() bool {
 // Bundles are visited over the dense canonical link index: IDs ascend
 // in (From, To) order, so keeping only l.From < l.To walks each bundle
 // exactly once — the canonical order gives dedup for free, with no
-// per-trial map. The visit order matches the historical first-
-// occurrence order of Links(), so seeded masks are unchanged.
+// per-trial map — and a seed always draws the same mask.
 func (in Injection) Apply(t *mesh.Topology, rng *rand.Rand) {
 	if in.LinkRate > 0 {
 		for id := 0; id < t.NumLinks(); id++ {
@@ -133,14 +132,15 @@ func Evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options, i
 }
 
 // EvaluateWith is Evaluate at a named cost-backend fidelity: the
-// degraded topology is priced through the backend's placement-aware
-// path (tiers without one, like the surrogate, fall back to the
-// analytic model — see cost.EvaluateOnWith).
+// degraded topology is priced through cost.EvaluateOnWith (tiers
+// without a contention replay, like the surrogate, price
+// analytically).
 func EvaluateWith(backend string, m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options, in Injection, rng *rand.Rand) Outcome {
 	// FromWafer returns the interned immutable mesh; injection needs a
-	// private mutable copy. Once the fault mask is final the degraded
-	// topology is interned too, so repeated trials (and the evaluator's
-	// per-topology lowering caches) share one frozen instance per mask.
+	// private mutable copy. Once the fault mask is final the copy is
+	// interned: a healthy one resolves to the shared mesh, a faulted
+	// one is frozen in place, so the evaluator's lowering caches live on
+	// this trial's topology for exactly as long as the trial holds it.
 	topo := mesh.FromWafer(w).Clone()
 	in.Apply(topo, rng)
 	topo = topo.Intern()
@@ -156,26 +156,17 @@ func EvaluateWith(backend string, m model.Config, w hw.Wafer, cfg parallel.Confi
 	return Outcome{Report: rep, Breakdown: b, Functional: true}
 }
 
-// priceDegraded places cfg on an already-degraded (and connected)
-// topology and prices it at the backend tier with TEMP's adaptive
-// re-partitioning enabled. ok is false when the configuration cannot
-// be placed or priced on the surviving fabric — the shared functional
-// check behind Evaluate, the repair solver, the campaign harness and
-// the worst-case mask search.
+// priceDegraded prices cfg on an already-degraded (and connected)
+// topology at the backend tier with TEMP's adaptive re-partitioning
+// enabled; cost.EvaluateOnWith picks the placement family and shares
+// the topology's lowering states with every other price on it. ok is
+// false when the configuration cannot be placed or priced on the
+// surviving fabric — the shared functional check behind Evaluate, the
+// repair solver, the campaign harness and the worst-case mask search.
 func priceDegraded(backend string, m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options,
 	topo *mesh.Topology) (cost.Breakdown, bool) {
 	o.AdaptiveRebalance = true
-	var place *parallel.Placement
-	var err error
-	if o.Engine == cost.SMap {
-		place, err = parallel.PlaceLinear(cfg, topo)
-	} else {
-		place, err = parallel.Place(cfg, topo)
-	}
-	if err != nil {
-		return cost.Breakdown{}, false
-	}
-	b, err := cost.EvaluateOnWith(backend, m, w, cfg, o, topo, place)
+	b, err := cost.EvaluateOnWith(backend, m, w, cfg, o, topo)
 	if err != nil {
 		return cost.Breakdown{}, false
 	}

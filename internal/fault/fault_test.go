@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"temp/internal/cost"
@@ -16,8 +17,9 @@ func TestApplyLinkFaultsBundled(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	Injection{LinkRate: 0.3}.Apply(topo, rng)
 	// Directions must fail together.
-	for _, l := range topo.Links() {
-		if !topo.LinkAlive(mesh.Link{From: l.To, To: l.From}) {
+	for id := 0; id < topo.NumLinks(); id++ {
+		l := topo.LinkByID(id)
+		if topo.LinkAlive(l) && !topo.LinkAlive(mesh.Link{From: l.To, To: l.From}) {
 			t.Fatalf("link %v alive but reverse dead", l)
 		}
 	}
@@ -45,22 +47,41 @@ func TestLocalizeHealthy(t *testing.T) {
 	}
 }
 
+// TestEvaluateHealthyMatchesBaseline pins the zero-fault price against
+// cost.Evaluate. Under SMap and GMap both price the engine's one
+// placement family on the shared healthy mesh, so the breakdowns are
+// bit-identical. Under TEMP the degraded path prices the rectangle
+// family only, while cost.Evaluate keeps the faster of rectangles and
+// linear runs: the zero-fault price is never faster, and at
+// (DP=4,TATP=8), where linear runs win, the throughput ratio is exactly
+// 0.9977169061760276, the zero-fault cell of campaign_golden.json.
 func TestEvaluateHealthyMatchesBaseline(t *testing.T) {
 	m := model.GPT3_6_7B()
 	w := hw.EvaluationWafer()
 	cfg := parallel.Config{DP: 4, TATP: 8}
-	o := cost.TEMPOptions()
-	out := Evaluate(m, w, cfg, o, Injection{}, rand.New(rand.NewSource(3)))
-	if !out.Functional {
-		t.Fatal("healthy evaluation not functional")
-	}
-	base, err := cost.Evaluate(m, w, cfg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := out.Breakdown.ThroughputTokens / base.ThroughputTokens
-	if ratio < 0.99 || ratio > 1.01 {
-		t.Errorf("fault-free throughput ratio = %v, want ~1", ratio)
+	for _, e := range []cost.Engine{cost.SMap, cost.GMap, cost.TCMEEngine} {
+		o := cost.TEMPOptions()
+		o.Engine = e
+		out := Evaluate(m, w, cfg, o, Injection{}, rand.New(rand.NewSource(3)))
+		if !out.Functional {
+			t.Fatalf("%s: healthy evaluation not functional", e)
+		}
+		base, err := cost.Evaluate(m, w, cfg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e != cost.TCMEEngine {
+			if !reflect.DeepEqual(out.Breakdown, base) {
+				t.Errorf("%s: zero-fault breakdown\n%+v\ndiffers from cost.Evaluate\n%+v", e, out.Breakdown, base)
+			}
+			continue
+		}
+		if out.Breakdown.StepTime < base.StepTime {
+			t.Errorf("TEMP zero-fault step %v faster than cost.Evaluate's %v", out.Breakdown.StepTime, base.StepTime)
+		}
+		if ratio := out.Breakdown.ThroughputTokens / base.ThroughputTokens; ratio != 0.9977169061760276 {
+			t.Errorf("TEMP zero-fault throughput ratio = %v, want 0.9977169061760276", ratio)
+		}
 	}
 }
 
@@ -115,23 +136,15 @@ func TestAdaptiveRebalanceBeatsLockstep(t *testing.T) {
 	for d := 0; d < topoA.Dies(); d++ {
 		topoB.SetCoreFraction(mesh.DieID(d), topoA.CoreFraction(mesh.DieID(d)))
 	}
-	cfg := (parallel.Config{DP: 4, TATP: 8}).Normalize()
-	place, err := parallel.Place(cfg, topoA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := parallel.Config{DP: 4, TATP: 8}
 	adaptive := cost.TEMPOptions()
 	adaptive.AdaptiveRebalance = true
 	lockstep := cost.TEMPOptions()
-	ba, err := cost.EvaluateOnWith("", m, w, cfg, adaptive, topoA, place)
+	ba, err := cost.EvaluateOnWith("", m, w, cfg, adaptive, topoA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	placeB, err := parallel.Place(cfg, topoB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := cost.EvaluateOnWith("", m, w, cfg, lockstep, topoB, placeB)
+	bl, err := cost.EvaluateOnWith("", m, w, cfg, lockstep, topoB)
 	if err != nil {
 		t.Fatal(err)
 	}

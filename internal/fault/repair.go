@@ -20,8 +20,8 @@ import (
 // candidate configurations are ranked by how their TATP streams and TP
 // collectives actually route around dead links (the closed-form
 // analytic tier cannot see the fault mask at all). The model interns
-// the topology, so repeated models on the same mask share its lowering
-// states and route plans.
+// the topology, so every model and exact price on the same topology
+// shares its lowering states and route plans.
 func DegradedModel(m model.Config, w hw.Wafer, topo *mesh.Topology) solver.CostModel {
 	return cost.NewOperatorReplayOn(m, w, topo)
 }

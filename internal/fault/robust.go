@@ -21,7 +21,8 @@ import (
 //
 // Feasibility (MemoryOK) stays the fault-free model's: a mask changes
 // routing, not per-die memory. Safe for concurrent use when the base
-// model is (the degraded replay models lock internally).
+// model is (the degraded replay models are read-only; their lowering
+// states live on each mask's frozen topology).
 type RobustModel struct {
 	base   solver.CostModel
 	masks  []solver.CostModel

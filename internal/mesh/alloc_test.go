@@ -141,7 +141,7 @@ func TestSeqTimeLoweredMatchesMaterialized(t *testing.T) {
 			for j := range flows {
 				flows[j].Bytes = ls.Bytes
 			}
-			scaled = append(scaled, Phase{Label: ph.Label, Flows: flows})
+			scaled = append(scaled, Phase{Flows: flows})
 		}
 	}
 	if got, want := tp.SeqTimeLowered(seq), tp.SeqTime(scaled); got != want {
@@ -218,8 +218,8 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 
 // TestInternSemantics pins the interner contract: FromWafer-style
 // lookups share one frozen instance, mutation of a frozen topology
-// panics, clones are mutable, and re-interning a faulted clone keys
-// on the exact fault mask.
+// panics, clones are mutable, a faulted clone interns to itself,
+// frozen, and the interner retains no faulted topology.
 func TestInternSemantics(t *testing.T) {
 	a := Shared(4, 8, hw.TableID2D())
 	b := Shared(4, 8, hw.TableID2D())
@@ -247,25 +247,26 @@ func TestInternSemantics(t *testing.T) {
 	if a.LinkAlive(Link{0, 1}) != true || a.CoreFraction(3) != 1 {
 		t.Fatal("clone mutation leaked into the interned original")
 	}
-	f1 := c.Intern()
-	if !f1.Frozen() || f1 == a {
-		t.Fatal("faulted intern must freeze a distinct instance")
-	}
-	// Same mask → same instance.
-	d := a.Clone()
-	d.SetLinkAlive(Link{0, 1}, false)
-	d.SetCoreFraction(3, 0.5)
-	if d.Intern() != f1 {
-		t.Error("identical fault masks interned to distinct instances")
-	}
-	// Different mask → different instance.
-	e := a.Clone()
-	e.SetLinkAlive(Link{0, 1}, false)
-	if e.Intern() == f1 {
-		t.Error("distinct fault masks shared one instance")
+	if f := c.Intern(); f != c || !c.Frozen() {
+		t.Fatal("faulted intern must return its receiver, frozen")
 	}
 	// A healthy clone interns back to the shared healthy instance.
 	if a.Clone().Intern() != a {
 		t.Error("healthy clone did not intern to the shared instance")
+	}
+	// Faulted topologies are never tabled.
+	entries := func() int {
+		interner.mu.Lock()
+		defer interner.mu.Unlock()
+		return len(interner.healthy)
+	}
+	before := entries()
+	for i := 0; i < 300; i++ {
+		f := a.Clone()
+		f.SetCoreFraction(DieID(i%a.Dies()), float64(i+1)/512)
+		f.Intern()
+	}
+	if got := entries(); got != before {
+		t.Errorf("interning 300 faulted clones changed the interner from %d to %d entries", before, got)
 	}
 }

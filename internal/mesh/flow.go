@@ -22,6 +22,10 @@ type Flow struct {
 // completes when its slowest link has drained; consecutive phases are
 // serialized by the caller.
 type Phase struct {
+	// Label is always empty: no lowering writes it and nothing reads
+	// it. It stays because cost.Breakdown serializes tcme.Result's
+	// (empty) Phase, so dropping the field would change the bytes of
+	// every served and persisted result.
 	Label string
 	Flows []Flow
 }

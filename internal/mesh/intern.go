@@ -1,127 +1,71 @@
 package mesh
 
 import (
-	"math"
 	"sync"
 
 	"temp/internal/hw"
 )
 
 // The topology interner. Every cost-model evaluation begins by
-// materializing the wafer's mesh; before interning, each evaluation
-// rebuilt the same Topology (die/link masks, link index) from scratch.
-// The interner keys topologies by (rows, cols, link parameters, fault
-// mask) and hands out one frozen instance per key, so the evaluation
-// hot path shares a single immutable topology — and the derived-
-// structure caches (lowered collectives, orchestrations, placements)
-// can key off its pointer identity.
+// materializing the wafer's mesh; the interner hands out one frozen
+// healthy topology per (rows, cols, link parameters), so the
+// evaluation hot path shares a single immutable instance — and the
+// derived-structure caches (lowered collectives, lowering states,
+// route plans) key off its pointer identity. Faulted topologies are
+// not tabled: a fault study draws a fresh mask per trial with no
+// cross-trial reuse, so Intern freezes a faulted topology in place and
+// its caches live exactly as long as its holder keeps it.
 
-// internKey identifies one topology state. hw.D2D is a flat struct of
-// floats, so the key is comparable; mask is the canonical fault-state
-// encoding ("" for a healthy mesh).
+// internKey identifies one healthy topology. hw.D2D is a flat struct
+// of floats, so the key is comparable.
 type internKey struct {
 	rows, cols int
 	link       hw.D2D
-	mask       string
 }
-
-// maxFaultedInterns bounds the faulted-mask side of the interner.
-// Healthy topologies are one per wafer geometry (a handful per
-// process), but Monte Carlo fault studies intern one random mask per
-// trial with near-zero cross-trial reuse — unbounded retention would
-// grow memory for the process lifetime. When the bound is hit the
-// faulted table is reset wholesale; evicted topologies stay frozen
-// and fully functional (their derived caches live on the topology,
-// not in global maps), they merely stop being shared and become
-// collectable once callers drop them.
-const maxFaultedInterns = 256
 
 var interner struct {
 	mu      sync.Mutex
 	healthy map[internKey]*Topology
-	faulted map[internKey]*Topology
 }
 
 // Shared returns the interned immutable healthy topology for the
 // given grid and link parameters.
 func Shared(rows, cols int, link hw.D2D) *Topology {
-	return intern(internKey{rows: rows, cols: cols, link: link}, func() *Topology {
-		return New(rows, cols, link)
-	})
+	key := internKey{rows: rows, cols: cols, link: link}
+	interner.mu.Lock()
+	defer interner.mu.Unlock()
+	if t, ok := interner.healthy[key]; ok {
+		return t
+	}
+	t := New(rows, cols, link)
+	t.frozen = true
+	if interner.healthy == nil {
+		interner.healthy = map[internKey]*Topology{}
+	}
+	interner.healthy[key] = t
+	return t
 }
 
-// Intern returns the canonical shared instance of the receiver's exact
-// state (grid, link parameters, die/link/core fault mask), freezing
-// the receiver if it becomes the canonical instance. After Intern the
-// receiver must be treated as immutable — the Set* mutators panic.
-// Healthy topologies share the Shared/FromWafer instance.
+// Intern returns the immutable instance of the receiver's state: the
+// Shared/FromWafer instance for a healthy topology, and the receiver
+// itself, frozen in place, for a faulted one (dead dies or links, or
+// degraded cores). After Intern the receiver must be treated as
+// immutable — the Set* mutators panic.
 func (t *Topology) Intern() *Topology {
 	if t.frozen {
 		return t
 	}
-	key := internKey{rows: t.rows, cols: t.cols, link: t.link, mask: t.maskKey()}
-	return intern(key, func() *Topology { return t })
-}
-
-// Frozen reports whether the topology is interned (immutable). The
-// derived-structure caches only engage on frozen topologies.
-func (t *Topology) Frozen() bool { return t.frozen }
-
-func intern(key internKey, build func() *Topology) *Topology {
-	interner.mu.Lock()
-	defer interner.mu.Unlock()
-	table := &interner.healthy
-	if key.mask != "" {
-		table = &interner.faulted
+	if t.healthy() && !t.degradedCores() {
+		return Shared(t.rows, t.cols, t.link)
 	}
-	if t, ok := (*table)[key]; ok {
-		return t
-	}
-	t := build()
 	t.frozen = true
-	if key.mask != "" && len(interner.faulted) >= maxFaultedInterns {
-		interner.faulted = nil
-	}
-	if *table == nil {
-		*table = map[internKey]*Topology{}
-	}
-	(*table)[key] = t
 	return t
 }
 
-// maskKey canonically encodes the fault state: empty for a healthy
-// mesh, else the dead-die set, dead-link set and non-unit core
-// fractions (bit-exact).
-func (t *Topology) maskKey() string {
-	if t.healthy() && !t.degradedCores() {
-		return ""
-	}
-	var b []byte
-	put32 := func(v uint32) {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	for i, alive := range t.dieAlive {
-		if !alive {
-			put32(uint32(i))
-		}
-	}
-	b = append(b, '|')
-	for id, alive := range t.linkAlive {
-		if !alive {
-			put32(uint32(id))
-		}
-	}
-	b = append(b, '|')
-	for i, f := range t.coreFrac {
-		if f != 1.0 {
-			put32(uint32(i))
-			bits := math.Float64bits(f)
-			put32(uint32(bits))
-			put32(uint32(bits >> 32))
-		}
-	}
-	return string(b)
-}
+// Frozen reports whether the topology is immutable: a Shared instance
+// or an interned faulted one. The derived-structure caches only engage
+// on frozen topologies.
+func (t *Topology) Frozen() bool { return t.frozen }
 
 func (t *Topology) degradedCores() bool {
 	for _, f := range t.coreFrac {
@@ -146,7 +90,6 @@ func (t *Topology) Clone() *Topology {
 		deadLinks: t.deadLinks,
 		links:     t.links,
 		slot:      t.slot,
-		enum:      t.enum,
 	}
 	return c
 }
@@ -154,9 +97,10 @@ func (t *Topology) Clone() *Topology {
 // Derived returns the value cached under key on a frozen topology,
 // building it with build on the first request. Concurrent first
 // requests may build twice; builds must be deterministic, and one
-// winner is kept. On a mutable topology nothing is cached (the result
-// would go stale on the next fault mutation) and build's result is
-// returned directly.
+// winner is kept. Entries live on the topology and are collected with
+// it. On a mutable topology nothing is cached (the result would go
+// stale on the next fault mutation) and build's result is returned
+// directly.
 func (t *Topology) Derived(key any, build func() any) any {
 	if !t.frozen {
 		return build()

@@ -35,7 +35,8 @@ func (l Link) String() string { return fmt.Sprintf("%d→%d", l.From, l.To) }
 
 // Topology is a rows×cols 2D mesh with optional fault masks. The
 // zero value is not usable; construct with New (mutable) or FromWafer
-// (interned, immutable — see Intern).
+// (the shared healthy instance, immutable). Fault studies Clone,
+// inject, then Intern, which freezes a faulted copy in place.
 type Topology struct {
 	rows, cols int
 	link       hw.D2D
@@ -61,18 +62,15 @@ type Topology struct {
 	// between a topology and its clones.
 	links []Link
 	slot  []int32
-	// enum is the historical allLinks enumeration order, kept so that
-	// Links() (and everything seeded off its iteration order, like
-	// fault injection) is unchanged by the dense index.
-	enum []Link
 
-	// frozen marks an interned topology: mutating an interned topology
-	// would corrupt every sharer, so the Set* methods panic. Frozen
-	// topologies are what the derived-structure caches key on.
+	// frozen marks an immutable topology — the Shared healthy instance,
+	// or a faulted one Intern froze in place: mutating it would corrupt
+	// every structure derived from it, so the Set* methods panic.
+	// Frozen topologies are what the derived-structure caches key on.
 	frozen bool
 	// derived caches immutable structures computed from a frozen
-	// topology (lowered collectives, stream orchestrations, placement
-	// state). Only frozen topologies populate it: a mutable topology's
+	// topology (lowered collectives, lowering states and their route
+	// plans). Only frozen topologies populate it: a mutable topology's
 	// cache would go stale on the next Set* call.
 	derived sync.Map
 	// aliveDies caches AliveDies on frozen topologies (immutable fault
@@ -111,8 +109,8 @@ func New(rows, cols int, link hw.D2D) *Topology {
 // ascend exactly in (From, To) order.
 const numDirs = 4
 
-// buildLinkIndex constructs the canonical sorted link list, the
-// reverse-lookup slot table and the historical enumeration order.
+// buildLinkIndex constructs the canonical sorted link list and the
+// reverse-lookup slot table.
 func (t *Topology) buildLinkIndex() {
 	n := t.rows * t.cols
 	t.slot = make([]int32, n*numDirs)
@@ -135,7 +133,6 @@ func (t *Topology) buildLinkIndex() {
 			t.links = append(t.links, Link{DieID(from), t.ID(nc)})
 		}
 	}
-	t.enum = t.allLinks()
 }
 
 // FromWafer returns the interned immutable mesh of a wafer
@@ -225,36 +222,6 @@ func (t *Topology) Neighbors(d DieID) []DieID {
 		n := t.ID(nc)
 		if t.DieAlive(n) && t.LinkAlive(Link{d, n}) {
 			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// allLinks enumerates every directed link of the pristine mesh.
-func (t *Topology) allLinks() []Link {
-	var out []Link
-	for r := 0; r < t.rows; r++ {
-		for c := 0; c < t.cols; c++ {
-			a := t.ID(Coord{r, c})
-			if c+1 < t.cols {
-				b := t.ID(Coord{r, c + 1})
-				out = append(out, Link{a, b}, Link{b, a})
-			}
-			if r+1 < t.rows {
-				b := t.ID(Coord{r + 1, c})
-				out = append(out, Link{a, b}, Link{b, a})
-			}
-		}
-	}
-	return out
-}
-
-// Links returns all alive directed links in deterministic order.
-func (t *Topology) Links() []Link {
-	var out []Link
-	for _, l := range t.enum {
-		if t.linkAlive[t.LinkID(l)] {
-			out = append(out, l)
 		}
 	}
 	return out

@@ -60,8 +60,14 @@ func TestLinkCount(t *testing.T) {
 	if got := tp.NumLinks(); got != want {
 		t.Errorf("NumLinks = %d, want %d", got, want)
 	}
-	if got := len(tp.Links()); got != want {
-		t.Errorf("alive Links = %d, want %d", got, want)
+	alive := 0
+	for id := 0; id < tp.NumLinks(); id++ {
+		if tp.LinkAlive(tp.LinkByID(id)) {
+			alive++
+		}
+	}
+	if alive != want {
+		t.Errorf("alive links = %d, want %d", alive, want)
 	}
 }
 

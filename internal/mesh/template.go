@@ -160,7 +160,7 @@ func NewPhaseTemplate(phases []Phase) *PhaseTemplate {
 		start := len(t.flows)
 		t.flows = append(t.flows, p.Flows...)
 		end := len(t.flows)
-		t.phases[i] = Phase{Label: p.Label, Flows: t.flows[start:end:end]}
+		t.phases[i] = Phase{Flows: t.flows[start:end:end]}
 	}
 	for i := range t.flows {
 		t.flows[i].Bytes = 0
@@ -230,7 +230,7 @@ func (t *PhaseTemplate) Materialize(bytes float64) []Phase {
 	off := 0
 	for i := range t.phases {
 		n := len(t.phases[i].Flows)
-		phases[i] = Phase{Label: t.phases[i].Label, Flows: flows[off : off+n : off+n]}
+		phases[i] = Phase{Flows: flows[off : off+n : off+n]}
 		off += n
 	}
 	return phases

@@ -199,8 +199,8 @@ func (o *Orchestration) Phases(subBytes float64) []mesh.Phase {
 // lowerPhases routes every scheduled send on the topology.
 func (o *Orchestration) lowerPhases(subBytes float64) []mesh.Phase {
 	phases := make([]mesh.Phase, 0, len(o.Sched.Sends))
-	for t, sends := range o.Sched.Sends {
-		ph := mesh.Phase{Label: fmt.Sprintf("stream-round-%d", t)}
+	for _, sends := range o.Sched.Sends {
+		var ph mesh.Phase
 		for _, snd := range sends {
 			src, dst := o.Order[snd.From], o.Order[snd.To]
 			route := o.topo.Route(src, dst)

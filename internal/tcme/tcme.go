@@ -249,7 +249,7 @@ func uniformBytes(p mesh.Phase) bool {
 }
 
 func clonePhase(p mesh.Phase) mesh.Phase {
-	out := mesh.Phase{Label: p.Label, Flows: make([]mesh.Flow, len(p.Flows))}
+	out := mesh.Phase{Flows: make([]mesh.Flow, len(p.Flows))}
 	copy(out.Flows, p.Flows)
 	return out
 }
