@@ -29,7 +29,6 @@ const (
 	kindBroadcast     = 'B'
 	kindP2P           = 'P'
 	kindChain         = 'C'
-	kindAllToAll      = 'X'
 )
 
 // lowerMap is one topology's compiled-lowering store. It lives ON the

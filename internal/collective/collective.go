@@ -152,38 +152,6 @@ func P2PChain(t *mesh.Topology, order []mesh.DieID, bytes float64, payload strin
 	})
 }
 
-// AllToAll lowers a full personalized exchange: every ordered pair
-// (i,j), i≠j, moves bytesPerPair. Emitted as a single phase; the mesh
-// contention model serializes overlapping routes.
-func AllToAll(t *mesh.Topology, order []mesh.DieID, bytesPerPair float64) []mesh.Phase {
-	n := len(order)
-	if n <= 1 || bytesPerPair <= 0 {
-		return nil
-	}
-	return lower(t, kindAllToAll, "", order, bytesPerPair, func(bytes float64) []mesh.Phase {
-		var ph mesh.Phase
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				route := t.Route(order[i], order[j])
-				if route == nil {
-					continue
-				}
-				ph.Flows = append(ph.Flows, mesh.Flow{
-					Src:     order[i],
-					Dst:     order[j],
-					Bytes:   bytes,
-					Route:   route,
-					Payload: fmt.Sprintf("a2a.%d.%d", i, j),
-				})
-			}
-		}
-		return []mesh.Phase{ph}
-	})
-}
-
 // Merge combines the flows of several concurrently executing phase
 // sequences into a single phase sequence, aligning step k of every
 // sequence into one shared phase. This is how hybrid parallelism's

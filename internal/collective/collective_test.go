@@ -167,18 +167,6 @@ func TestP2PAndChain(t *testing.T) {
 	}
 }
 
-func TestAllToAllPairCount(t *testing.T) {
-	tp := topo(2, 4)
-	order := []mesh.DieID{0, 1, 2, 3}
-	phases := AllToAll(tp, order, unit.MB)
-	if len(phases) != 1 {
-		t.Fatalf("alltoall phases = %d", len(phases))
-	}
-	if got, want := len(phases[0].Flows), 4*3; got != want {
-		t.Errorf("alltoall flows = %d, want %d", got, want)
-	}
-}
-
 func TestTimeAndEnergyPositive(t *testing.T) {
 	tp := topo(2, 4)
 	order := ringOrder(tp, mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 3})

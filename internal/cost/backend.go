@@ -56,14 +56,20 @@ func EvaluateWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o
 // EvaluateOnWith prices one full step on a (possibly fault-degraded)
 // topology at a backend's fidelity, with EvaluateWith's tier rule —
 // the entry point the fault-tolerance study uses after re-partitioning
-// around failed hardware. It interns topo (freezing a faulted mesh in
-// place) and prices the one placement family the engine maps with:
-// linear runs under SMap, rectangles otherwise. The lowering state is
-// memoized on the topology, so every price on one degraded mesh — and
-// on the shared healthy mesh — lowers and plans each configuration
-// once.
+// around failed hardware. topo carries the routing faults (dead dies
+// and links); capacity, in (0, 1], is the mean surviving core fraction
+// of the alive dies, and TEMP's adaptive re-partitioning slows compute
+// by 1/capacity. It interns topo (freezing a faulted mesh in place; a
+// mesh with core faults only is the shared healthy one) and prices the
+// one placement family the engine maps with: linear runs under SMap,
+// rectangles otherwise. The lowering state is memoized on the
+// topology, so every price on one degraded mesh — and on the shared
+// healthy mesh — lowers and plans each configuration once.
 func EvaluateOnWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology) (Breakdown, error) {
+	topo *mesh.Topology, capacity float64) (Breakdown, error) {
+	if !(capacity > 0 && capacity <= 1) {
+		return Breakdown{}, fmt.Errorf("cost: core capacity %v outside (0, 1]", capacity)
+	}
 	replay, err := isReplay(key)
 	if err != nil {
 		return Breakdown{}, err
@@ -75,7 +81,7 @@ func EvaluateOnWith(key string, m model.Config, w hw.Wafer, cfg parallel.Config,
 		return Breakdown{}, err
 	}
 	s := batchPool.Get().(*batchScratch)
-	b, err := s.evaluateState(m, w, cfg, o, topo, st, model.BlockGraph(m), replay)
+	b, err := s.evaluateState(m, w, cfg, o, topo, st, model.BlockGraph(m), replay, 1/capacity)
 	batchPool.Put(s)
 	return b, err
 }
@@ -157,12 +163,14 @@ func BackendKey(name string, seed int64) string {
 	return fmt.Sprintf("%s@seed=%d", name, seed)
 }
 
-// parseBackendKey splits a canonical key into name and seed.
+// parseBackendKey splits a canonical key into name and seed. The name
+// is trimmed on both sides of the split, so "replay @seed=1" names the
+// replay tier.
 func parseBackendKey(key string) (name string, seed int64, err error) {
 	name = strings.ToLower(strings.TrimSpace(key))
 	if at := strings.IndexByte(name, '@'); at >= 0 {
 		spec := name[at+1:]
-		name = name[:at]
+		name = strings.TrimSpace(name[:at])
 		const pfx = "seed="
 		if !strings.HasPrefix(spec, pfx) {
 			return "", 0, fmt.Errorf("cost: backend key %q: want name or name@seed=N", key)

@@ -52,6 +52,7 @@ func TestCanonicalBackendKey(t *testing.T) {
 		"analytic@seed=9":  "",
 		"replay":           "replay",
 		" Replay ":         "replay",
+		"replay @seed=1":   "replay",
 		"surrogate":        "surrogate@seed=1",
 		"surrogate@seed=7": "surrogate@seed=7",
 	}
@@ -66,6 +67,22 @@ func TestCanonicalBackendKey(t *testing.T) {
 	if got := BackendKey("analytic", 7); got != "" {
 		t.Errorf("BackendKey(analytic) = %q, want empty", got)
 	}
+}
+
+// FuzzCanonicalBackendKey: canonicalizing any backend key never panics
+// and is idempotent, so every spelling of one tier shares one engine
+// memo key.
+func FuzzCanonicalBackendKey(f *testing.F) {
+	for _, k := range []string{"", "analytic", "replay", "surrogate", "surrogate@seed=7",
+		"Replay@seed=3", "replay @seed=1", "x@y"} {
+		f.Add(k)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		once := CanonicalBackendKey(key)
+		if twice := CanonicalBackendKey(once); twice != once {
+			t.Errorf("CanonicalBackendKey(%q) = %q, but CanonicalBackendKey(%q) = %q", key, once, once, twice)
+		}
+	})
 }
 
 // TestReplayBackendDiffers: the replay tier must price streaming

@@ -84,14 +84,15 @@ func (s *batchScratch) stateFor(cfg parallel.Config, linear, tcmeOrders bool) (*
 }
 
 // evaluateState prices one (cfg, state) pair on topo with the reused
-// evaluator.
+// evaluator, its compute slowed by the core-fault multiplier slow.
 func (s *batchScratch) evaluateState(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, st *evalState, graph model.Graph, replay bool) (Breakdown, error) {
+	topo *mesh.Topology, st *evalState, graph model.Graph, replay bool, slow float64) (Breakdown, error) {
 	s.ev = evaluator{
 		m: m, w: w, cfg: cfg, o: o,
 		topo: topo, st: st,
 		graph:  graph,
 		replay: replay,
+		slow:   slow,
 		seqBuf: s.seq[:0],
 	}
 	b, err := s.ev.run()
@@ -111,7 +112,7 @@ func (s *batchScratch) priceOne(m model.Config, w hw.Wafer, cfg parallel.Config,
 		if err != nil {
 			return Breakdown{}, err
 		}
-		b, err := s.evaluateState(m, w, cfg, o, s.topo, st, graph, replay)
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, st, graph, replay, 1)
 		s.terms = s.ev.terms
 		return b, err
 	}
@@ -124,13 +125,13 @@ func (s *batchScratch) priceOne(m model.Config, w hw.Wafer, cfg parallel.Config,
 	var best Breakdown
 	have := false
 	if rectErr == nil {
-		b, err := s.evaluateState(m, w, cfg, o, s.topo, rect, graph, replay)
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, rect, graph, replay, 1)
 		if err == nil {
 			best, s.terms, have = b, s.ev.terms, true
 		}
 	}
 	if linErr == nil {
-		b, err := s.evaluateState(m, w, cfg, o, s.topo, lin, graph, replay)
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, lin, graph, replay, 1)
 		if err == nil && (!have || b.StepTime < best.StepTime) {
 			best, s.terms, have = b, s.ev.terms, true
 		}

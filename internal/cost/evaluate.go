@@ -2,7 +2,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"temp/internal/collective"
@@ -285,6 +284,13 @@ type evaluator struct {
 	// leaves it false, keeping the historical behaviour bit-identical.
 	replay bool
 
+	// slow is the compute-time multiplier of core faults, 1/capacity:
+	// TEMP's adaptive re-partitioning (Fig. 20(a) step 2) re-balances
+	// sub-tensors to the surviving cores, so a wafer at mean capacity c
+	// computes 1/c slower. It applies only above 1; the zero value
+	// means no slowdown.
+	slow float64
+
 	linkBytes float64 // Σ flow bytes × hops, for energy/utilization
 	tcmeAgg   tcme.Result
 
@@ -385,9 +391,9 @@ func (ev *evaluator) run() (Breakdown, error) {
 
 	// --- Per-layer compute (one micro-step, forward). ---
 	fwdComp, recompExtra := ev.layerCompute(mb)
-	if slow := ev.coreSlowdown(); slow > 1 {
-		fwdComp *= slow
-		recompExtra *= slow
+	if ev.slow > 1 {
+		fwdComp *= ev.slow
+		recompExtra *= ev.slow
 	}
 
 	// --- Per-layer TATP streams (forward). ---
@@ -511,36 +517,6 @@ func (ev *evaluator) run() (Breakdown, error) {
 		b.BWUtilization = unit.Clamp(stepLinkBytes/ev.w.Link.Bandwidth/(links*stepTime), 0, 1)
 	}
 	return b, nil
-}
-
-// coreSlowdown returns the compute-time multiplier induced by core
-// faults: with TEMP's adaptive re-balancing, work is redistributed in
-// proportion to surviving capacity (mean loss); without it, the
-// slowest die gates every lock-step round (worst loss).
-func (ev *evaluator) coreSlowdown() float64 {
-	alive := ev.topo.AliveDies()
-	if len(alive) == 0 {
-		return 1
-	}
-	min, sum := 1.0, 0.0
-	for _, d := range alive {
-		f := ev.topo.CoreFraction(d)
-		if f < min {
-			min = f
-		}
-		sum += f
-	}
-	mean := sum / float64(len(alive))
-	if ev.o.AdaptiveRebalance {
-		if mean <= 0 {
-			return math.Inf(1)
-		}
-		return 1 / mean
-	}
-	if min <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / min
 }
 
 // layerCompute returns the per-die forward compute time of one block

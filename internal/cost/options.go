@@ -107,11 +107,6 @@ type Options struct {
 	// predates these kernels; TEMP and the newer baselines have them
 	// (§VII-A).
 	NoFlashAttention bool
-	// AdaptiveRebalance enables TEMP's fault-tolerance step 2
-	// (Fig. 20(a)): sub-tensor sizes are re-balanced to each die's
-	// surviving core capacity, so degraded dies slow the system by
-	// the mean capacity loss instead of the worst die's.
-	AdaptiveRebalance bool
 }
 
 // DefaultMicrobatch is the per-rank micro-step size in sequences.

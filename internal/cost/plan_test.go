@@ -248,10 +248,10 @@ func TestOperatorReplayMatchesMaterialized(t *testing.T) {
 
 // freshPlacementPrice is EvaluateOnWith's reference: the engine's
 // placement family (PlaceLinear under SMap, Place otherwise) lowered
-// into a fresh state and priced on a pooled scratch, replaying only
-// for the replay key.
+// into a fresh state and priced on a pooled scratch at the given core
+// capacity, replaying only for the replay key.
 func freshPlacementPrice(key string, m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology) (Breakdown, error) {
+	topo *mesh.Topology, capacity float64) (Breakdown, error) {
 	place := parallel.Place
 	if o.Engine == SMap {
 		place = parallel.PlaceLinear
@@ -263,28 +263,28 @@ func freshPlacementPrice(key string, m model.Config, w hw.Wafer, cfg parallel.Co
 	st := newEvalState(topo, p, o.Engine == TCMEEngine)
 	s := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(s)
-	return s.evaluateState(m, w, cfg.Normalize(), o, topo, st, model.BlockGraph(m), key == "replay")
+	return s.evaluateState(m, w, cfg.Normalize(), o, topo, st, model.BlockGraph(m), key == "replay", 1/capacity)
 }
 
 // TestEvaluateOnWithMatchesFreshPlacement pins EvaluateOnWith, which
 // prices on the topology's memoized lowering state, against
 // freshPlacementPrice: breakdowns equal under reflect.DeepEqual and
 // errors agreeing. It covers GPT-3 6.7B and Llama3 70B on the shared
-// healthy mesh and on a mesh with die 9 dead, link 1→2 dead and die 4
-// at half its cores, for every backend key, engine and wsc-4x8
-// configuration with adaptive re-balancing on. The keys run in order
-// on one frozen topology, so later tiers price on the states and plans
-// earlier tiers built. -short checks one model.
+// healthy mesh at full capacity and on a mesh with die 9 dead and link
+// 1→2 dead at capacity 0.75, for every backend key, engine and wsc-4x8
+// configuration. The keys run in order on one frozen topology, so
+// later tiers price on the states and plans earlier tiers built.
+// -short checks one model.
 func TestEvaluateOnWithMatchesFreshPlacement(t *testing.T) {
 	w := hw.EvaluationWafer()
 	c := mesh.FromWafer(w).Clone()
 	c.SetDieAlive(9, false)
 	c.SetLinkAlive(mesh.Link{From: 1, To: 2}, false)
-	c.SetCoreFraction(4, 0.5)
 	meshes := []struct {
-		name string
-		topo *mesh.Topology
-	}{{"healthy", mesh.FromWafer(w)}, {"faulted", c.Intern()}}
+		name     string
+		topo     *mesh.Topology
+		capacity float64
+	}{{"healthy", mesh.FromWafer(w), 1}, {"faulted", c.Intern(), 0.75}}
 	models := []model.Config{model.GPT3_6_7B(), model.Llama3_70B()}
 	if testing.Short() {
 		models = models[:1]
@@ -298,12 +298,11 @@ func TestEvaluateOnWithMatchesFreshPlacement(t *testing.T) {
 				for _, e := range []Engine{SMap, GMap, TCMEEngine} {
 					o := TEMPOptions()
 					o.Engine = e
-					o.AdaptiveRebalance = true
 					for _, cfg := range space {
 						cases++
 						name := fmt.Sprintf("%s/%q/%s/%s/%s", msh.name, key, m.Name, e, cfg)
-						got, gotErr := EvaluateOnWith(key, m, w, cfg, o, msh.topo)
-						want, wantErr := freshPlacementPrice(key, m, w, cfg, o, msh.topo)
+						got, gotErr := EvaluateOnWith(key, m, w, cfg, o, msh.topo, msh.capacity)
+						want, wantErr := freshPlacementPrice(key, m, w, cfg, o, msh.topo, msh.capacity)
 						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 							t.Errorf("%s: error %v, fresh placement %v", name, gotErr, wantErr)
 						} else if !reflect.DeepEqual(got, want) {

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -43,18 +41,6 @@ func lookupKind(kind string) Handler {
 	return registry[kind]
 }
 
-// Kinds returns the registered kind names, sorted.
-func Kinds() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // HandlerGob adapts a typed task function into a Handler with gob
 // payloads — the default for plain-struct task shapes.
 func HandlerGob[I, O any](fn func(context.Context, I) (O, error)) Handler {
@@ -72,27 +58,6 @@ func HandlerGob[I, O any](fn func(context.Context, I) (O, error)) Handler {
 			return nil, fmt.Errorf("distrib: encode result: %w", err)
 		}
 		return buf.Bytes(), nil
-	}
-}
-
-// HandlerJSON is HandlerGob with JSON payloads, for task shapes that
-// already have canonical JSON forms (scenario specs with custom
-// marshalers that gob cannot see through).
-func HandlerJSON[I, O any](fn func(context.Context, I) (O, error)) Handler {
-	return func(ctx context.Context, payload []byte) ([]byte, error) {
-		var in I
-		if err := json.Unmarshal(payload, &in); err != nil {
-			return nil, fmt.Errorf("distrib: decode task: %w", err)
-		}
-		out, err := fn(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		b, err := json.Marshal(&out)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: encode result: %w", err)
-		}
-		return b, nil
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 // simply ignored instead of misread.
 const (
 	diskMemoMagic   = "TEMPMEMO"
-	diskMemoVersion = 1
+	diskMemoVersion = 2
 	// diskMemoMaxFrame bounds a frame's key/value lengths; anything
 	// larger is corruption, not data.
 	diskMemoMaxFrame = 1 << 28

@@ -82,7 +82,6 @@ func appendJobKey(buf []byte, j Job) []byte {
 	buf = appendBool(buf, o.DisableStreamOverlap)
 	buf = appendBool(buf, o.ForceStreamWeights)
 	buf = appendBool(buf, o.NoFlashAttention)
-	buf = appendBool(buf, o.AdaptiveRebalance)
 
 	// Backend tier.
 	buf = appendString(buf, j.Backend)

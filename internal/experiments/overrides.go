@@ -74,12 +74,6 @@ func UseWafer(name string) error {
 	return nil
 }
 
-// ResetOverrides restores the paper's defaults.
-func ResetOverrides() {
-	overrideModels = nil
-	overrideWafer = nil
-}
-
 // evalWafer returns the wafer the Table-II experiments run on.
 func evalWafer() hw.Wafer {
 	if overrideWafer != nil {

@@ -30,7 +30,7 @@ func TestLocalizeAllocBound(t *testing.T) {
 	topo := mesh.FromWafer(hw.EvaluationWafer()).Clone()
 	Injection{LinkRate: 0.15}.Apply(topo, rand.New(rand.NewSource(3)))
 	allocs := testing.AllocsPerRun(100, func() {
-		Localize(topo)
+		Localize(topo, 1)
 	})
 	if allocs > 4 {
 		t.Errorf("Localize allocates %.0f times per call, want <= 4", allocs)

@@ -35,13 +35,18 @@ func (in Injection) Active() bool {
 }
 
 // Apply injects faults into a topology using the given source of
-// randomness. Link bundles (both directions) fail together.
+// randomness and returns the surviving core capacity: the mean core
+// fraction of the dies left alive, summed in ascending die order (1
+// with no core faults, 0 only when no die survives). Link bundles
+// (both directions) fail together, and a die whose cores all fail is
+// killed. Core loss itself stays off the topology, so a mask that
+// kills no die or link interns to the shared healthy mesh.
 //
 // Bundles are visited over the dense canonical link index: IDs ascend
 // in (From, To) order, so keeping only l.From < l.To walks each bundle
 // exactly once — the canonical order gives dedup for free, with no
 // per-trial map — and a seed always draws the same mask.
-func (in Injection) Apply(t *mesh.Topology, rng *rand.Rand) {
+func (in Injection) Apply(t *mesh.Topology, rng *rand.Rand) (capacity float64) {
 	if in.LinkRate > 0 {
 		for id := 0; id < t.NumLinks(); id++ {
 			l := t.LinkByID(id)
@@ -53,25 +58,34 @@ func (in Injection) Apply(t *mesh.Topology, rng *rand.Rand) {
 			}
 		}
 	}
-	if in.CoreRate > 0 {
-		cores := in.CoresPerDie
-		if cores <= 0 {
-			cores = 64
+	if in.CoreRate <= 0 {
+		return 1
+	}
+	cores := in.CoresPerDie
+	if cores <= 0 {
+		cores = 64
+	}
+	alive := 0
+	for d := 0; d < t.Dies(); d++ {
+		dead := 0
+		for c := 0; c < cores; c++ {
+			if rng.Float64() < in.CoreRate {
+				dead++
+			}
 		}
-		for d := 0; d < t.Dies(); d++ {
-			dead := 0
-			for c := 0; c < cores; c++ {
-				if rng.Float64() < in.CoreRate {
-					dead++
-				}
-			}
-			frac := 1 - float64(dead)/float64(cores)
-			t.SetCoreFraction(mesh.DieID(d), frac)
-			if frac <= 0 {
-				t.SetDieAlive(mesh.DieID(d), false)
-			}
+		frac := 1 - float64(dead)/float64(cores)
+		if frac <= 0 {
+			t.SetDieAlive(mesh.DieID(d), false)
+		}
+		if t.DieAlive(mesh.DieID(d)) {
+			capacity += frac
+			alive++
 		}
 	}
+	if alive > 0 {
+		capacity /= float64(alive)
+	}
+	return capacity
 }
 
 // Report describes the localization step: what failed and whether
@@ -79,29 +93,25 @@ func (in Injection) Apply(t *mesh.Topology, rng *rand.Rand) {
 type Report struct {
 	DeadLinks int
 	DeadDies  int
-	// MeanCapacity is the average surviving core fraction.
+	// MeanCapacity is the average surviving core fraction of the
+	// alive dies (the capacity Injection.Apply returned).
 	MeanCapacity float64
 	// Connected reports whether the alive dies form one component.
 	Connected bool
 }
 
-// Localize scans a topology for faults (step 1 of Fig. 20(a)). The
-// dense link index spans the pristine mesh regardless of the fault
-// mask, so dead bundles are counted with a plain walk over canonical
-// IDs — no dedup map and no pristine-mesh rebuild.
-func Localize(t *mesh.Topology) Report {
-	r := Report{Connected: t.Connected()}
+// Localize scans a topology for faults (step 1 of Fig. 20(a)) and
+// records the core capacity the injection reported: the topology
+// holds routing state only. The dense link index spans the pristine
+// mesh regardless of the fault mask, so dead bundles are counted with
+// a plain walk over canonical IDs — no dedup map and no pristine-mesh
+// rebuild.
+func Localize(t *mesh.Topology, capacity float64) Report {
+	r := Report{Connected: t.Connected(), MeanCapacity: capacity}
 	for d := 0; d < t.Dies(); d++ {
-		id := mesh.DieID(d)
-		if !t.DieAlive(id) {
+		if !t.DieAlive(mesh.DieID(d)) {
 			r.DeadDies++
-		} else {
-			r.MeanCapacity += t.CoreFraction(id)
 		}
-	}
-	alive := t.Dies() - r.DeadDies
-	if alive > 0 {
-		r.MeanCapacity /= float64(alive)
 	}
 	for id := 0; id < t.NumLinks(); id++ {
 		l := t.LinkByID(id)
@@ -123,10 +133,10 @@ type Outcome struct {
 }
 
 // Evaluate runs the cost model on a faulted topology with TEMP's
-// three-step tolerance: localization, adaptive re-partitioning
-// (capacity-weighted re-balance via AdaptiveRebalance), and re-routing
-// (the mesh router avoids dead links). A disconnected fabric, or one
-// whose placement can no longer route, is reported non-functional.
+// three-step tolerance: localization, adaptive re-partitioning (work
+// re-balanced to the surviving core capacity), and re-routing (the
+// mesh router avoids dead links). A disconnected fabric, or one whose
+// placement can no longer route, is reported non-functional.
 func Evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options, in Injection, rng *rand.Rand) Outcome {
 	return EvaluateWith("", m, w, cfg, o, in, rng)
 }
@@ -138,18 +148,20 @@ func Evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options, i
 func EvaluateWith(backend string, m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options, in Injection, rng *rand.Rand) Outcome {
 	// FromWafer returns the interned immutable mesh; injection needs a
 	// private mutable copy. Once the fault mask is final the copy is
-	// interned: a healthy one resolves to the shared mesh, a faulted
-	// one is frozen in place, so the evaluator's lowering caches live on
-	// this trial's topology for exactly as long as the trial holds it.
+	// interned: one with no dead die or link (core faults only)
+	// resolves to the shared mesh and its memoized lowering states, a
+	// faulted one is frozen in place, so the evaluator's lowering caches
+	// live on this trial's topology for exactly as long as the trial
+	// holds it.
 	topo := mesh.FromWafer(w).Clone()
-	in.Apply(topo, rng)
+	capacity := in.Apply(topo, rng)
 	topo = topo.Intern()
-	rep := Localize(topo)
+	rep := Localize(topo, capacity)
 	// Report.Connected is t.Connected(): one explicit functional check.
 	if !rep.Connected {
 		return Outcome{Report: rep}
 	}
-	b, ok := priceDegraded(backend, m, w, cfg, o, topo)
+	b, ok := priceDegraded(backend, m, w, cfg, o, topo, capacity)
 	if !ok {
 		return Outcome{Report: rep}
 	}
@@ -157,16 +169,16 @@ func EvaluateWith(backend string, m model.Config, w hw.Wafer, cfg parallel.Confi
 }
 
 // priceDegraded prices cfg on an already-degraded (and connected)
-// topology at the backend tier with TEMP's adaptive re-partitioning
-// enabled; cost.EvaluateOnWith picks the placement family and shares
-// the topology's lowering states with every other price on it. ok is
+// topology at the backend tier, with TEMP's adaptive re-partitioning
+// spreading the work over the surviving core capacity;
+// cost.EvaluateOnWith picks the placement family and shares the
+// topology's lowering states with every other price on it. ok is
 // false when the configuration cannot be placed or priced on the
 // surviving fabric — the shared functional check behind Evaluate, the
 // repair solver, the campaign harness and the worst-case mask search.
 func priceDegraded(backend string, m model.Config, w hw.Wafer, cfg parallel.Config, o cost.Options,
-	topo *mesh.Topology) (cost.Breakdown, bool) {
-	o.AdaptiveRebalance = true
-	b, err := cost.EvaluateOnWith(backend, m, w, cfg, o, topo)
+	topo *mesh.Topology, capacity float64) (cost.Breakdown, bool) {
+	b, err := cost.EvaluateOnWith(backend, m, w, cfg, o, topo, capacity)
 	if err != nil {
 		return cost.Breakdown{}, false
 	}

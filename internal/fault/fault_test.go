@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,7 +16,9 @@ import (
 func TestApplyLinkFaultsBundled(t *testing.T) {
 	topo := mesh.FromWafer(hw.EvaluationWafer()).Clone()
 	rng := rand.New(rand.NewSource(1))
-	Injection{LinkRate: 0.3}.Apply(topo, rng)
+	if capacity := (Injection{LinkRate: 0.3}).Apply(topo, rng); capacity != 1 {
+		t.Errorf("link-only injection returned core capacity %v, want 1", capacity)
+	}
 	// Directions must fail together.
 	for id := 0; id < topo.NumLinks(); id++ {
 		l := topo.LinkByID(id)
@@ -23,25 +26,42 @@ func TestApplyLinkFaultsBundled(t *testing.T) {
 			t.Fatalf("link %v alive but reverse dead", l)
 		}
 	}
-	rep := Localize(topo)
+	rep := Localize(topo, 1)
 	if rep.DeadLinks == 0 {
 		t.Error("30% injection killed no links")
 	}
 }
 
+// TestApplyCoreFaults: core loss is a capacity scalar, not topology
+// state. A mask that kills no die leaves the mesh healthy, so it
+// interns to the shared instance; a die whose cores all fail dies.
 func TestApplyCoreFaults(t *testing.T) {
-	topo := mesh.FromWafer(hw.EvaluationWafer()).Clone()
+	w := hw.EvaluationWafer()
+	topo := mesh.FromWafer(w).Clone()
 	rng := rand.New(rand.NewSource(2))
-	Injection{CoreRate: 0.2, CoresPerDie: 64}.Apply(topo, rng)
-	rep := Localize(topo)
-	if rep.MeanCapacity >= 0.95 || rep.MeanCapacity <= 0.6 {
-		t.Errorf("mean capacity %v implausible for 20%% core faults", rep.MeanCapacity)
+	capacity := Injection{CoreRate: 0.2, CoresPerDie: 64}.Apply(topo, rng)
+	if capacity >= 0.95 || capacity <= 0.6 {
+		t.Errorf("mean capacity %v implausible for 20%% core faults", capacity)
+	}
+	if topo.Intern() != mesh.FromWafer(w) {
+		t.Error("core-only mask did not intern to the shared healthy mesh")
+	}
+	if rep := Localize(topo, capacity); rep.MeanCapacity != capacity || rep.DeadDies != 0 {
+		t.Errorf("core-only localization wrong: %+v", rep)
+	}
+
+	dead := mesh.FromWafer(w).Clone()
+	if capacity := (Injection{CoreRate: 1, CoresPerDie: 4}).Apply(dead, rng); capacity != 0 {
+		t.Errorf("all cores dead: capacity %v, want 0", capacity)
+	}
+	if len(dead.AliveDies()) != 0 {
+		t.Errorf("all cores dead but %d dies alive", len(dead.AliveDies()))
 	}
 }
 
 func TestLocalizeHealthy(t *testing.T) {
 	topo := mesh.FromWafer(hw.EvaluationWafer())
-	rep := Localize(topo)
+	rep := Localize(topo, 1)
 	if rep.DeadLinks != 0 || rep.DeadDies != 0 || !rep.Connected || rep.MeanCapacity != 1 {
 		t.Errorf("healthy wafer localization wrong: %+v", rep)
 	}
@@ -124,32 +144,47 @@ func TestLinkFaultCliff(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRebalanceBeatsLockstep(t *testing.T) {
+// TestCoreCapacitySlowsCompute pins the capacity argument of the
+// degraded price. On the shared healthy mesh a mapping never prices
+// faster as the surviving core capacity falls, at every engine and on
+// both the analytic and replay tiers. A capacity outside (0, 1] is an
+// error from cost.EvaluateOnWith and from Repair.
+func TestCoreCapacitySlowsCompute(t *testing.T) {
 	m := model.GPT3_6_7B()
 	w := hw.EvaluationWafer()
-	topoA := mesh.FromWafer(w).Clone()
-	topoB := mesh.FromWafer(w).Clone()
-	rng := rand.New(rand.NewSource(21))
-	inj := Injection{CoreRate: 0.2, CoresPerDie: 64}
-	inj.Apply(topoA, rng)
-	// Mirror the same faults.
-	for d := 0; d < topoA.Dies(); d++ {
-		topoB.SetCoreFraction(mesh.DieID(d), topoA.CoreFraction(mesh.DieID(d)))
-	}
+	topo := mesh.FromWafer(w)
 	cfg := parallel.Config{DP: 4, TATP: 8}
-	adaptive := cost.TEMPOptions()
-	adaptive.AdaptiveRebalance = true
-	lockstep := cost.TEMPOptions()
-	ba, err := cost.EvaluateOnWith("", m, w, cfg, adaptive, topoA)
-	if err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"", "replay"} {
+		for _, e := range []cost.Engine{cost.SMap, cost.GMap, cost.TCMEEngine} {
+			o := cost.TEMPOptions()
+			o.Engine = e
+			var full, prev float64
+			for _, c := range []float64{1, 0.9, 0.75, 0.5} {
+				b, err := cost.EvaluateOnWith(key, m, w, cfg, o, topo, c)
+				if err != nil {
+					t.Fatalf("%q/%s capacity %v: %v", key, e, c, err)
+				}
+				if b.StepTime < prev {
+					t.Errorf("%q/%s: capacity %v prices %v, faster than %v at the capacity above",
+						key, e, c, b.StepTime, prev)
+				}
+				if c == 1 {
+					full = b.StepTime
+				}
+				prev = b.StepTime
+			}
+			if prev <= full {
+				t.Errorf("%q/%s: half the cores (%v) not slower than all of them (%v)", key, e, prev, full)
+			}
+		}
 	}
-	bl, err := cost.EvaluateOnWith("", m, w, cfg, lockstep, topoB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ba.StepTime >= bl.StepTime {
-		t.Errorf("adaptive re-balance (%v) not faster than lock-step (%v)", ba.StepTime, bl.StepTime)
+	for _, c := range []float64{0, -1, 1.5, math.NaN()} {
+		if _, err := cost.EvaluateOnWith("", m, w, cfg, cost.TEMPOptions(), topo, c); err == nil {
+			t.Errorf("EvaluateOnWith priced capacity %v without error", c)
+		}
+		if _, err := Repair(m, w, cfg, cost.TEMPOptions(), topo, c, RepairOptions{}); err == nil {
+			t.Errorf("Repair accepted capacity %v", c)
+		}
 	}
 }
 

@@ -96,12 +96,16 @@ type Recovery struct {
 // the re-*solve* the paper's framework-level story implies): the
 // search warm-starts from the pre-fault mapping via Budget.Resume on
 // the interned degraded mesh, then the top candidate configurations
-// are exactly re-priced on it. The pre-fault configuration is always
-// one candidate, so the recovery is at worst re-price-only.
+// are exactly re-priced on it at the surviving core capacity (the
+// value Injection.Apply returns, in (0, 1]). The search model prices
+// routing only; core loss enters at the exact re-pricing, and a mask
+// with no dead die or link repairs on the shared healthy mesh. The
+// pre-fault configuration is always one candidate, so the recovery is
+// at worst re-price-only.
 func Repair(m model.Config, w hw.Wafer, pre parallel.Config, o cost.Options,
-	topo *mesh.Topology, ro RepairOptions) (Recovery, error) {
+	topo *mesh.Topology, capacity float64, ro RepairOptions) (Recovery, error) {
 	topo = topo.Intern()
-	rep := Localize(topo)
+	rep := Localize(topo, capacity)
 	base, err := cost.EvaluateWith(ro.Backend, m, w, pre, o)
 	if err != nil {
 		return Recovery{}, fmt.Errorf("fault: repair baseline: %w", err)
@@ -113,7 +117,10 @@ func Repair(m model.Config, w hw.Wafer, pre parallel.Config, o cost.Options,
 	if !rep.Connected {
 		return rec, nil
 	}
-	if b, ok := priceDegraded(ro.Backend, m, w, pre, o, topo); ok {
+	if !(capacity > 0 && capacity <= 1) {
+		return Recovery{}, fmt.Errorf("fault: repair core capacity %v outside (0, 1]", capacity)
+	}
+	if b, ok := priceDegraded(ro.Backend, m, w, pre, o, topo, capacity); ok {
 		rec.RepriceNorm = b.ThroughputTokens / base.ThroughputTokens
 	}
 
@@ -151,7 +158,7 @@ func Repair(m model.Config, w hw.Wafer, pre parallel.Config, o cost.Options,
 			}
 		}
 		a, stats := st.Solve(context.Background(), p, b)
-		cfg, norm := verifyCandidates(ro.Backend, m, w, o, topo, space, a, verifyTop, base.ThroughputTokens)
+		cfg, norm := verifyCandidates(ro.Backend, m, w, o, topo, capacity, space, a, verifyTop, base.ThroughputTokens)
 		return cfg, norm, stats, nil
 	}
 
@@ -186,8 +193,8 @@ func Repair(m model.Config, w hw.Wafer, pre parallel.Config, o cost.Options,
 func RepairInjected(m model.Config, w hw.Wafer, pre parallel.Config, o cost.Options,
 	in Injection, seed int64, ro RepairOptions) (Recovery, error) {
 	topo := mesh.FromWafer(w).Clone()
-	in.Apply(topo, rand.New(rand.NewSource(seed)))
-	return Repair(m, w, pre, o, topo, ro)
+	capacity := in.Apply(topo, rand.New(rand.NewSource(seed)))
+	return Repair(m, w, pre, o, topo, capacity, ro)
 }
 
 // verifyCandidates exactly re-prices the most-used distinct
@@ -195,7 +202,7 @@ func RepairInjected(m model.Config, w hw.Wafer, pre parallel.Config, o cost.Opti
 // returns the best (screen-then-verify: the degraded replay model
 // ranks, the backend tier decides).
 func verifyCandidates(backend string, m model.Config, w hw.Wafer, o cost.Options,
-	topo *mesh.Topology, space []parallel.Config, a solver.Assignment,
+	topo *mesh.Topology, capacity float64, space []parallel.Config, a solver.Assignment,
 	verifyTop int, baseTokens float64) (parallel.Config, float64) {
 	counts := map[int]int{}
 	for _, c := range a {
@@ -219,7 +226,7 @@ func verifyCandidates(backend string, m model.Config, w hw.Wafer, o cost.Options
 	var bestCfg parallel.Config
 	var bestNorm float64
 	for _, c := range order {
-		if b, ok := priceDegraded(backend, m, w, space[c], o, topo); ok {
+		if b, ok := priceDegraded(backend, m, w, space[c], o, topo, capacity); ok {
 			if norm := b.ThroughputTokens / baseTokens; norm > bestNorm {
 				bestNorm, bestCfg = norm, space[c]
 			}

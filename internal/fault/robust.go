@@ -20,9 +20,12 @@ import (
 // after-the-fact measurement.
 //
 // Feasibility (MemoryOK) stays the fault-free model's: a mask changes
-// routing, not per-die memory. Safe for concurrent use when the base
-// model is (the degraded replay models are read-only; their lowering
-// states live on each mask's frozen topology).
+// routing, not per-die memory. The degraded replay models price
+// routing only, so a mask's core loss does not enter the objective,
+// and a core-only mask is the shared healthy mesh. Safe for concurrent
+// use when the base model is (the degraded replay models are
+// read-only; their lowering states live on each mask's frozen
+// topology).
 type RobustModel struct {
 	base   solver.CostModel
 	masks  []solver.CostModel

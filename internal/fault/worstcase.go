@@ -128,7 +128,6 @@ func maskPricer(backend string, m model.Config, w hw.Wafer, cfg parallel.Config,
 		for _, si := range chosen {
 			st := sites[si]
 			if st.isDie {
-				topo.SetCoreFraction(st.die, 0)
 				topo.SetDieAlive(st.die, false)
 			} else {
 				topo.SetLinkAlive(st.link, false)
@@ -138,7 +137,9 @@ func maskPricer(backend string, m model.Config, w hw.Wafer, cfg parallel.Config,
 		if !topo.Connected() {
 			return 0
 		}
-		b, ok := priceDegraded(backend, m, w, cfg, o, topo)
+		// A dead die never counts toward capacity, and the survivors
+		// keep all their cores.
+		b, ok := priceDegraded(backend, m, w, cfg, o, topo, 1)
 		if !ok {
 			return 0
 		}

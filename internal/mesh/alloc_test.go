@@ -243,8 +243,8 @@ func TestInternSemantics(t *testing.T) {
 		t.Fatal("clone is frozen")
 	}
 	c.SetLinkAlive(Link{0, 1}, false)
-	c.SetCoreFraction(3, 0.5)
-	if a.LinkAlive(Link{0, 1}) != true || a.CoreFraction(3) != 1 {
+	c.SetDieAlive(3, false)
+	if !a.LinkAlive(Link{0, 1}) || !a.DieAlive(3) {
 		t.Fatal("clone mutation leaked into the interned original")
 	}
 	if f := c.Intern(); f != c || !c.Frozen() {
@@ -263,8 +263,14 @@ func TestInternSemantics(t *testing.T) {
 	before := entries()
 	for i := 0; i < 300; i++ {
 		f := a.Clone()
-		f.SetCoreFraction(DieID(i%a.Dies()), float64(i+1)/512)
-		f.Intern()
+		if i%2 == 0 {
+			f.SetDieAlive(DieID(i%a.Dies()), false)
+		} else {
+			f.SetLinkAlive(a.LinkByID(i%a.NumLinks()), false)
+		}
+		if f.Intern() != f {
+			t.Fatalf("faulted clone %d interned to another instance", i)
+		}
 	}
 	if got := entries(); got != before {
 		t.Errorf("interning 300 faulted clones changed the interner from %d to %d entries", before, got)

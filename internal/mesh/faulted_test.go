@@ -34,7 +34,6 @@ func faultedLowerings(tp *mesh.Topology) map[string][]mesh.Phase {
 	scattered := []mesh.DieID{0, 2, 13, 19}
 	return map[string][]mesh.Phase{
 		"allreduce": collective.RingAllReduce(tp, ring, 8*unit.MB),
-		"alltoall":  collective.AllToAll(tp, ring, unit.MB),
 		"broadcast": collective.Broadcast(tp, 0, []mesh.DieID{2, 3, 10, 11}, 4*unit.MB, "w"),
 		"chain":     collective.P2PChain(tp, []mesh.DieID{0, 3, 8, 11}, 2*unit.MB, "c"),
 		"stream":    stream.Orchestrate(tp, block.DiesOn(tp), &block).Phases(3 * unit.MB),

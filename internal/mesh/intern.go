@@ -11,10 +11,13 @@ import (
 // healthy topology per (rows, cols, link parameters), so the
 // evaluation hot path shares a single immutable instance — and the
 // derived-structure caches (lowered collectives, lowering states,
-// route plans) key off its pointer identity. Faulted topologies are
-// not tabled: a fault study draws a fresh mask per trial with no
-// cross-trial reuse, so Intern freezes a faulted topology in place and
-// its caches live exactly as long as its holder keeps it.
+// route plans) key off its pointer identity. A topology is healthy
+// when no die and no link is dead: core loss is not routing state, so
+// a core-only fault mask prices on the shared instance too. Faulted
+// topologies are not tabled: a fault study draws a fresh mask per
+// trial with no cross-trial reuse, so Intern freezes a faulted
+// topology in place and its caches live exactly as long as its holder
+// keeps it.
 
 // internKey identifies one healthy topology. hw.D2D is a flat struct
 // of floats, so the key is comparable.
@@ -47,15 +50,14 @@ func Shared(rows, cols int, link hw.D2D) *Topology {
 }
 
 // Intern returns the immutable instance of the receiver's state: the
-// Shared/FromWafer instance for a healthy topology, and the receiver
-// itself, frozen in place, for a faulted one (dead dies or links, or
-// degraded cores). After Intern the receiver must be treated as
-// immutable — the Set* mutators panic.
+// Shared/FromWafer instance when no die or link is dead, and the
+// receiver itself, frozen in place, for a faulted one. After Intern
+// the receiver must be treated as immutable — the Set* mutators panic.
 func (t *Topology) Intern() *Topology {
 	if t.frozen {
 		return t
 	}
-	if t.healthy() && !t.degradedCores() {
+	if t.healthy() {
 		return Shared(t.rows, t.cols, t.link)
 	}
 	t.frozen = true
@@ -67,15 +69,6 @@ func (t *Topology) Intern() *Topology {
 // on frozen topologies.
 func (t *Topology) Frozen() bool { return t.frozen }
 
-func (t *Topology) degradedCores() bool {
-	for _, f := range t.coreFrac {
-		if f != 1.0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns a mutable deep copy of the topology's fault state.
 // The immutable link index is shared with the receiver.
 func (t *Topology) Clone() *Topology {
@@ -85,7 +78,6 @@ func (t *Topology) Clone() *Topology {
 		link:      t.link,
 		dieAlive:  append([]bool(nil), t.dieAlive...),
 		linkAlive: append([]bool(nil), t.linkAlive...),
-		coreFrac:  append([]float64(nil), t.coreFrac...),
 		deadDies:  t.deadDies,
 		deadLinks: t.deadLinks,
 		links:     t.links,

@@ -33,10 +33,13 @@ type Link struct {
 // String implements fmt.Stringer.
 func (l Link) String() string { return fmt.Sprintf("%d→%d", l.From, l.To) }
 
-// Topology is a rows×cols 2D mesh with optional fault masks. The
-// zero value is not usable; construct with New (mutable) or FromWafer
-// (the shared healthy instance, immutable). Fault studies Clone,
-// inject, then Intern, which freezes a faulted copy in place.
+// Topology is a rows×cols 2D mesh with optional fault masks: the
+// grid, the link parameters, dead dies and dead links — routing state
+// only. Lost compute cores inside a die are not topology state: a
+// fault study carries them as one capacity scalar the cost model
+// prices. The zero value is not usable; construct with New (mutable)
+// or FromWafer (the shared healthy instance, immutable). Fault studies
+// Clone, inject, then Intern, which freezes a faulted copy in place.
 type Topology struct {
 	rows, cols int
 	link       hw.D2D
@@ -44,9 +47,6 @@ type Topology struct {
 	dieAlive []bool
 	// linkAlive is indexed by canonical link ID (see LinkID).
 	linkAlive []bool
-	// coreFrac[i] is the fraction of die i's compute cores that are
-	// functional (1.0 = healthy); used by the fault-tolerance study.
-	coreFrac []float64
 
 	// deadDies/deadLinks count current faults so healthy() is O(1) on
 	// the routing hot path.
@@ -89,13 +89,11 @@ func New(rows, cols int, link hw.D2D) *Topology {
 		cols:     cols,
 		link:     link,
 		dieAlive: make([]bool, rows*cols),
-		coreFrac: make([]float64, rows*cols),
 	}
 	t.buildLinkIndex()
 	t.linkAlive = make([]bool, len(t.links))
 	for i := range t.dieAlive {
 		t.dieAlive[i] = true
-		t.coreFrac[i] = 1.0
 	}
 	for i := range t.linkAlive {
 		t.linkAlive[i] = true
@@ -280,21 +278,6 @@ func (t *Topology) setLinkAlive(id int, alive bool) {
 		}
 	}
 	t.linkAlive[id] = alive
-}
-
-// CoreFraction returns the functional-core fraction of die d.
-func (t *Topology) CoreFraction(d DieID) float64 { return t.coreFrac[d] }
-
-// SetCoreFraction sets the functional-core fraction of die d.
-func (t *Topology) SetCoreFraction(d DieID, f float64) {
-	t.mutable()
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	t.coreFrac[d] = f
 }
 
 // AliveDies returns the IDs of functional dies in ascending order.

@@ -201,21 +201,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestCoreFractionClamped(t *testing.T) {
-	tp := grid(2, 2)
-	tp.SetCoreFraction(0, 1.5)
-	if tp.CoreFraction(0) != 1 {
-		t.Error("core fraction should clamp to 1")
-	}
-	tp.SetCoreFraction(0, -0.5)
-	if tp.CoreFraction(0) != 0 {
-		t.Error("core fraction should clamp to 0")
-	}
-	if tp.CoreFraction(1) != 1 {
-		t.Error("default core fraction should be 1")
-	}
-}
-
 func TestRectRing(t *testing.T) {
 	tp := grid(6, 9)
 	tests := []struct {

@@ -9,7 +9,6 @@ package model
 import (
 	"fmt"
 
-	"temp/internal/tensor"
 	"temp/internal/unit"
 )
 
@@ -229,9 +228,4 @@ func (c Config) ParamBytes() float64 {
 // String implements fmt.Stringer.
 func (c Config) String() string {
 	return fmt.Sprintf("%s{H=%d L=%d heads=%d B=%d S=%d}", c.Name, c.Hidden, c.Layers, c.Heads, c.Batch, c.Seq)
-}
-
-// WeightShape returns the [N,K] weight tensor of a named projection.
-func (c Config) WeightShape(name string, n, k int) tensor.Shape {
-	return tensor.Weight(name, int64(n), int64(k), unit.FP16)
 }

@@ -192,10 +192,6 @@ func (c Config) ActReplicas() int {
 	return c.TP
 }
 
-// OptimStateShardWays returns the sharding of FP32 optimizer state:
-// same as weights (ZeRO-style DP sharding applies under FSDP only).
-func (c Config) OptimStateShardWays() int { return c.WeightShardWays() }
-
 // Group is one communication group of a strategy: the dies that
 // exchange data for it, listed in logical ring/chain order.
 type Group struct {

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -81,13 +80,6 @@ func (r *Registry[T]) Names() []string {
 	defer r.mu.RUnlock()
 	out := make([]string, len(r.order))
 	copy(out, r.order)
-	return out
-}
-
-// SortedNames lists registered names alphabetically.
-func (r *Registry[T]) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
 	return out
 }
 

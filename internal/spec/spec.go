@@ -417,15 +417,6 @@ func (s ConfigSpec) Config() parallel.Config {
 	}.Normalize()
 }
 
-// ConfigSpecOf captures a parallel configuration as a spec.
-func ConfigSpecOf(c parallel.Config) ConfigSpec {
-	c = c.Normalize()
-	return ConfigSpec{
-		DP: c.DP, TP: c.TP, SP: c.SP, CP: c.CP, TATP: c.TATP, PP: c.PP,
-		FSDP: c.FSDP, MegatronSP: c.MegatronSP,
-	}
-}
-
 // FaultSpec adds fault injection to a scenario (§VIII-F): the
 // scenario's winning configuration is re-evaluated under random
 // link/core failures and reported as normalized throughput.

@@ -99,9 +99,6 @@ func (s Shape) Bytes() float64 {
 	return float64(s.Elems()) * s.DType.Size()
 }
 
-// Extent returns the extent along d (0 when absent).
-func (s Shape) Extent(d Dim) int64 { return s.Ext[d] }
-
 // Has reports whether dimension d is present.
 func (s Shape) Has(d Dim) bool { return s.Ext[d] > 0 }
 

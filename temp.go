@@ -248,7 +248,8 @@ type (
 var (
 	EvaluateWithFaults        = fault.Evaluate
 	FaultNormalizedThroughput = fault.NormalizedThroughput
-	// RepairFaults warm-starts a repair search on a degraded topology.
+	// RepairFaults warm-starts a repair search on a degraded topology
+	// at a surviving core capacity in (0, 1].
 	RepairFaults = fault.Repair
 	// RepairInjectedFaults draws a seeded mask, then repairs it.
 	RepairInjectedFaults = fault.RepairInjected
