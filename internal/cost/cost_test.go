@@ -7,6 +7,7 @@ import (
 	"temp/internal/mesh"
 	"temp/internal/model"
 	"temp/internal/parallel"
+	"temp/internal/tensor"
 )
 
 func temp825() (model.Config, hw.Wafer) {
@@ -410,4 +411,25 @@ func TestDebugMatchesEvaluation(t *testing.T) {
 		t.Error("the linear family never won under TEMP; the cases no longer cover its terms")
 	}
 	t.Logf("%d cases, linear family won %d under TEMP", len(cases), linearWins)
+}
+
+// TestActPartition pins the activation layout each degree induces: DP
+// splits the batch; SP, CP and TATP split the sequence; TP splits it
+// too under Megatron-style SP and replicates every shard otherwise;
+// unset degrees count as one.
+func TestActPartition(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  parallel.Config
+		want tensor.Partition
+	}{
+		{parallel.Config{}, tensor.Unit()},
+		{parallel.Config{DP: 2, TP: 4, SP: 2, CP: 2, TATP: 4},
+			tensor.Partition{Split: [4]int{2, 16, 1, 1}, Replicas: 4}},
+		{parallel.Config{DP: 2, TP: 4, SP: 2, MegatronSP: true},
+			tensor.Partition{Split: [4]int{2, 8, 1, 1}, Replicas: 1}},
+	} {
+		if got := actPartition(tc.cfg); got != tc.want {
+			t.Errorf("actPartition(%s) = %v, want %v", tc.cfg, got, tc.want)
+		}
+	}
 }

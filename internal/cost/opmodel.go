@@ -143,16 +143,18 @@ func (a *OperatorAnalytic) Intra(op model.Op, cfg parallel.Config) float64 {
 }
 
 // actPartition derives the activation layout a configuration induces.
+// DP splits the batch and SP, CP and TATP the sequence; TP either
+// splits the sequence too (Megatron-style SP) or replicates every
+// shard TP ways. Normalize makes every degree at least one.
 func actPartition(cfg parallel.Config) tensor.Partition {
 	cfg = cfg.Normalize()
-	p := tensor.SplitBy(map[tensor.Dim]int{
-		tensor.B: cfg.DP,
-		tensor.M: cfg.SP * cfg.CP * cfg.TATP,
-	})
+	p := tensor.Unit()
+	p.Split[tensor.B] = cfg.DP
+	p.Split[tensor.M] = cfg.SP * cfg.CP * cfg.TATP
 	if cfg.MegatronSP {
-		p = p.Compose(tensor.SplitBy(map[tensor.Dim]int{tensor.M: cfg.TP}))
+		p.Split[tensor.M] *= cfg.TP
 	} else {
-		p = p.WithReplicas(cfg.TP)
+		p.Replicas = cfg.TP
 	}
 	return p
 }

@@ -31,12 +31,33 @@ func materializedTime(t *mesh.Topology, seq []mesh.LoweredSeq, opts tcme.Options
 // through route plans and checks each against materializedTime.
 type planOracle struct {
 	t *testing.T
+	w hw.Wafer
+	// models, cfgs and stride select the evaluations: every model and
+	// every stride-th configuration.
+	models []model.Config
+	cfgs   []parallel.Config
+	stride int
 	// seen lists each distinct template once, with an evaluator whose
 	// state owns it, for the byte-scale grid.
 	seen  []mesh.LoweredSeq
 	owner map[*mesh.PhaseTemplate]*evaluator
 	// queries counts the sequences checked.
 	queries int
+	// priceOnly evaluates without checking or recording anything: a
+	// pass that only builds the templates, states and plans.
+	priceOnly bool
+}
+
+// newPlanOracle returns an oracle over w for every zoo model and every
+// TEMP configuration; -short checks two models and every fifth
+// configuration and grid template.
+func newPlanOracle(t *testing.T, w hw.Wafer) *planOracle {
+	po := &planOracle{t: t, w: w, models: model.Zoo(), cfgs: oracleConfigs(w.Dies()), stride: 1,
+		owner: map[*mesh.PhaseTemplate]*evaluator{}}
+	if testing.Short() {
+		po.models, po.stride = po.models[:2], 5
+	}
+	return po
 }
 
 // check prices seq through evalLowered on a fresh evaluator sharing
@@ -62,11 +83,17 @@ func seqBytes(seq []mesh.LoweredSeq) []float64 {
 	return out
 }
 
-// run evaluates ev, checking every sequence its TCME path prices.
-func (po *planOracle) run(name string, ev *evaluator) {
+// evalOn evaluates (m, cfg, o) on topo's state st, checking every
+// sequence its TCME path prices unless priceOnly is set.
+func (po *planOracle) evalOn(name string, m model.Config, cfg parallel.Config, o Options,
+	topo *mesh.Topology, st *evalState, replay bool) {
 	po.t.Helper()
 	var seqs [][]mesh.LoweredSeq
-	ev.planned = func(seq []mesh.LoweredSeq) { seqs = append(seqs, seq) }
+	ev := &evaluator{m: m, w: po.w, cfg: cfg, o: o, topo: topo, st: st,
+		graph: model.BlockGraph(m), replay: replay}
+	if !po.priceOnly {
+		ev.planned = func(seq []mesh.LoweredSeq) { seqs = append(seqs, seq) }
+	}
 	if _, err := ev.run(); err != nil {
 		po.t.Fatalf("%s: %v", name, err)
 	}
@@ -79,6 +106,46 @@ func (po *planOracle) run(name string, ev *evaluator) {
 			}
 		}
 	}
+}
+
+// healthy evaluates every selected model and configuration on the
+// shared healthy mesh: TEMP in both placement families and the replay
+// tier's SMap/GMap states.
+func (po *planOracle) healthy() {
+	topo := mesh.FromWafer(po.w)
+	for _, m := range po.models {
+		for i := 0; i < len(po.cfgs); i += po.stride {
+			cfg := po.cfgs[i].Normalize()
+			for _, linear := range []bool{false, true} {
+				if st, err := stateFor(topo, cfg, linear, true); err == nil {
+					po.evalOn(fmt.Sprintf("%s/%s/TCME linear=%v", m.Name, cfg, linear), m, cfg, TEMPOptions(), topo, st, false)
+				}
+			}
+			for _, e := range []Engine{SMap, GMap} {
+				if st, err := stateFor(topo, cfg, e == SMap, false); err == nil {
+					o := TEMPOptions()
+					o.Engine = e
+					po.evalOn(fmt.Sprintf("%s/%s/replay %s", m.Name, cfg, e), m, cfg, o, topo, st, true)
+				}
+			}
+		}
+	}
+}
+
+// grid checks a byte-scale grid on every stride-th distinct template
+// the evaluations priced, and logs the query counts.
+func (po *planOracle) grid() {
+	evalQueries := po.queries
+	grid := []float64{0, 1e-3, 0.1, 3, 12345.678, math.Ldexp(1, 40) + 1}
+	for i := 0; i < len(po.seen); i += po.stride {
+		ls := po.seen[i]
+		ev := po.owner[ls.Tmpl]
+		for _, b := range grid {
+			po.check(fmt.Sprintf("grid template %d (%s)", i, ev.cfg), ev, []mesh.LoweredSeq{{Tmpl: ls.Tmpl, Bytes: b}})
+		}
+	}
+	po.t.Logf("%d evaluator sequences, %d distinct templates, %d grid queries",
+		evalQueries, len(po.seen), po.queries-evalQueries)
 }
 
 // oracleConfigs is every configuration TEMP sweeps on a wafer (the
@@ -112,60 +179,49 @@ func oracleConfigs(dies int) []parallel.Config {
 // template of the grid.
 func TestRoutePlansMatchMaterialized(t *testing.T) {
 	w := hw.EvaluationWafer()
-	topo := mesh.FromWafer(w)
-	models, cfgs, stride := model.Zoo(), oracleConfigs(w.Dies()), 1
-	if testing.Short() {
-		models, stride = models[:2], 5
-	}
-	po := &planOracle{t: t, owner: map[*mesh.PhaseTemplate]*evaluator{}}
-	evalOn := func(name string, m model.Config, cfg parallel.Config, o Options,
-		topo *mesh.Topology, st *evalState, replay bool) {
-		po.run(name, &evaluator{m: m, w: w, cfg: cfg, o: o, topo: topo, st: st,
-			graph: model.BlockGraph(m), replay: replay})
-	}
+	po := newPlanOracle(t, w)
+	po.healthy()
 
-	for _, m := range models {
-		for i := 0; i < len(cfgs); i += stride {
-			cfg := cfgs[i].Normalize()
-			for _, linear := range []bool{false, true} {
-				if st, err := stateFor(topo, cfg, linear, true); err == nil {
-					evalOn(fmt.Sprintf("%s/%s/TCME linear=%v", m.Name, cfg, linear), m, cfg, TEMPOptions(), topo, st, false)
-				}
-			}
-			for _, e := range []Engine{SMap, GMap} {
-				if st, err := stateFor(topo, cfg, e == SMap, false); err == nil {
-					o := TEMPOptions()
-					o.Engine = e
-					evalOn(fmt.Sprintf("%s/%s/replay %s", m.Name, cfg, e), m, cfg, o, topo, st, true)
-				}
-			}
-		}
-	}
-
-	c := topo.Clone()
+	c := mesh.FromWafer(w).Clone()
 	for _, l := range []mesh.Link{{From: 1, To: 2}, {From: 9, To: 10}, {From: 3, To: 11}} {
 		c.SetLinkAlive(l, false)
 	}
 	faulted := c.Intern()
-	for i := 0; i < len(cfgs); i += stride {
-		cfg := cfgs[i].Normalize()
+	for i := 0; i < len(po.cfgs); i += po.stride {
+		cfg := po.cfgs[i].Normalize()
 		if place, err := parallel.Place(cfg, faulted); err == nil {
 			st := newEvalState(faulted, place, true)
-			evalOn(fmt.Sprintf("faulted/%s/%s", models[0].Name, cfg), models[0], cfg, TEMPOptions(), faulted, st, false)
+			po.evalOn(fmt.Sprintf("faulted/%s/%s", po.models[0].Name, cfg), po.models[0], cfg, TEMPOptions(), faulted, st, false)
 		}
 	}
+	po.grid()
+}
 
-	evalQueries := po.queries
-	grid := []float64{0, 1e-3, 0.1, 3, 12345.678, math.Ldexp(1, 40) + 1}
-	for i := 0; i < len(po.seen); i += stride {
-		ls := po.seen[i]
-		ev := po.owner[ls.Tmpl]
-		for _, b := range grid {
-			po.check(fmt.Sprintf("grid template %d (%s)", i, ev.cfg), ev, []mesh.LoweredSeq{{Tmpl: ls.Tmpl, Bytes: b}})
-		}
+// TestRoutePlansMatchMaterializedOnLinkVariant runs the healthy-mesh
+// oracle a second time under another link spec of the same grid (half
+// the bandwidth, twice the latency), after the first spec has priced
+// everything. Link parameters are timing state: the variant reuses
+// the first spec's lowering templates, states and route plans, so it
+// compiles no template, and every plan-path price it times with its
+// own link must still equal the materialized reference bit for bit.
+func TestRoutePlansMatchMaterializedOnLinkVariant(t *testing.T) {
+	w := hw.EvaluationWafer()
+	first := newPlanOracle(t, w)
+	first.priceOnly = true
+	first.healthy()
+	before := collective.CacheStats().Templates
+	v := w
+	v.Link.Bandwidth /= 2
+	v.Link.Latency *= 2
+	if mesh.FromWafer(v) == mesh.FromWafer(w) {
+		t.Fatal("the link variant interned to the first spec's topology")
 	}
-	t.Logf("%d evaluator sequences, %d distinct templates, %d grid queries",
-		evalQueries, len(po.seen), po.queries-evalQueries)
+	po := newPlanOracle(t, v)
+	po.healthy()
+	po.grid()
+	if after := collective.CacheStats().Templates; after != before {
+		t.Errorf("the link variant compiled %d lowering templates; want 0", after-before)
+	}
 }
 
 // materializedIntra is OperatorReplay.Intra's reference on st: the

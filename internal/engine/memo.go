@@ -3,9 +3,9 @@ package engine
 import "sync"
 
 // MemoShard is one lock-striped slice of a Memo: a map guarded by a
-// read-write lock. It is the single sharded-memoization helper shared
-// by the engine's cost-model cache and the solver's evaluator (which
-// previously carried its own copy).
+// read-write lock. Its one user is the engine's cost-model Cache; the
+// solver's evaluator keys its terms by small dense integers and keeps
+// them in flat lock-free tables instead.
 type MemoShard[K comparable, V any] struct {
 	mu sync.RWMutex
 	m  map[K]V
@@ -39,8 +39,8 @@ func (s *MemoShard[K, V]) Get(k K, compute func() V) (v V, fresh bool) {
 }
 
 // Peek returns the memoized value for k without computing anything on
-// a miss — the probe batched pricing and delta evaluation use to
-// split already-priced terms from genuinely new work.
+// a miss — the probe batched sweeps use to split already-priced jobs
+// from genuinely new work.
 func (s *MemoShard[K, V]) Peek(k K) (V, bool) {
 	s.mu.RLock()
 	v, ok := s.m[k]

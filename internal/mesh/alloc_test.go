@@ -219,7 +219,10 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 // TestInternSemantics pins the interner contract: FromWafer-style
 // lookups share one frozen instance, mutation of a frozen topology
 // panics, clones are mutable, a faulted clone interns to itself,
-// frozen, and the interner retains no faulted topology.
+// frozen, and the interner retains no faulted topology. A second link
+// spec on the same grid interns to its own frozen instance that shares
+// the grid's derived caches and template profiles but times with its
+// own link, while a faulted clone of either owns its cache.
 func TestInternSemantics(t *testing.T) {
 	a := Shared(4, 8, hw.TableID2D())
 	b := Shared(4, 8, hw.TableID2D())
@@ -274,5 +277,41 @@ func TestInternSemantics(t *testing.T) {
 	}
 	if got := entries(); got != before {
 		t.Errorf("interning 300 faulted clones changed the interner from %d to %d entries", before, got)
+	}
+
+	l2 := hw.TableID2D()
+	l2.Bandwidth /= 2
+	l2.Latency *= 2
+	v := Shared(4, 8, l2)
+	if v == a || !v.Frozen() || Shared(4, 8, l2) != v {
+		t.Fatal("a second link spec did not intern to its own frozen instance")
+	}
+	type probe struct{}
+	built := new(int)
+	if got := v.Derived(probe{}, func() any { return built }); got != built {
+		t.Fatal("Derived did not return its first build")
+	}
+	if got := a.Derived(probe{}, func() any { return new(int) }); got != built {
+		t.Error("a derived value built through one link spec was not returned through the other")
+	}
+	for _, base := range []*Topology{a, v} {
+		f := base.Clone()
+		f.SetDieAlive(5, false)
+		if f.Intern() != f {
+			t.Fatal("faulted clone interned to another instance")
+		}
+		if got := f.Derived(probe{}, func() any { return new(int) }); got == built {
+			t.Error("a faulted clone read its base's derived cache")
+		}
+	}
+	tmpl := NewPhaseTemplate([]Phase{benchPhase(a), benchPhase(a)})
+	seq := []LoweredSeq{{Tmpl: tmpl, Bytes: 1 << 20}}
+	for _, tp := range []*Topology{a, v} {
+		if got, want := tp.SeqTimeLowered(seq), New(4, 8, tp.link).SeqTime(MaterializeSeq(seq)); got != want {
+			t.Errorf("link %v: SeqTimeLowered = %+v, unshared SeqTime = %+v", tp.link.Bandwidth, got, want)
+		}
+	}
+	if p := tmpl.prof.Load(); p == nil || p.next != nil {
+		t.Error("two link specs of one grid compiled more than one profile of a template")
 	}
 }

@@ -34,8 +34,12 @@ type Link struct {
 func (l Link) String() string { return fmt.Sprintf("%d→%d", l.From, l.To) }
 
 // Topology is a rows×cols 2D mesh with optional fault masks: the
-// grid, the link parameters, dead dies and dead links — routing state
-// only. Lost compute cores inside a die are not topology state: a
+// grid, dead dies and dead links — the routing state — plus the link
+// parameters, which are timing state: only the timing kernels (Time
+// and the profiled phase walk) read them. Placement, lowering, stream
+// orchestration, TCME and profile compilation never do, so every
+// healthy topology of one grid shares one set of derived caches (see
+// owner). Lost compute cores inside a die are not topology state: a
 // fault study carries them as one capacity scalar the cost model
 // prices. The zero value is not usable; construct with New (mutable)
 // or FromWafer (the shared healthy instance, immutable). Fault studies
@@ -71,8 +75,14 @@ type Topology struct {
 	// derived caches immutable structures computed from a frozen
 	// topology (lowered collectives, lowering states and their route
 	// plans). Only frozen topologies populate it: a mutable topology's
-	// cache would go stale on the next Set* call.
+	// cache would go stale on the next Set* call. Derived reads and
+	// writes owner's map, never a variant's own.
 	derived sync.Map
+	// owner is the topology whose derived caches and link profiles this
+	// one uses: itself, except for a Shared healthy instance whose grid
+	// was interned first under other link parameters — that first
+	// instance owns the caches of every healthy instance of its grid.
+	owner *Topology
 	// aliveDies caches AliveDies on frozen topologies (immutable fault
 	// state), keeping the per-candidate pricing path allocation-free.
 	// Clone leaves it unset, so mutable copies always recompute.
@@ -90,6 +100,7 @@ func New(rows, cols int, link hw.D2D) *Topology {
 		link:     link,
 		dieAlive: make([]bool, rows*cols),
 	}
+	t.owner = t
 	t.buildLinkIndex()
 	t.linkAlive = make([]bool, len(t.links))
 	for i := range t.dieAlive {

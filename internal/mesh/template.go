@@ -23,9 +23,9 @@ import (
 type PhaseTemplate struct {
 	phases []Phase
 	flows  []Flow
-	// prof heads a tiny list of per-topology SoA link-load profiles
-	// (almost always exactly one: templates are compiled from one
-	// topology's routes and only ever timed on it).
+	// prof heads a tiny list of SoA link-load profiles, one per routing
+	// owner (almost always exactly one: templates are compiled from one
+	// owner's routes and only ever timed on it or its link variants).
 	prof atomic.Pointer[LinkProfile]
 }
 
@@ -39,6 +39,8 @@ type PhaseTemplate struct {
 // link's load is the same value added count times — without zeroing
 // per-link scratch or re-deriving link IDs per candidate.
 type LinkProfile struct {
+	// topo is the routing owner of the topology the profile was
+	// compiled on: link variants of one grid share its profiles.
 	topo *Topology
 	// off[p]..off[p+1] bounds phase p's entries in ids/counts.
 	off    []int32
@@ -49,18 +51,19 @@ type LinkProfile struct {
 	flows []int32
 	travs []int32
 	hops  []int32
-	// next links profiles for other topologies (rare; bounded by the
-	// interned-topology count).
+	// next links profiles for other routing owners (rare; bounded by
+	// the number of grids and frozen faulted meshes that time the
+	// template).
 	next *LinkProfile
 }
 
-// profileFor returns the template's SoA profile on t, compiling it on
-// first use. Lookup is one atomic load plus a pointer compare, so the
-// steady-state evaluation path stays allocation-free.
+// profileFor returns the template's SoA profile on t's routing owner,
+// compiling it on first use. Lookup is one atomic load plus a pointer
+// compare, so the steady-state evaluation path stays allocation-free.
 func (t *Topology) profileFor(tmpl *PhaseTemplate) *LinkProfile {
 	head := tmpl.prof.Load()
 	for p := head; p != nil; p = p.next {
-		if p.topo == t {
+		if p.topo == t.owner {
 			return p
 		}
 	}
@@ -73,13 +76,14 @@ func (t *Topology) profileFor(tmpl *PhaseTemplate) *LinkProfile {
 }
 
 // CompileProfile counts each phase's per-link traversals through the
-// same forEachLink walk the timing kernels use. Flow byte values are
-// ignored: the profile is timed at a byte value per query (see
-// LoweredSeq.Prof), and keeps no reference to the phases.
+// same forEachLink walk the timing kernels use. Flow byte values and
+// link parameters are ignored: the profile is timed at a byte value
+// per query (see LoweredSeq.Prof) on any topology of t's routing
+// owner, and keeps no reference to the phases.
 func (t *Topology) CompileProfile(phases []Phase) *LinkProfile {
 	n := len(phases)
 	p := &LinkProfile{
-		topo:  t,
+		topo:  t.owner,
 		off:   make([]int32, 1, n+1),
 		flows: make([]int32, 0, n),
 		travs: make([]int32, 0, n),
@@ -183,7 +187,7 @@ type LoweredSeq struct {
 	// Prof, when set, is timed in place of Tmpl's own profile: a
 	// profile of phases derived from Tmpl whose flows still all carry
 	// Bytes (TCME's optimization of the template), compiled with
-	// CompileProfile on the same topology.
+	// CompileProfile on a topology of the same routing owner.
 	Prof *LinkProfile
 }
 

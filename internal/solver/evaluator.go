@@ -4,81 +4,104 @@ import (
 	"math"
 	"sync/atomic"
 
-	"temp/internal/engine"
 	"temp/internal/model"
 	"temp/internal/parallel"
 )
 
-// evalShards shards the memo maps so parallel workers do not
-// serialize on one lock.
-const evalShards = 16
+// unpriced marks a term-table cell no evaluation has filled yet: a
+// signaling-NaN bit pattern. Float arithmetic only ever produces quiet
+// NaNs, so every value a cost model computes — NaN, ±Inf and −0
+// included — is distinguishable from it.
+const unpriced = 0x7ff0_0000_dead_beef
 
 // evaluator wraps a CostModel to count evaluations and memoize. It is
-// the shared pricing core every search strategy runs on: the memo
-// maps are the engine's sharded Memo helper and the counter is
-// atomic, so parallel workers share one memo. The count is the number
-// of distinct keys evaluated, which is identical in serial and
-// parallel runs.
+// the shared pricing core every search strategy runs on. The terms of
+// Eq. (4) are keyed by small dense integers, so they live in flat
+// lock-free tables of float64 bits, every cell starting at unpriced:
+// intra is indexed op*|S|+cfg, inter (op*|S|+a)*|S|+b (row op couples
+// op-1 → op; op 0 has no coupling term) and mem cfg. Parallel workers
+// share one set of tables. The count is the number of distinct terms
+// evaluated, which is identical in serial and parallel runs.
 type evaluator struct {
 	cm    CostModel
 	ops   []model.Op
 	space []parallel.Config
 	n     atomic.Int64
 
-	intra *engine.Memo[[2]int, float64]
-	inter *engine.Memo[[3]int, float64]
-	mem   *engine.Memo[int, float64]
+	intra, inter, mem []atomic.Uint64
 }
 
 func newEvaluator(cm CostModel, ops []model.Op, space []parallel.Config) *evaluator {
+	s := len(space)
 	return &evaluator{
 		cm: cm, ops: ops, space: space,
-		intra: engine.NewMemo[[2]int, float64](evalShards, func(k [2]int) uint64 {
-			return uint64(k[0]*31 + k[1])
-		}),
-		inter: engine.NewMemo[[3]int, float64](evalShards, func(k [3]int) uint64 {
-			return uint64(k[0]*31 + k[1]*7 + k[2])
-		}),
-		mem: engine.NewMemo[int, float64](evalShards, func(k int) uint64 {
-			return uint64(k)
-		}),
+		intra: newTermTable(len(ops) * s),
+		inter: newTermTable(len(ops) * s * s),
+		mem:   newTermTable(s),
 	}
 }
 
-func (e *evaluator) intraCost(op, cfg int) float64 {
-	v, fresh := e.intra.Get([2]int{op, cfg}, func() float64 {
-		return e.cm.Intra(e.ops[op], e.space[cfg])
-	})
-	if fresh {
-		e.n.Add(1)
+func newTermTable(n int) []atomic.Uint64 {
+	t := make([]atomic.Uint64, n)
+	for i := range t {
+		t[i].Store(unpriced)
 	}
-	return v
+	return t
+}
+
+func (e *evaluator) intraIdx(op, cfg int) int { return op*len(e.space) + cfg }
+
+func (e *evaluator) interIdx(op, a, b int) int { return (op*len(e.space)+a)*len(e.space) + b }
+
+// fill stores a freshly computed term v in cell c. The one
+// CompareAndSwap that replaces unpriced is the fresh evaluation and
+// is counted; a goroutine that loses the race returns the stored
+// value. This is engine.MemoShard.Get's contract, so Stats.Evaluations
+// and the MaxEvals budget stay exact at any worker count.
+func (e *evaluator) fill(c *atomic.Uint64, v float64) float64 {
+	if c.CompareAndSwap(unpriced, math.Float64bits(v)) {
+		e.n.Add(1)
+		return v
+	}
+	return math.Float64frombits(c.Load())
+}
+
+// peek returns the term in cell c without computing anything, and
+// whether it has been priced.
+func peek(c *atomic.Uint64) (float64, bool) {
+	b := c.Load()
+	return math.Float64frombits(b), b != unpriced
+}
+
+func (e *evaluator) intraCost(op, cfg int) float64 {
+	c := &e.intra[e.intraIdx(op, cfg)]
+	if v, ok := peek(c); ok {
+		return v
+	}
+	return e.fill(c, e.cm.Intra(e.ops[op], e.space[cfg]))
 }
 
 func (e *evaluator) interCost(op int, a, b int) float64 {
 	if op == 0 {
 		return 0
 	}
-	v, fresh := e.inter.Get([3]int{op, a, b}, func() float64 {
-		return e.cm.Inter(e.ops[op-1], e.ops[op], e.space[a], e.space[b])
-	})
-	if fresh {
-		e.n.Add(1)
+	c := &e.inter[e.interIdx(op, a, b)]
+	if v, ok := peek(c); ok {
+		return v
 	}
-	return v
+	return e.fill(c, e.cm.Inter(e.ops[op-1], e.ops[op], e.space[a], e.space[b]))
 }
 
 func (e *evaluator) memoryOK(cfg int) bool {
-	v, fresh := e.mem.Get(cfg, func() float64 {
-		if e.cm.MemoryOK(e.space[cfg]) {
-			return 1
-		}
-		return 0
-	})
-	if fresh {
-		e.n.Add(1)
+	c := &e.mem[cfg]
+	if v, ok := peek(c); ok {
+		return v == 1
 	}
-	return v == 1
+	v := 0.0
+	if e.cm.MemoryOK(e.space[cfg]) {
+		v = 1
+	}
+	return e.fill(c, v) == 1
 }
 
 // oomPenalty dominates any latency; an assignment with an

@@ -10,10 +10,10 @@ import (
 // genetic stage (tournament selection, one-point crossover, per-gene
 // mutation, elitism) refines the joint assignment under the global
 // memory constraint. Each generation's population is priced in
-// parallel across Budget.Workers goroutines through the shared memo;
-// for a fixed seed the returned assignment and cost are bit-identical
-// at any worker count — and bit-identical to the pre-framework
-// solver.DLS for the same options.
+// parallel across Budget.Workers goroutines through the shared term
+// tables; for a fixed seed the returned assignment and cost are
+// bit-identical at any worker count — and bit-identical to the
+// pre-framework solver.DLS for the same options.
 type GA struct {
 	// Population and Generations size the genetic stage; zero values
 	// take defaults (32, 40).

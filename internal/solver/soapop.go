@@ -1,6 +1,10 @@
 package solver
 
-import "temp/internal/engine"
+import (
+	"sync/atomic"
+
+	"temp/internal/engine"
+)
 
 // soaPop is the GA population in structure-of-arrays form: one flat
 // genes buffer plus, per position, the memoized cost terms the chain
@@ -9,7 +13,7 @@ import "temp/internal/engine"
 // through crossover, so a generation re-prices only the terms its
 // variation actually invalidated: the crossover boundary's inter term
 // and the ≤3 terms around each mutated gene. Everything else is a
-// plain float read instead of a memo lookup, and the genuinely new
+// plain float read instead of a term-table lookup, and the genuinely new
 // (position, config) keys — collected serially, deduplicated, then
 // priced in parallel — are exactly the keys a full per-individual
 // walk would have priced, so the evaluation count and every cost are
@@ -35,13 +39,17 @@ type soaPop struct {
 	dirtyIntra   []bool
 	dirtyInter   []bool
 
-	// Deduplicated missing-key lists of one pricing round.
+	// Deduplicated missing-key lists of one pricing round. The seen
+	// arrays parallel the evaluator's term tables: a cell holding the
+	// current round was visited this round, so nothing is cleared
+	// between rounds.
 	missIntra [][2]int
 	missInter [][3]int
 	missMem   []int
-	seenIntra map[[2]int]bool
-	seenInter map[[3]int]bool
-	seenMem   map[int]bool
+	seenIntra []uint32
+	seenInter []uint32
+	seenMem   []uint32
+	round     uint32
 }
 
 func newSoaPop(ev *evaluator, pop, n int) *soaPop {
@@ -56,9 +64,9 @@ func newSoaPop(ev *evaluator, pop, n int) *soaPop {
 		nextInter:    make([]float64, pop*n),
 		dirtyIntra:   make([]bool, pop*n),
 		dirtyInter:   make([]bool, pop*n),
-		seenIntra:    map[[2]int]bool{},
-		seenInter:    map[[3]int]bool{},
-		seenMem:      map[int]bool{},
+		seenIntra:    make([]uint32, len(ev.intra)),
+		seenInter:    make([]uint32, len(ev.inter)),
+		seenMem:      make([]uint32, len(ev.mem)),
 	}
 }
 
@@ -85,91 +93,92 @@ func (s *soaPop) swap() {
 // price promotes the bred next generation and refreshes its costs:
 // missing cost-model keys under dirty terms are collected serially
 // (deterministic dedup), priced in parallel across workers, then every
-// dirty term is refreshed from the memo and each row re-summed in
-// assignmentCost's exact left-to-right order.
+// dirty term is refreshed from the term tables and each row re-summed
+// in assignmentCost's exact left-to-right order.
 func (s *soaPop) price(workers int) {
 	s.swap()
+	ev := s.ev
 
-	// Collect the distinct missing keys under dirty terms. Peek never
-	// computes, so this pass is cheap and adds no evaluations.
+	// Collect the distinct missing keys under dirty terms. Peeking
+	// never computes, so this pass is cheap and adds no evaluations.
 	s.missIntra = s.missIntra[:0]
 	s.missInter = s.missInter[:0]
 	s.missMem = s.missMem[:0]
-	clear(s.seenIntra)
-	clear(s.seenInter)
-	clear(s.seenMem)
+	s.round++
+	if s.round == 0 {
+		// The stamp wrapped: stamps from 2^32 rounds ago would alias.
+		clear(s.seenIntra)
+		clear(s.seenInter)
+		clear(s.seenMem)
+		s.round = 1
+	}
 	for i := 0; i < s.pop; i++ {
 		base := i * s.n
 		for j := 0; j < s.n; j++ {
 			if s.dirtyIntra[base+j] {
 				cfg := s.genes[base+j]
-				ik := [2]int{j, cfg}
-				if !s.seenIntra[ik] {
-					if _, ok := s.ev.intra.Peek(ik); !ok {
-						s.missIntra = append(s.missIntra, ik)
+				if k := ev.intraIdx(j, cfg); s.seenIntra[k] != s.round {
+					s.seenIntra[k] = s.round
+					if _, ok := peek(&ev.intra[k]); !ok {
+						s.missIntra = append(s.missIntra, [2]int{j, cfg})
 					}
-					s.seenIntra[ik] = true
 				}
-				if !s.seenMem[cfg] {
-					if _, ok := s.ev.mem.Peek(cfg); !ok {
+				if s.seenMem[cfg] != s.round {
+					s.seenMem[cfg] = s.round
+					if _, ok := peek(&ev.mem[cfg]); !ok {
 						s.missMem = append(s.missMem, cfg)
 					}
-					s.seenMem[cfg] = true
 				}
 			}
 			if j > 0 && s.dirtyInter[base+j] {
-				nk := [3]int{j, s.genes[base+j-1], s.genes[base+j]}
-				if !s.seenInter[nk] {
-					if _, ok := s.ev.inter.Peek(nk); !ok {
-						s.missInter = append(s.missInter, nk)
+				a, b := s.genes[base+j-1], s.genes[base+j]
+				if k := ev.interIdx(j, a, b); s.seenInter[k] != s.round {
+					s.seenInter[k] = s.round
+					if _, ok := peek(&ev.inter[k]); !ok {
+						s.missInter = append(s.missInter, [3]int{j, a, b})
 					}
-					s.seenInter[nk] = true
 				}
 			}
 		}
 	}
 
 	// Price the fresh keys in parallel. Keys are distinct, so each
-	// memo Get is fresh exactly once and the evaluation count equals
-	// the serial count.
+	// cell is filled exactly once and the evaluation count equals the
+	// serial count.
 	ni, nn := len(s.missIntra), len(s.missInter)
 	engine.ForEach(workers, ni+nn+len(s.missMem), func(k int) {
 		switch {
 		case k < ni:
-			s.ev.intraCost(s.missIntra[k][0], s.missIntra[k][1])
+			ev.intraCost(s.missIntra[k][0], s.missIntra[k][1])
 		case k < ni+nn:
 			nk := s.missInter[k-ni]
-			s.ev.interCost(nk[0], nk[1], nk[2])
+			ev.interCost(nk[0], nk[1], nk[2])
 		default:
-			s.ev.memoryOK(s.missMem[k-ni-nn])
+			ev.memoryOK(s.missMem[k-ni-nn])
 		}
 	})
 
 	// Refresh dirty terms and re-sum each row in assignmentCost's
 	// order; rows are independent. Every key under a dirty term was
-	// either already memoized or priced by the ForEach above, so Peek
-	// always hits — this stage is pure map reads, no closures, no
-	// allocations.
+	// either already priced or priced by the ForEach above, so this
+	// stage is plain table reads: no closures, no allocations.
 	engine.ForEach(workers, s.pop, func(i int) {
 		base := i * s.n
 		var total float64
 		for j := 0; j < s.n; j++ {
 			if s.dirtyIntra[base+j] {
 				cfg := s.genes[base+j]
-				iv, _ := s.ev.intra.Peek([2]int{j, cfg})
-				mv, _ := s.ev.mem.Peek(cfg)
 				pen := 0.0
-				if mv != 1 {
+				if priced(ev.mem, cfg) != 1 {
 					pen = oomPenalty
 				}
-				s.intraPen[base+j] = iv + pen
+				s.intraPen[base+j] = priced(ev.intra, ev.intraIdx(j, cfg)) + pen
 				s.dirtyIntra[base+j] = false
 			}
 			total += s.intraPen[base+j]
 			if j > 0 {
 				if s.dirtyInter[base+j] {
-					nv, _ := s.ev.inter.Peek([3]int{j, s.genes[base+j-1], s.genes[base+j]})
-					s.inter[base+j] = nv
+					s.inter[base+j] = priced(ev.inter, ev.interIdx(j, s.genes[base+j-1], s.genes[base+j]))
 					s.dirtyInter[base+j] = false
 				}
 				total += s.inter[base+j]
@@ -177,6 +186,18 @@ func (s *soaPop) price(workers int) {
 		}
 		s.costs[i] = total
 	})
+}
+
+// priced returns the term in cell i of tab, which the collect pass of
+// price has made sure is filled. An unpriced cell there is a bug in
+// that pass: summing it would add the sentinel NaN to a cost without
+// any error, so it panics instead.
+func priced(tab []atomic.Uint64, i int) float64 {
+	v, ok := peek(&tab[i])
+	if !ok {
+		panic("solver: soaPop refresh read an unpriced term")
+	}
+	return v
 }
 
 // breedInto copies parent terms into next row i: genes and terms

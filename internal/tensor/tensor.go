@@ -138,28 +138,6 @@ func Unit() Partition {
 	return Partition{Split: [numDims]int{1, 1, 1, 1}, Replicas: 1}
 }
 
-// Split builds a partition splitting the given dims by the given
-// factors with a single replica.
-func SplitBy(factors map[Dim]int) Partition {
-	p := Unit()
-	for d, f := range factors {
-		if f <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive split factor %d along %s", f, d))
-		}
-		p.Split[d] = f
-	}
-	return p
-}
-
-// WithReplicas returns a copy of p with the replica count set.
-func (p Partition) WithReplicas(r int) Partition {
-	if r <= 0 {
-		panic("tensor: non-positive replica count")
-	}
-	p.Replicas = r
-	return p
-}
-
 // Ways returns the total number of distinct shards.
 func (p Partition) Ways() int {
 	w := 1
@@ -174,32 +152,6 @@ func (p Partition) Ways() int {
 // Devices returns the number of device slots the partition occupies
 // (shards × replicas).
 func (p Partition) Devices() int { return p.Ways() * p.Replicas }
-
-// Compose merges two partitions applied to the same tensor by
-// multiplying split factors and replica counts. It is used when
-// hybrid strategies stack (e.g. DP batch split × TATP stream split).
-func (p Partition) Compose(q Partition) Partition {
-	out := Unit()
-	for i := range out.Split {
-		a, b := p.Split[i], q.Split[i]
-		if a == 0 {
-			a = 1
-		}
-		if b == 0 {
-			b = 1
-		}
-		out.Split[i] = a * b
-	}
-	ra, rb := p.Replicas, q.Replicas
-	if ra == 0 {
-		ra = 1
-	}
-	if rb == 0 {
-		rb = 1
-	}
-	out.Replicas = ra * rb
-	return out
-}
 
 // String renders e.g. "split[B/2 K/4]×2rep".
 func (p Partition) String() string {

@@ -37,52 +37,29 @@ func TestShapeString(t *testing.T) {
 }
 
 func TestPartitionWays(t *testing.T) {
-	p := SplitBy(map[Dim]int{B: 2, K: 4})
+	p := Partition{Split: [numDims]int{2, 1, 1, 4}, Replicas: 1}
 	if got := p.Ways(); got != 8 {
 		t.Errorf("Ways() = %d, want 8", got)
 	}
 	if got := p.Devices(); got != 8 {
 		t.Errorf("Devices() = %d, want 8", got)
 	}
-	pr := p.WithReplicas(2)
+	pr := p
+	pr.Replicas = 2
 	if got := pr.Devices(); got != 16 {
 		t.Errorf("Devices() with replicas = %d, want 16", got)
 	}
 }
 
-func TestSplitByPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SplitBy with factor 0 did not panic")
-		}
-	}()
-	SplitBy(map[Dim]int{B: 0})
-}
-
-func TestCompose(t *testing.T) {
-	dp := SplitBy(map[Dim]int{B: 2})
-	tp := SplitBy(map[Dim]int{K: 4}).WithReplicas(2)
-	c := dp.Compose(tp)
-	if c.Split[B] != 2 || c.Split[K] != 4 {
-		t.Errorf("Compose split = %v", c.Split)
-	}
-	if c.Replicas != 2 {
-		t.Errorf("Compose replicas = %d, want 2", c.Replicas)
-	}
-	if c.Ways() != 8 {
-		t.Errorf("Compose ways = %d, want 8", c.Ways())
-	}
-}
-
 func TestShardShape(t *testing.T) {
 	s := NewShape("w", 0, 0, 4096, 8192, unit.FP16)
-	p := SplitBy(map[Dim]int{N: 4, K: 2})
+	p := Partition{Split: [numDims]int{1, 1, 4, 2}, Replicas: 1}
 	sh := p.ShardShape(s)
 	if sh.Ext[N] != 1024 || sh.Ext[K] != 4096 {
 		t.Errorf("ShardShape = %v", sh)
 	}
 	// Splits along absent dims are ignored.
-	q := SplitBy(map[Dim]int{B: 8})
+	q := Partition{Split: [numDims]int{8, 1, 1, 1}, Replicas: 1}
 	if got := q.ShardShape(s); got.Elems() != s.Elems() {
 		t.Errorf("absent-dim split changed size: %v", got)
 	}
@@ -90,7 +67,7 @@ func TestShardShape(t *testing.T) {
 
 func TestShardShapeRaggedCeil(t *testing.T) {
 	s := NewShape("w", 0, 0, 10, 0, unit.FP16)
-	p := SplitBy(map[Dim]int{N: 3})
+	p := Partition{Split: [numDims]int{1, 1, 3, 1}, Replicas: 1}
 	if got := p.ShardShape(s).Ext[N]; got != 4 {
 		t.Errorf("ragged shard extent = %d, want ceil(10/3)=4", got)
 	}
@@ -98,8 +75,8 @@ func TestShardShapeRaggedCeil(t *testing.T) {
 
 func TestGroupBytesReplicationInflation(t *testing.T) {
 	s := Activation("act", 8, 2048, 4096, unit.FP16)
-	noRep := SplitBy(map[Dim]int{M: 4})
-	rep := Unit().WithReplicas(4)
+	noRep := Partition{Split: [numDims]int{1, 4, 1, 1}, Replicas: 1}
+	rep := Partition{Split: [numDims]int{1, 1, 1, 1}, Replicas: 4}
 	if got, want := noRep.GroupBytes(s), s.Bytes(); got != want {
 		t.Errorf("replication-free GroupBytes = %v, want %v", got, want)
 	}
@@ -119,7 +96,7 @@ func TestPartitionConservesBytes(t *testing.T) {
 		divB := []int{1, 2, 4}[factB-1]
 		divM := []int{1, 2, 4, 8}[factM-1]
 		s := Activation("a", b, m, 128, unit.FP16)
-		p := SplitBy(map[Dim]int{B: divB, M: divM})
+		p := Partition{Split: [numDims]int{divB, divM, 1, 1}, Replicas: 1}
 		return p.ShardBytes(s)*float64(p.Ways()) == s.Bytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -129,8 +106,8 @@ func TestPartitionConservesBytes(t *testing.T) {
 
 func TestReshardBytes(t *testing.T) {
 	s := Activation("a", 8, 2048, 4096, unit.FP16)
-	p := SplitBy(map[Dim]int{M: 4})
-	q := SplitBy(map[Dim]int{B: 4})
+	p := Partition{Split: [numDims]int{1, 4, 1, 1}, Replicas: 1}
+	q := Partition{Split: [numDims]int{4, 1, 1, 1}, Replicas: 1}
 	if got := ReshardBytes(s, p, p); got != 0 {
 		t.Errorf("identical layouts should be free, got %v", got)
 	}
@@ -139,15 +116,15 @@ func TestReshardBytes(t *testing.T) {
 	}
 	// A split-factor change along an absent dim is free.
 	w := Weight("w", 128, 128, unit.FP16)
-	pb := SplitBy(map[Dim]int{B: 2})
-	qb := SplitBy(map[Dim]int{B: 8})
+	pb := Partition{Split: [numDims]int{2, 1, 1, 1}, Replicas: 1}
+	qb := Partition{Split: [numDims]int{8, 1, 1, 1}, Replicas: 1}
 	if got := ReshardBytes(w, pb, qb); got != 0 {
 		t.Errorf("absent-dim reshard should be free, got %v", got)
 	}
 }
 
 func TestPartitionString(t *testing.T) {
-	p := SplitBy(map[Dim]int{B: 2, K: 4}).WithReplicas(2)
+	p := Partition{Split: [numDims]int{2, 1, 1, 4}, Replicas: 2}
 	if got := p.String(); got != "split[B/2 K/4]×2rep" {
 		t.Errorf("String() = %q", got)
 	}
