@@ -1,6 +1,7 @@
 package temp
 
 import (
+	"fmt"
 	"testing"
 
 	"temp/internal/collective"
@@ -86,7 +87,12 @@ func BenchmarkAblationTCMEMoves(b *testing.B) {
 			{id(1, 2), id(1, 0), id(3, 0), id(3, 2)},
 			{id(1, 3), id(1, 1), id(3, 1), id(3, 3)},
 		} {
-			seqs = append(seqs, collective.P2PChain(topo, c, bytes, "t"+string(rune('a'+i))))
+			var chain mesh.Phase
+			for h := 0; h+1 < len(c); h++ {
+				chain.Flows = append(chain.Flows, mesh.Flow{Src: c[h], Dst: c[h+1], Bytes: bytes,
+					Route: topo.Route(c[h], c[h+1]), Payload: fmt.Sprintf("t%c.hop%d", 'a'+i, h)})
+			}
+			seqs = append(seqs, []mesh.Phase{chain})
 		}
 		return collective.Merge(seqs...)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // The memoized collective-lowering cache. Lowering a collective is
-// route construction: every ring step, chain hop and multicast tree
+// route construction: every ring step and point-to-point transfer
 // computes paths on the mesh, and the evaluation hot path lowers the
 // same (topology, ordered die group, collective kind) combination for
 // every candidate configuration that places a group on the same dies.
@@ -26,9 +26,7 @@ const (
 	kindAllReduce     = 'A'
 	kindAllGather     = 'G'
 	kindReduceScatter = 'R'
-	kindBroadcast     = 'B'
 	kindP2P           = 'P'
-	kindChain         = 'C'
 )
 
 // lowerMap is one topology's compiled-lowering store. It lives ON the

@@ -1,8 +1,8 @@
 // Package collective lowers the communication primitives of
-// distributed training — all-reduce, all-gather, reduce-scatter,
-// broadcast and point-to-point chains — onto wafer mesh flows. The
-// ring algorithms operate over an ordered die list (a physical ring
-// or chain produced by the placement layer); when the ring does not
+// distributed training — all-reduce, all-gather, reduce-scatter and
+// point-to-point transfers — onto wafer mesh flows. The ring
+// algorithms operate over an ordered die list (a physical ring or
+// chain produced by the placement layer); when the ring does not
 // physically close, the wrap-around step is routed multi-hop across
 // the mesh, which is exactly the topology mismatch the paper's
 // baselines suffer from.
@@ -14,20 +14,25 @@ import (
 	"temp/internal/mesh"
 )
 
-// ringStep emits one phase in which every position i sends chunkBytes
-// to position (i+1) mod N along the order, tagging flows with the
-// payload prefix. On an open chain the N-1→0 step is a multi-hop
-// route.
-func ringStep(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, payload string) mesh.Phase {
+// ringSteps lowers steps ring steps in which every position i sends
+// chunkBytes to position (i+1) mod N along the order. On an open chain
+// the N-1→0 step is a multi-hop route. Every step routes the same die
+// pairs, so one step is routed and formatted and the phases repeat it,
+// sharing its flows. Payloads are "<payload>.pos<i>", naming the
+// sending position and not the step: TCME merges only flows of equal
+// payload from one source, Merge aligns one step of each sequence per
+// phase, so within a phase the position alone keeps a ring's flows
+// apart.
+func ringSteps(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, payload string, steps int) []mesh.Phase {
 	n := len(order)
-	var ph mesh.Phase
+	var step mesh.Phase
 	for i := 0; i < n; i++ {
 		src, dst := order[i], order[(i+1)%n]
 		route := t.Route(src, dst)
 		if route == nil {
 			continue
 		}
-		ph.Flows = append(ph.Flows, mesh.Flow{
+		step.Flows = append(step.Flows, mesh.Flow{
 			Src:     src,
 			Dst:     dst,
 			Bytes:   chunkBytes,
@@ -35,7 +40,11 @@ func ringStep(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, payload 
 			Payload: fmt.Sprintf("%s.pos%d", payload, i),
 		})
 	}
-	return ph
+	phases := make([]mesh.Phase, steps)
+	for s := range phases {
+		phases[s] = step
+	}
+	return phases
 }
 
 // RingAllReduce lowers a bandwidth-optimal ring all-reduce of bytes
@@ -47,14 +56,7 @@ func RingAllReduce(t *mesh.Topology, order []mesh.DieID, bytes float64) []mesh.P
 		return nil
 	}
 	return lower(t, kindAllReduce, "", order, bytes/float64(n), func(chunk float64) []mesh.Phase {
-		phases := make([]mesh.Phase, 0, 2*(n-1))
-		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, chunk, fmt.Sprintf("ar.rs%d", s)))
-		}
-		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, chunk, fmt.Sprintf("ar.ag%d", s)))
-		}
-		return phases
+		return ringSteps(t, order, chunk, "ar", 2*(n-1))
 	})
 }
 
@@ -67,11 +69,7 @@ func RingAllGather(t *mesh.Topology, order []mesh.DieID, shardBytes float64) []m
 		return nil
 	}
 	return lower(t, kindAllGather, "", order, shardBytes, func(shard float64) []mesh.Phase {
-		phases := make([]mesh.Phase, 0, n-1)
-		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, shard, fmt.Sprintf("ag%d", s)))
-		}
-		return phases
+		return ringSteps(t, order, shard, "ag", n-1)
 	})
 }
 
@@ -83,27 +81,7 @@ func RingReduceScatter(t *mesh.Topology, order []mesh.DieID, bytes float64) []me
 		return nil
 	}
 	return lower(t, kindReduceScatter, "", order, bytes/float64(n), func(chunk float64) []mesh.Phase {
-		phases := make([]mesh.Phase, 0, n-1)
-		for s := 0; s < n-1; s++ {
-			phases = append(phases, ringStep(t, order, chunk, fmt.Sprintf("rs%d", s)))
-		}
-		return phases
-	})
-}
-
-// Broadcast lowers a one-to-many transfer of bytes from root to dsts
-// as a single multicast-tree phase.
-func Broadcast(t *mesh.Topology, root mesh.DieID, dsts []mesh.DieID, bytes float64, payload string) []mesh.Phase {
-	if len(dsts) == 0 || bytes <= 0 {
-		return nil
-	}
-	key := append([]mesh.DieID{root}, dsts...)
-	return lower(t, kindBroadcast, payload, key, bytes, func(bytes float64) []mesh.Phase {
-		flows := mesh.MulticastTree(t, root, dsts, bytes, payload)
-		if len(flows) == 0 {
-			return nil
-		}
-		return []mesh.Phase{{Flows: flows}}
+		return ringSteps(t, order, chunk, "rs", n-1)
 	})
 }
 
@@ -123,40 +101,14 @@ func P2P(t *mesh.Topology, src, dst mesh.DieID, bytes float64, payload string) [
 	})
 }
 
-// P2PChain lowers a pipeline of transfers src→…→dst along an ordered
-// die list (the inter-group chain transfers of Fig. 11's TATP
-// example): each consecutive pair exchanges bytes in one phase.
-func P2PChain(t *mesh.Topology, order []mesh.DieID, bytes float64, payload string) []mesh.Phase {
-	if len(order) < 2 || bytes <= 0 {
-		return nil
-	}
-	return lower(t, kindChain, payload, order, bytes, func(bytes float64) []mesh.Phase {
-		var ph mesh.Phase
-		for i := 0; i+1 < len(order); i++ {
-			route := t.Route(order[i], order[i+1])
-			if route == nil {
-				continue
-			}
-			ph.Flows = append(ph.Flows, mesh.Flow{
-				Src:     order[i],
-				Dst:     order[i+1],
-				Bytes:   bytes,
-				Route:   route,
-				Payload: fmt.Sprintf("%s.hop%d", payload, i),
-			})
-		}
-		if len(ph.Flows) == 0 {
-			return nil
-		}
-		return []mesh.Phase{ph}
-	})
-}
-
 // Merge combines the flows of several concurrently executing phase
 // sequences into a single phase sequence, aligning step k of every
 // sequence into one shared phase. This is how hybrid parallelism's
 // overlapping collectives (e.g. FSDP all-gather + TATP P2P, Fig. 11)
-// are exposed to the contention model and the TCME optimizer.
+// are exposed to the contention model and the TCME optimizer. Every
+// flow's payload gains the prefix "s<i>." of its sequence. When every
+// sequence's step k equals its step k-1 (ring collectives repeat one
+// step), merged step k is merged step k-1 and shares its flows.
 func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 	maxLen := 0
 	for _, s := range seqs {
@@ -166,6 +118,10 @@ func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 	}
 	out := make([]mesh.Phase, maxLen)
 	for k := 0; k < maxLen; k++ {
+		if k > 0 && repeatsStep(seqs, k) {
+			out[k] = out[k-1]
+			continue
+		}
 		for si, s := range seqs {
 			if k < len(s) {
 				for _, f := range s[k].Flows {
@@ -176,4 +132,24 @@ func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 		}
 	}
 	return out
+}
+
+// repeatsStep reports whether every sequence's step k equals its step
+// k-1. It compares content: on a frozen topology a lowering is
+// materialized from its template into fresh flows per step, so equal
+// steps do not share pointers. A sequence that has ended contributes an
+// empty step.
+func repeatsStep(seqs [][]mesh.Phase, k int) bool {
+	step := func(s []mesh.Phase, k int) mesh.Phase {
+		if k < len(s) {
+			return s[k]
+		}
+		return mesh.Phase{}
+	}
+	for _, s := range seqs {
+		if !step(s, k).Equal(step(s, k-1)) {
+			return false
+		}
+	}
+	return true
 }

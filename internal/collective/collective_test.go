@@ -132,12 +132,11 @@ func TestDegenerateCollectives(t *testing.T) {
 	}
 }
 
+// TestBroadcastUsesTree: a one-to-many transfer lowered as a single
+// multicast-tree phase charges every link one payload.
 func TestBroadcastUsesTree(t *testing.T) {
 	tp := topo(2, 4)
-	phases := Broadcast(tp, 0, []mesh.DieID{1, 2, 3, 5}, 16*unit.MB, "w")
-	if len(phases) != 1 {
-		t.Fatalf("broadcast phases = %d", len(phases))
-	}
+	phases := []mesh.Phase{{Flows: mesh.MulticastTree(tp, 0, []mesh.DieID{1, 2, 3, 5}, 16*unit.MB, "w")}}
 	if err := tp.ValidatePhase(phases[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,9 @@ func TestBroadcastUsesTree(t *testing.T) {
 	}
 }
 
-func TestP2PAndChain(t *testing.T) {
+// TestP2PRouteIsMinimal: a point-to-point transfer is one flow on a
+// shortest route.
+func TestP2PRouteIsMinimal(t *testing.T) {
 	tp := topo(2, 4)
 	p := P2P(tp, 0, 7, 4*unit.MB, "x")
 	if len(p) != 1 || len(p[0].Flows) != 1 {
@@ -160,10 +161,6 @@ func TestP2PAndChain(t *testing.T) {
 	}
 	if p[0].Flows[0].Route.Hops() != tp.HopDistance(0, 7) {
 		t.Error("P2P route not minimal")
-	}
-	chain := P2PChain(tp, []mesh.DieID{0, 1, 2, 3}, 4*unit.MB, "c")
-	if len(chain) != 1 || len(chain[0].Flows) != 3 {
-		t.Fatalf("chain = %+v", chain)
 	}
 }
 
@@ -196,10 +193,18 @@ func TestAllReduceTimeScalesInverseWithRing(t *testing.T) {
 	}
 }
 
+// TestMergeAlignsPhases merges a ring all-gather with a one-phase
+// chain of transfers: step k of every sequence lands in merged phase
+// k, every payload carries its sequence's prefix, and a merged step
+// repeats the previous one exactly when every sequence's steps do.
 func TestMergeAlignsPhases(t *testing.T) {
 	tp := topo(2, 4)
 	a := RingAllGather(tp, []mesh.DieID{0, 1, 2, 3}, unit.MB)
-	b := P2PChain(tp, []mesh.DieID{4, 5, 6, 7}, unit.MB, "p")
+	var chain mesh.Phase
+	for i := mesh.DieID(4); i < 7; i++ {
+		chain.Flows = append(chain.Flows, mesh.Flow{Src: i, Dst: i + 1, Bytes: unit.MB, Route: tp.Route(i, i+1), Payload: "p"})
+	}
+	b := []mesh.Phase{chain}
 	merged := Merge(a, b)
 	if len(merged) != len(a) {
 		t.Fatalf("merged length = %d, want %d", len(merged), len(a))
@@ -210,6 +215,23 @@ func TestMergeAlignsPhases(t *testing.T) {
 	for _, f := range merged[0].Flows {
 		if !strings.HasPrefix(f.Payload, "s0.") && !strings.HasPrefix(f.Payload, "s1.") {
 			t.Errorf("merged payload %q missing sequence prefix", f.Payload)
+		}
+	}
+	// The chain ends after step 0, so step 1 carries the ring's flows
+	// alone; from step 2 on every sequence repeats its previous step.
+	if len(merged[1].Flows) != len(a[1].Flows) {
+		t.Errorf("merged phase 1 flows = %d, want the ring's %d", len(merged[1].Flows), len(a[1].Flows))
+	}
+	if !merged[2].Equal(merged[1]) {
+		t.Errorf("merged phase 2 %+v differs from phase 1 %+v", merged[2], merged[1])
+	}
+	// Two rings repeat from step 1: each repeated step equals what
+	// merging that step alone produces.
+	c := RingAllGather(tp, []mesh.DieID{4, 5, 6, 7}, unit.MB)
+	merged = Merge(a, c)
+	for k := range merged {
+		if want := Merge(a[k:k+1], c[k:k+1])[0]; !merged[k].Equal(want) {
+			t.Errorf("merged phase %d %+v, want %+v", k, merged[k], want)
 		}
 	}
 }

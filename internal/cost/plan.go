@@ -43,12 +43,22 @@ type planKey struct {
 // and the counts survive; the optimized flows are dropped. When no
 // phase moved (most plans on contention-free rings), the optimized
 // phases are the template's own and the plan keeps no profile.
+//
+// tcme.Optimize is a pure function of the topology, the phase and the
+// options, so a phase equal to the one before it (the repeated steps
+// of a ring collective) takes the previous phase's result: each run of
+// equal phases is optimized once.
 func newRoutePlan(t *mesh.Topology, tmpl *mesh.PhaseTemplate, opts tcme.Options) *routePlan {
 	phases := tmpl.Materialize(1)
 	p := &routePlan{steps: make([]planStep, len(phases))}
 	moved := false
+	var prev mesh.Phase
+	var r tcme.Result
 	for i, ph := range phases {
-		r := tcme.Optimize(t, ph, opts)
+		if i == 0 || !ph.Equal(prev) {
+			r = tcme.Optimize(t, ph, opts)
+		}
+		prev = ph
 		phases[i] = r.Phase
 		moved = moved || r.MergedFlows+r.ReroutedFlows > 0
 		p.steps[i] = planStep{

@@ -197,6 +197,38 @@ func TestRoutePlansMatchMaterialized(t *testing.T) {
 	po.grid()
 }
 
+// TestRoutePlanOptimizesEachDistinctPhase pins newRoutePlan's reuse of
+// a repeated phase's result on a template whose consecutive phases have
+// equal flow counts but different routes and optimize differently: two
+// flows colliding on one link (rerouted apart) and two disjoint ones.
+// The plan's steps and profile must equal optimizing every phase.
+func TestRoutePlanOptimizesEachDistinctPhase(t *testing.T) {
+	tp := mesh.Shared(2, 4, hw.TableID2D())
+	flow := func(src, dst mesh.DieID, payload string) mesh.Flow {
+		return mesh.Flow{Src: src, Dst: dst, Route: tp.Route(src, dst), Payload: payload}
+	}
+	collide := mesh.Phase{Flows: []mesh.Flow{flow(0, 2, "a"), flow(1, 3, "b")}}
+	apart := mesh.Phase{Flows: []mesh.Flow{flow(0, 1, "a"), flow(2, 3, "b")}}
+	tmpl := mesh.NewPhaseTemplate([]mesh.Phase{collide, collide, apart, apart, collide})
+	plan := newRoutePlan(tp, tmpl, tcme.Options{})
+	var opt []mesh.Phase
+	for i, ph := range tmpl.Materialize(1) {
+		r := tcme.Optimize(tp, ph, tcme.Options{})
+		opt = append(opt, r.Phase)
+		want := planStep{iters: int32(r.Iterations), merged: int32(r.MergedFlows), rerouted: int32(r.ReroutedFlows),
+			initMax: int32(r.InitialMaxLoad), finalMax: int32(r.FinalMaxLoad)}
+		if plan.steps[i] != want {
+			t.Errorf("phase %d: plan step %+v, optimized %+v", i, plan.steps[i], want)
+		}
+	}
+	if plan.steps[0] == plan.steps[2] {
+		t.Fatal("the two phases optimize alike; the fixture checks nothing")
+	}
+	if want := tp.CompileProfile(opt); plan.prof == nil || !reflect.DeepEqual(*plan.prof, *want) {
+		t.Errorf("plan profile %+v, optimized phases %+v", plan.prof, want)
+	}
+}
+
 // TestRoutePlansMatchMaterializedOnLinkVariant runs the healthy-mesh
 // oracle a second time under another link spec of the same grid (half
 // the bandwidth, twice the latency), after the first spec has priced
@@ -222,6 +254,131 @@ func TestRoutePlansMatchMaterializedOnLinkVariant(t *testing.T) {
 	if after := collective.CacheStats().Templates; after != before {
 		t.Errorf("the link variant compiled %d lowering templates; want 0", after-before)
 	}
+}
+
+// stepTaggedRing is the ring lowering whose payloads named the step,
+// kept as the reference for TestRingPayloadsOptimizeLikeStepTagged:
+// every step is routed and formatted apart, all-reduce steps tagged
+// "ar.rs<k>" then "ar.ag<k>", all-gather steps "ag<k>" and
+// reduce-scatter steps "rs<k>", each flow "<tag>.pos<i>". bytes is
+// lowerRingKind's.
+func stepTaggedRing(t *mesh.Topology, kind byte, order []mesh.DieID, bytes float64) []mesh.Phase {
+	n := len(order)
+	step := func(chunk float64, tag string, k int) mesh.Phase {
+		var ph mesh.Phase
+		for i := 0; i < n; i++ {
+			src, dst := order[i], order[(i+1)%n]
+			if route := t.Route(src, dst); route != nil {
+				ph.Flows = append(ph.Flows, mesh.Flow{Src: src, Dst: dst, Bytes: chunk, Route: route,
+					Payload: fmt.Sprintf("%s%d.pos%d", tag, k, i)})
+			}
+		}
+		return ph
+	}
+	var phases []mesh.Phase
+	for k := 0; k < n-1; k++ {
+		switch kind {
+		case collAllReduce, collReduceScatter:
+			tag := "rs"
+			if kind == collAllReduce {
+				tag = "ar.rs"
+			}
+			phases = append(phases, step(bytes/float64(n), tag, k))
+		case collAllGather:
+			phases = append(phases, step(bytes, "ag", k))
+		}
+	}
+	if kind == collAllReduce {
+		for k := 0; k < n-1; k++ {
+			phases = append(phases, step(bytes/float64(n), "ar.ag", k))
+		}
+	}
+	return phases
+}
+
+// TestRingPayloadsOptimizeLikeStepTagged pins the ring payloads that
+// name the datum, not the step, against stepTaggedRing. Merge tags
+// every step's flows with their sequence, so within a merged phase the
+// step token was the same on all of a sequence's flows: the optimizer's
+// merge groups and reversal groups must come out the same. For every
+// TEMP state on wsc-4x8 (both placement families), on the healthy mesh
+// and on an interned mesh with one dead die and one dead link (unequal
+// survivor groups), and for every strategy's orders and ring kind, the
+// merged lowerings are optimized phase by phase both ways, at unit
+// chunks and at one activation size per zoo model. Flows must agree in
+// Src, Dst, Bytes and Route, and tcme.Results in counts and max loads.
+// -short checks two models and every fifth configuration.
+func TestRingPayloadsOptimizeLikeStepTagged(t *testing.T) {
+	w := hw.EvaluationWafer()
+	c := mesh.FromWafer(w).Clone()
+	c.SetDieAlive(9, false)
+	c.SetLinkAlive(mesh.Link{From: 1, To: 2}, false)
+	models, stride := model.Zoo(), 1
+	if testing.Short() {
+		models, stride = models[:2], 5
+	}
+	space := parallel.EnumerateConfigs(w.Dies(), true, 0)
+	checked := 0
+	for _, topo := range []*mesh.Topology{mesh.FromWafer(w), c.Intern()} {
+		for i := 0; i < len(space); i += stride {
+			cfg := space[i].Normalize()
+			for _, linear := range []bool{false, true} {
+				st, err := stateFor(topo, cfg, linear, true)
+				if err != nil {
+					continue
+				}
+				for s, orders := range st.orders {
+					if len(orders) == 0 {
+						continue
+					}
+					sizes := map[float64]bool{float64(len(orders[0])): true}
+					for _, m := range models {
+						sizes[float64(m.Seq*m.Hidden)*unit.FP16.Size()/float64(cfg.Degree())] = true
+					}
+					for _, kind := range []byte{collAllReduce, collAllGather, collReduceScatter} {
+						for bytes := range sizes {
+							var ref, got [][]mesh.Phase
+							for _, order := range orders {
+								ref = append(ref, stepTaggedRing(topo, kind, order, bytes))
+								got = append(got, lowerRingKind(topo, kind, order, bytes))
+							}
+							name := fmt.Sprintf("%s/linear=%v/strategy %d/kind %c/bytes %v", cfg, linear, s, kind, bytes)
+							checked += compareOptimized(t, name, topo, collective.Merge(ref...), collective.Merge(got...))
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d phases", checked)
+}
+
+// compareOptimized optimizes every phase of want and got and reports
+// flows that differ in Src, Dst, Bytes or Route, and results that
+// differ in counts or max loads. It returns the phases compared.
+func compareOptimized(t *testing.T, name string, topo *mesh.Topology, want, got []mesh.Phase) int {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d phases, step-tagged %d", name, len(got), len(want))
+	}
+	for k := range want {
+		wr, gr := tcme.Optimize(topo, want[k], tcme.Options{}), tcme.Optimize(topo, got[k], tcme.Options{})
+		wp, gp := wr.Phase, gr.Phase
+		wr.Phase, gr.Phase = mesh.Phase{}, mesh.Phase{}
+		if !reflect.DeepEqual(gr, wr) {
+			t.Fatalf("%s phase %d: %v, step-tagged %v", name, k, gr, wr)
+		}
+		if len(gp.Flows) != len(wp.Flows) {
+			t.Fatalf("%s phase %d: %d optimized flows, step-tagged %d", name, k, len(gp.Flows), len(wp.Flows))
+		}
+		for i, f := range gp.Flows {
+			g := wp.Flows[i]
+			if f.Src != g.Src || f.Dst != g.Dst || f.Bytes != g.Bytes || !reflect.DeepEqual(f.Route, g.Route) {
+				t.Fatalf("%s phase %d flow %d: %+v, step-tagged %+v", name, k, i, f, g)
+			}
+		}
+	}
+	return len(want)
 }
 
 // materializedIntra is OperatorReplay.Intra's reference on st: the

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"temp/internal/baselines"
 	"temp/internal/cost"
 	"temp/internal/hw"
 	"temp/internal/mesh"
@@ -186,6 +187,72 @@ func TestCoreCapacitySlowsCompute(t *testing.T) {
 			t.Errorf("Repair accepted capacity %v", c)
 		}
 	}
+}
+
+// TestDeadLinkNeverSpeedsUpBaselines is a metamorphic check of
+// degraded pricing: killing a link never makes a fixed mapping faster.
+// For every zoo model and each of the six baseline systems, the
+// system's best wsc-4x8 configuration is priced with
+// cost.EvaluateOnWith on the healthy mesh and on each of the 52 meshes
+// that lose one link bundle, and no faulted step may be faster. Pairs
+// with no feasible configuration are skipped. TEMP is excluded: its
+// TCME plans are not monotone in faults (ROADMAP item 4 lists 140
+// single-dead-link meshes that price faster than healthy). -short
+// checks two models.
+func TestDeadLinkNeverSpeedsUpBaselines(t *testing.T) {
+	w := hw.EvaluationWafer()
+	healthy := mesh.FromWafer(w)
+	type deadLink struct {
+		link mesh.Link
+		topo *mesh.Topology
+	}
+	var meshes []deadLink
+	for id := 0; id < healthy.NumLinks(); id++ {
+		if l := healthy.LinkByID(id); l.From < l.To {
+			c := healthy.Clone()
+			c.SetLinkAlive(l, false)
+			meshes = append(meshes, deadLink{l, c.Intern()})
+		}
+	}
+	if len(meshes) != 52 {
+		t.Fatalf("%d link bundles on wsc-4x8, want 52", len(meshes))
+	}
+	models := model.Zoo()
+	if testing.Short() {
+		models = models[:2]
+	}
+	pairs, slower := 0, 0
+	for _, m := range models {
+		for _, sys := range baselines.Six() {
+			best, err := baselines.Best(sys, m, w)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Name, sys.Name, err)
+			}
+			if !best.Feasible {
+				continue
+			}
+			pairs++
+			base, err := cost.EvaluateOnWith(sys.Backend, m, w, best.Config, sys.Opts, healthy, 1)
+			if err != nil {
+				t.Fatalf("%s/%s %s healthy: %v", m.Name, sys.Name, best.Config, err)
+			}
+			for _, d := range meshes {
+				b, err := cost.EvaluateOnWith(sys.Backend, m, w, best.Config, sys.Opts, d.topo, 1)
+				if err != nil {
+					t.Errorf("%s/%s %s without link %v: %v", m.Name, sys.Name, best.Config, d.link, err)
+				} else if b.StepTime < base.StepTime {
+					t.Errorf("%s/%s %s without link %v: step %v, faster than healthy %v",
+						m.Name, sys.Name, best.Config, d.link, b.StepTime, base.StepTime)
+				} else if b.StepTime > base.StepTime {
+					slower++
+				}
+			}
+		}
+	}
+	if slower == 0 {
+		t.Fatal("no dead link slowed any mapping")
+	}
+	t.Logf("%d model/system pairs, %d slower dead-link prices", pairs, slower)
 }
 
 func TestDisconnectedIsNonFunctional(t *testing.T) {

@@ -25,17 +25,24 @@ func faultedMesh(t *testing.T) *mesh.Topology {
 	return tp
 }
 
-// faultedLowerings lowers collectives and stream schedules onto tp.
-// Every flow of one lowering carries the same bytes, so each lowering
-// also compiles to a template.
+// faultedLowerings lowers collectives and stream schedules onto tp,
+// plus a multicast tree and a chain of routed transfers. Every flow of
+// one lowering carries the same bytes, so each lowering also compiles
+// to a template.
 func faultedLowerings(tp *mesh.Topology) map[string][]mesh.Phase {
 	block := mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 3}
 	ring, _ := block.RingPath(tp)
 	scattered := []mesh.DieID{0, 2, 13, 19}
+	var chain mesh.Phase
+	hops := []mesh.DieID{0, 3, 8, 11}
+	for i := 0; i+1 < len(hops); i++ {
+		chain.Flows = append(chain.Flows, mesh.Flow{Src: hops[i], Dst: hops[i+1], Bytes: 2 * unit.MB,
+			Route: tp.Route(hops[i], hops[i+1]), Payload: "c"})
+	}
 	return map[string][]mesh.Phase{
 		"allreduce": collective.RingAllReduce(tp, ring, 8*unit.MB),
-		"broadcast": collective.Broadcast(tp, 0, []mesh.DieID{2, 3, 10, 11}, 4*unit.MB, "w"),
-		"chain":     collective.P2PChain(tp, []mesh.DieID{0, 3, 8, 11}, 2*unit.MB, "c"),
+		"broadcast": {{Flows: mesh.MulticastTree(tp, 0, []mesh.DieID{2, 3, 10, 11}, 4*unit.MB, "w")}},
+		"chain":     {chain},
 		"stream":    stream.Orchestrate(tp, block.DiesOn(tp), &block).Phases(3 * unit.MB),
 		"fallback":  stream.Orchestrate(tp, scattered, nil).Phases(unit.MB),
 	}

@@ -30,6 +30,29 @@ type Phase struct {
 	Flows []Flow
 }
 
+// Equal reports whether p and q carry the same flows in the same
+// order: equal Src, Dst, Bytes and Payload, and routes equal hop for
+// hop. Lowerings and the TCME optimizer read nothing else of a phase,
+// so equal phases lower and optimize alike.
+func (p Phase) Equal(q Phase) bool {
+	if len(p.Flows) != len(q.Flows) {
+		return false
+	}
+	for i := range p.Flows {
+		a, b := &p.Flows[i], &q.Flows[i]
+		if a.Src != b.Src || a.Dst != b.Dst || a.Bytes != b.Bytes || a.Payload != b.Payload ||
+			len(a.Route) != len(b.Route) {
+			return false
+		}
+		for j := range a.Route {
+			if a.Route[j] != b.Route[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // LinkLoads accumulates the byte load each alive link carries.
 type LinkLoads map[Link]float64
 

@@ -81,6 +81,33 @@ func TestPhaseLoads(t *testing.T) {
 	}
 }
 
+// TestPhaseEqual: phases are equal when every flow matches in Src,
+// Dst, Bytes, Payload and route hop for hop, whatever backs the slices.
+func TestPhaseEqual(t *testing.T) {
+	tp := grid(2, 4)
+	base := Phase{Flows: []Flow{flowBetween(tp, 0, 5, 1, "a"), flowBetween(tp, 2, 3, 1, "b")}}
+	same := Phase{Flows: []Flow{flowBetween(tp, 0, 5, 1, "a"), flowBetween(tp, 2, 3, 1, "b")}}
+	if !base.Equal(same) || !(Phase{}).Equal(Phase{Flows: []Flow{}}) {
+		t.Error("equal phases compare unequal")
+	}
+	for name, edit := range map[string]func(f *Flow){
+		"src":     func(f *Flow) { f.Src = 1 },
+		"dst":     func(f *Flow) { f.Dst = 4 },
+		"bytes":   func(f *Flow) { f.Bytes = 2 },
+		"payload": func(f *Flow) { f.Payload = "c" },
+		"route":   func(f *Flow) { f.Route = tp.RouteYX(0, 5) },
+	} {
+		other := Phase{Flows: append([]Flow(nil), base.Flows...)}
+		edit(&other.Flows[0])
+		if base.Equal(other) {
+			t.Errorf("phases differing in %s compare equal", name)
+		}
+	}
+	if base.Equal(Phase{Flows: base.Flows[:1]}) {
+		t.Error("phases of different flow counts compare equal")
+	}
+}
+
 func TestSeqTimeAccumulates(t *testing.T) {
 	tp := grid(1, 4)
 	p1 := Phase{Flows: []Flow{flowBetween(tp, 0, 1, 10*unit.MB, "a")}}

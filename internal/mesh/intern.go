@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"temp/internal/hw"
 )
@@ -23,8 +24,8 @@ import (
 //
 // Faulted topologies are not tabled: a fault study draws a fresh mask
 // per trial with no cross-trial reuse, so Intern freezes a faulted
-// topology in place, it owns its caches, and they live exactly as
-// long as its holder keeps it.
+// topology in place, it owns its caches (its Route memo among them),
+// and they live exactly as long as its holder keeps it.
 
 // internKey identifies one healthy topology. hw.D2D is a flat struct
 // of floats, so the key is comparable.
@@ -80,6 +81,7 @@ func (t *Topology) Intern() *Topology {
 	if t.healthy() {
 		return Shared(t.rows, t.cols, t.link)
 	}
+	t.routes = make([]atomic.Pointer[routeRow], len(t.dieAlive))
 	t.frozen = true
 	return t
 }
@@ -91,7 +93,7 @@ func (t *Topology) Frozen() bool { return t.frozen }
 
 // Clone returns a mutable deep copy of the topology's fault state.
 // The immutable link index is shared with the receiver; the clone owns
-// its own derived caches.
+// its own derived caches and starts with no Route memo.
 func (t *Topology) Clone() *Topology {
 	c := &Topology{
 		rows:      t.rows,

@@ -87,7 +87,16 @@ type Topology struct {
 	// state), keeping the per-candidate pricing path allocation-free.
 	// Clone leaves it unset, so mutable copies always recompute.
 	aliveDies atomic.Pointer[[]DieID]
+	// routes memoizes Route on a frozen faulted topology: routes[src]
+	// is src's row, allocated on its first route, and entry dst of the
+	// row holds the route src→dst once computed. Intern allocates the
+	// row pointers; healthy, mutable and cloned topologies have none.
+	routes []atomic.Pointer[routeRow]
 }
+
+// routeRow holds one source's memoized routes, indexed by destination.
+// An entry points at a nil Path when the destination is unreachable.
+type routeRow []atomic.Pointer[Path]
 
 // New builds a healthy rows×cols mesh with the given link parameters.
 func New(rows, cols int, link hw.D2D) *Topology {
@@ -520,12 +529,42 @@ func (t *Topology) RouteWeighted(src, dst DieID, weight func(Link) float64) Path
 	return p
 }
 
-// Route returns the fault-aware shortest path (unit weights).
+// Route returns the fault-aware shortest path (unit weights): the XY
+// route on a healthy mesh, RouteWeighted's on a faulted one. A frozen
+// faulted topology routes each (src, dst) once and returns the same
+// slice to every later caller, so flows, templates and route plans
+// share it: callers must treat the returned path as read-only.
+//
+// The memo is lock-free. Frozen faulted meshes are priced concurrently
+// (a repair's solver workers share one), so concurrent first requests
+// may both route, and one result is kept. Mutable topologies call
+// through: their fault state can still change.
 func (t *Topology) Route(src, dst DieID) Path {
 	if t.healthy() {
 		return t.RouteXY(src, dst)
 	}
-	return t.RouteWeighted(src, dst, nil)
+	if t.routes == nil || !t.DieAlive(src) || !t.DieAlive(dst) {
+		return t.RouteWeighted(src, dst, nil)
+	}
+	slot := &t.routes[src]
+	row := slot.Load()
+	if row == nil {
+		fresh := make(routeRow, len(t.dieAlive))
+		if slot.CompareAndSwap(nil, &fresh) {
+			row = &fresh
+		} else {
+			row = slot.Load()
+		}
+	}
+	e := &(*row)[dst]
+	if p := e.Load(); p != nil {
+		return *p
+	}
+	p := t.RouteWeighted(src, dst, nil)
+	if e.CompareAndSwap(nil, &p) {
+		return p
+	}
+	return *e.Load()
 }
 
 func (t *Topology) healthy() bool { return t.deadDies == 0 && t.deadLinks == 0 }

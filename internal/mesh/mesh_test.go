@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +159,107 @@ func TestRouteUnreachable(t *testing.T) {
 	tp.SetLinkAlive(Link{0, 1}, false)
 	if p := tp.Route(0, 2); p != nil {
 		t.Fatalf("expected nil route, got %v", p)
+	}
+}
+
+// TestRouteMemoMatchesDijkstra pins the Route memo of frozen faulted
+// topologies. On seeded masks of 4×8 and 6×8 meshes (dead links, a
+// dead die, and a mask that cuts the mesh in two), every (src, dst)
+// routes exactly as a mutable clone's RouteWeighted, nil where an end
+// is dead or unreachable; a repeat call returns the same slice; 8
+// goroutines routing a fresh frozen mask concurrently agree; and a
+// clone of the frozen topology starts with no memo.
+func TestRouteMemoMatchesDijkstra(t *testing.T) {
+	masks := func(rows, cols int, seed int64) []*Topology {
+		rng := rand.New(rand.NewSource(seed))
+		links := Shared(rows, cols, hw.TableID2D()).Clone()
+		for id := 0; id < links.NumLinks(); id++ {
+			if l := links.LinkByID(id); l.From < l.To && rng.Float64() < 0.15 {
+				links.SetLinkAlive(l, false)
+			}
+		}
+		die := links.Clone()
+		die.SetDieAlive(DieID(rng.Intn(rows*cols)), false)
+		cut := Shared(rows, cols, hw.TableID2D()).Clone()
+		for r := 0; r < rows; r++ {
+			cut.SetLinkAlive(Link{cut.ID(Coord{r, cols/2 - 1}), cut.ID(Coord{r, cols / 2})}, false)
+		}
+		return []*Topology{links, die, cut}
+	}
+	same := func(a, b Path) bool {
+		if len(a) != len(b) || (a == nil) != (b == nil) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, g := range []struct {
+		rows, cols int
+		seed       int64
+	}{{4, 8, 1}, {6, 8, 2}} {
+		for mi, mutable := range masks(g.rows, g.cols, g.seed) {
+			name := fmt.Sprintf("%dx%d mask %d", g.rows, g.cols, mi)
+			frozen := mutable.Clone().Intern()
+			if frozen.routes == nil {
+				t.Fatalf("%s: interned faulted topology has no route memo", name)
+			}
+			if c := frozen.Clone(); c.routes != nil {
+				t.Errorf("%s: clone of a frozen topology carries a route memo", name)
+			}
+			nils := 0
+			for src := DieID(0); int(src) < frozen.Dies(); src++ {
+				for dst := DieID(0); int(dst) < frozen.Dies(); dst++ {
+					want := mutable.RouteWeighted(src, dst, nil)
+					got := frozen.Route(src, dst)
+					if !same(got, want) {
+						t.Fatalf("%s: Route(%d, %d) = %v, RouteWeighted = %v", name, src, dst, got, want)
+					}
+					if got == nil {
+						nils++
+						continue
+					}
+					if again := frozen.Route(src, dst); &again[0] != &got[0] {
+						t.Fatalf("%s: repeat Route(%d, %d) returned a new slice", name, src, dst)
+					}
+				}
+			}
+			if mi > 0 && nils == 0 {
+				t.Errorf("%s: no pair was unroutable", name)
+			}
+
+			shared := mutable.Clone().Intern()
+			const workers = 8
+			got := make([][]Path, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					n := shared.Dies()
+					got[w] = make([]Path, n*n)
+					// Each worker starts at another pair, so first
+					// requests collide across the table.
+					for k := 0; k < n*n; k++ {
+						i := (k + w*n*n/workers) % (n * n)
+						got[w][i] = shared.Route(DieID(i/n), DieID(i%n))
+					}
+				}(w)
+			}
+			wg.Wait()
+			n := shared.Dies()
+			for i := 0; i < n*n; i++ {
+				want := shared.Route(DieID(i/n), DieID(i%n))
+				for w := 0; w < workers; w++ {
+					if !same(got[w][i], want) || (want != nil && &got[w][i][0] != &want[0]) {
+						t.Fatalf("%s: worker %d routed (%d, %d) as %v, memo holds %v", name, w, i/n, i%n, got[w][i], want)
+					}
+				}
+			}
+		}
 	}
 }
 

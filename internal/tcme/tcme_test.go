@@ -1,6 +1,7 @@
 package tcme
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,18 @@ func topo(r, c int) *mesh.Topology { return mesh.New(r, c, hw.TableID2D()) }
 
 func flow(t *mesh.Topology, src, dst mesh.DieID, bytes float64, payload string) mesh.Flow {
 	return mesh.Flow{Src: src, Dst: dst, Bytes: bytes, Route: t.RouteXY(src, dst), Payload: payload}
+}
+
+// chain is one phase of routed transfers along order, each consecutive
+// pair exchanging bytes and tagged "<payload>.hop<i>": the inter-group
+// chain transfers of Fig. 11's TATP example.
+func chain(t *mesh.Topology, order []mesh.DieID, bytes float64, payload string) []mesh.Phase {
+	var ph mesh.Phase
+	for i := 0; i+1 < len(order); i++ {
+		ph.Flows = append(ph.Flows, mesh.Flow{Src: order[i], Dst: order[i+1], Bytes: bytes,
+			Route: t.Route(order[i], order[i+1]), Payload: fmt.Sprintf("%s.hop%d", payload, i)})
+	}
+	return []mesh.Phase{ph}
 }
 
 // TestRerouteResolvesFig5Contention reproduces the Fig. 5(b) setup:
@@ -106,8 +119,8 @@ func TestOptimizeNeverWorsens(t *testing.T) {
 	// A busy mixed phase: FSDP-style gathers + chained P2P.
 	seqs := collective.Merge(
 		collective.RingAllGather(tp, []mesh.DieID{0, 1, 5, 4}, 16*unit.MB),
-		collective.P2PChain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB, "tatp"),
-		collective.P2PChain(tp, []mesh.DieID{3, 1, 9, 11}, 16*unit.MB, "tatp2"),
+		chain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB, "tatp"),
+		chain(tp, []mesh.DieID{3, 1, 9, 11}, 16*unit.MB, "tatp2"),
 	)
 	for _, ph := range seqs {
 		res := Optimize(tp, ph, Options{})
@@ -144,7 +157,7 @@ func TestFig11Scenario(t *testing.T) {
 		seqs = append(seqs, collective.RingAllGather(tp, g, bytes))
 	}
 	for i, c := range tatpChains {
-		seqs = append(seqs, collective.P2PChain(tp, c, bytes, "tatp"+string(rune('a'+i))))
+		seqs = append(seqs, chain(tp, c, bytes, "tatp"+string(rune('a'+i))))
 	}
 	merged := collective.Merge(seqs...)
 	var before, after float64
@@ -161,10 +174,11 @@ func TestFig11Scenario(t *testing.T) {
 	}
 }
 
-// TestOptimizeOnFaultedMesh runs the optimizer on phases whose routes
-// are RouteWeighted detours around dead links: merges and reroutes must
-// stay on alive mesh links and never raise the bottleneck.
-func TestOptimizeOnFaultedMesh(t *testing.T) {
+// faultedPhases is a 4×4 mesh with three dead links and merged
+// collectives, a chain of transfers and a multicast tree on it, plus a
+// Fig. 5(b)-style collision and a replicated payload whose routes
+// detour around the dead 0↔1 link, so reroute and merge both fire.
+func faultedPhases() (*mesh.Topology, []mesh.Phase) {
 	c := mesh.Shared(4, 4, hw.TableID2D()).Clone()
 	for _, l := range []mesh.Link{{From: 0, To: 1}, {From: 5, To: 9}, {From: 10, To: 11}} {
 		c.SetLinkAlive(l, false)
@@ -173,17 +187,23 @@ func TestOptimizeOnFaultedMesh(t *testing.T) {
 	seqs := collective.Merge(
 		collective.RingAllGather(tp, []mesh.DieID{0, 1, 5, 4}, 16*unit.MB),
 		collective.RingAllReduce(tp, []mesh.DieID{8, 9, 10, 11, 15, 14, 13, 12}, 16*unit.MB),
-		collective.P2PChain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB, "tatp"),
-		collective.Broadcast(tp, 3, []mesh.DieID{1, 9, 11}, 16*unit.MB, "w"),
+		chain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB, "tatp"),
+		[]mesh.Phase{{Flows: mesh.MulticastTree(tp, 3, []mesh.DieID{1, 9, 11}, 16*unit.MB, "w")}},
 	)
-	// A Fig. 5(b)-style collision plus a replicated payload whose routes
-	// detour around the dead 0↔1 link, so reroute and merge both fire.
 	routed := func(src, dst mesh.DieID, payload string) mesh.Flow {
 		return mesh.Flow{Src: src, Dst: dst, Bytes: 16 * unit.MB, Route: tp.Route(src, dst), Payload: payload}
 	}
 	seqs = append(seqs, mesh.Phase{Flows: []mesh.Flow{
 		routed(12, 14, "a"), routed(13, 15, "b"), routed(1, 0, "rep"), routed(1, 4, "rep"),
 	}})
+	return tp, seqs
+}
+
+// TestOptimizeOnFaultedMesh runs the optimizer on phases whose routes
+// are RouteWeighted detours around dead links: merges and reroutes must
+// stay on alive mesh links and never raise the bottleneck.
+func TestOptimizeOnFaultedMesh(t *testing.T) {
+	tp, seqs := faultedPhases()
 	detours, merged, rerouted := 0, 0, 0
 	for i, ph := range seqs {
 		for _, f := range ph.Flows {
@@ -209,6 +229,38 @@ func TestOptimizeOnFaultedMesh(t *testing.T) {
 	if detours == 0 || merged == 0 || rerouted == 0 {
 		t.Fatalf("faulted scenario exercised %d detours, %d merges, %d reroutes; want all > 0",
 			detours, merged, rerouted)
+	}
+}
+
+// TestOptimizeLeavesInputRoutesIntact pins the contract that lets a
+// frozen faulted mesh share one memoized route among flows, templates
+// and route plans: the optimizer replaces a flow's route and never
+// writes into one. On faultedPhases, where merges and reroutes fire,
+// every input route must read the same hop for hop after Optimize.
+func TestOptimizeLeavesInputRoutesIntact(t *testing.T) {
+	tp, phases := faultedPhases()
+	var saved [][]mesh.Path
+	for _, ph := range phases {
+		var routes []mesh.Path
+		for _, f := range ph.Flows {
+			routes = append(routes, append(mesh.Path(nil), f.Route...))
+		}
+		saved = append(saved, routes)
+	}
+	moves := 0
+	for _, ph := range phases {
+		res := Optimize(tp, ph, Options{})
+		moves += res.MergedFlows + res.ReroutedFlows
+	}
+	if moves == 0 {
+		t.Fatal("no merge or reroute fired")
+	}
+	for i, ph := range phases {
+		for j, f := range ph.Flows {
+			if !samePath(f.Route, saved[i][j]) {
+				t.Errorf("phase %d flow %d: route %v after Optimize, %v before", i, j, f.Route, saved[i][j])
+			}
+		}
 	}
 }
 
