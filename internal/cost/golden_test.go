@@ -210,3 +210,141 @@ func TestAnalyticGolden(t *testing.T) {
 		})
 	}
 }
+
+// goldenTCME pins the five statistics of Breakdown.TCME.
+type goldenTCME struct {
+	InitialMaxLoad float64 `json:"initial_max_load"`
+	FinalMaxLoad   float64 `json:"final_max_load"`
+	Iterations     int     `json:"iterations"`
+	MergedFlows    int     `json:"merged_flows"`
+	ReroutedFlows  int     `json:"rerouted_flows"`
+}
+
+func toGoldenTCME(b cost.Breakdown) goldenTCME {
+	r := b.TCME
+	return goldenTCME{
+		InitialMaxLoad: r.InitialMaxLoad, FinalMaxLoad: r.FinalMaxLoad,
+		Iterations: r.Iterations, MergedFlows: r.MergedFlows, ReroutedFlows: r.ReroutedFlows,
+	}
+}
+
+// fsdpTATPCase is one price of an FSDP×TATP hybrid, where the
+// per-layer FSDP weight all-gather rides merged inside the TATP stream
+// phases (Fig. 11). An unplaceable configuration pins its error.
+type fsdpTATPCase struct {
+	Model     string          `json:"model"`
+	Config    string          `json:"config"`
+	Opts      string          `json:"opts"`
+	Tier      string          `json:"tier"`
+	Err       string          `json:"err,omitempty"`
+	Breakdown goldenBreakdown `json:"breakdown"`
+	TCME      goldenTCME      `json:"tcme"`
+}
+
+const fsdpTATPGoldenPath = "testdata/fsdp_tatp_golden.json"
+
+// fsdpTATPConfigs is Fig. 16's ablation ladder space on a 32-die
+// wafer: every configuration with TATP ≥ 2 and DP ≥ 2, FSDP set (as
+// sim.Ablation builds it).
+func fsdpTATPConfigs() []parallel.Config {
+	var cs []parallel.Config
+	for _, c := range parallel.EnumerateConfigs(32, true, 0) {
+		if c.TATP >= 2 && c.DP >= 2 {
+			c.FSDP = true
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// fsdpTATPOptions are the ladder's two priced rungs: SMap with TATP,
+// and the full TEMP engine.
+func fsdpTATPOptions() map[string]cost.Options {
+	return map[string]cost.Options{
+		"smap": {Engine: cost.SMap, Recompute: cost.RecomputeSelective, DistributedOptimizer: true},
+		"temp": cost.TEMPOptions(),
+	}
+}
+
+func priceFSDPTATP(m model.Config, cfg parallel.Config, opts, tier string) fsdpTATPCase {
+	c := fsdpTATPCase{Model: m.Name, Config: cfg.String(), Opts: opts, Tier: tier}
+	b, err := cost.EvaluateWith(tier, m, hw.EvaluationWafer(), cfg, fsdpTATPOptions()[opts])
+	if err != nil {
+		c.Err = err.Error()
+		return c
+	}
+	c.Breakdown, c.TCME = toGolden(b), toGoldenTCME(b)
+	return c
+}
+
+// TestFSDPTATPGolden pins the FSDP×TATP hybrid pricing path, which no
+// registered system's space reaches: every zoo model × the 32-die
+// ablation ladder configurations × both rungs' options × the analytic
+// and replay tiers must reproduce the captured breakdown and TCME
+// statistics bit-identically. -short checks the first two models.
+// Regenerate with UPDATE_COST_GOLDEN=1 go test ./internal/cost -run
+// TestFSDPTATPGolden only when an intentional cost-model change lands.
+func TestFSDPTATPGolden(t *testing.T) {
+	if os.Getenv("UPDATE_COST_GOLDEN") != "" {
+		var cases []fsdpTATPCase
+		for _, m := range model.Zoo() {
+			for _, cfg := range fsdpTATPConfigs() {
+				for _, opts := range []string{"smap", "temp"} {
+					for _, tier := range []string{"analytic", "replay"} {
+						cases = append(cases, priceFSDPTATP(m, cfg, opts, tier))
+					}
+				}
+			}
+		}
+		buf, err := json.MarshalIndent(cases, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fsdpTATPGoldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d cases to %s", len(cases), fsdpTATPGoldenPath)
+		return
+	}
+	buf, err := os.ReadFile(fsdpTATPGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []fsdpTATPCase
+	if err := json.Unmarshal(buf, &cases); err != nil {
+		t.Fatal(err)
+	}
+	if len(cases) == 0 {
+		t.Fatal("empty golden file")
+	}
+	models := map[string]model.Config{}
+	for i, m := range model.Zoo() {
+		if testing.Short() && i >= 2 {
+			break
+		}
+		models[m.Name] = m
+	}
+	cfgs := map[string]parallel.Config{}
+	for _, c := range fsdpTATPConfigs() {
+		cfgs[c.String()] = c
+	}
+	checked := 0
+	for _, want := range cases {
+		m, ok := models[want.Model]
+		if !ok {
+			continue
+		}
+		cfg, ok := cfgs[want.Config]
+		if !ok {
+			t.Fatalf("config %s left the ladder space", want.Config)
+		}
+		if got := priceFSDPTATP(m, cfg, want.Opts, want.Tier); got != want {
+			t.Errorf("%s %s %s/%s diverged from capture:\n got  %+v\n want %+v",
+				want.Model, want.Config, want.Opts, want.Tier, got, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no golden case checked")
+	}
+}
