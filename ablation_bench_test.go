@@ -44,12 +44,12 @@ func BenchmarkAblationOrchestration(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			topo, orch := tc.build()
-			var total float64
+			var pt mesh.PhaseTime
 			for i := 0; i < b.N; i++ {
-				total = topo.SeqTime(orch.Phases(sub)).Total()
+				pt = topo.SeqTime(orch.Phases(sub))
 			}
-			b.ReportMetric(total*1e6, "stream-us")
-			b.ReportMetric(float64(orch.MaxHopsPerRound()), "max-hops")
+			b.ReportMetric(pt.Total()*1e6, "stream-us")
+			b.ReportMetric(float64(pt.MaxHops), "max-hops")
 		})
 	}
 	// The naive logical ring on the same 1×16 chain, for contrast.

@@ -88,12 +88,10 @@ type output struct {
 	// batch size).
 	BatchCalls  int64 `json:"batch_calls"`
 	BatchedJobs int64 `json:"batched_jobs"`
-	// Lowering-cache counters (the memoized collective lowerings the
-	// hot path shares across candidates) ride along so BENCH_*.json
-	// tracks hot-path cache effectiveness across revisions.
-	LoweringTemplates int   `json:"lowering_templates,omitempty"`
-	LoweringHits      int64 `json:"lowering_hits,omitempty"`
-	LoweringMisses    int64 `json:"lowering_misses,omitempty"`
+	// LoweringTemplates counts the merged lowering templates the
+	// evaluation states compiled: one per state and collective or
+	// stream, shared by every candidate that prices on the state.
+	LoweringTemplates int `json:"lowering_templates,omitempty"`
 	// Distributed-run telemetry: the -distribute worker count and the
 	// fabric's per-worker throughput / steal counters. The engine
 	// cache counters above aggregate coordinator + workers.
@@ -133,12 +131,9 @@ func (o output) withEngineStats(s engine.Stats) output {
 	return o
 }
 
-// withLoweringStats stamps the collective lowering-cache counters.
+// withLoweringStats stamps the compiled lowering-template count.
 func (o output) withLoweringStats() output {
-	ls := collective.CacheStats()
-	o.LoweringTemplates = ls.Templates
-	o.LoweringHits = ls.Hits
-	o.LoweringMisses = ls.Misses
+	o.LoweringTemplates = collective.CacheStats().Templates
 	return o
 }
 

@@ -6,10 +6,16 @@
 // physically close, the wrap-around step is routed multi-hop across
 // the mesh, which is exactly the topology mismatch the paper's
 // baselines suffer from.
+//
+// The lowerings are plain functions of the topology's routing state:
+// nothing here memoizes one. The evaluation state that prices them
+// (cost) merges each group set's lowerings through Compile once and
+// keeps the template.
 package collective
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"temp/internal/mesh"
 )
@@ -49,56 +55,79 @@ func ringSteps(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, payload
 
 // RingAllReduce lowers a bandwidth-optimal ring all-reduce of bytes
 // per participant: a reduce-scatter pass followed by an all-gather
-// pass, 2(N-1) steps of bytes/N chunks.
+// pass, 2(N-1) steps of bytes/N chunks. Its phases share one step's
+// flows, and every lowering here shares the topology's routes: callers
+// read the result and never write into a returned flow.
 func RingAllReduce(t *mesh.Topology, order []mesh.DieID, bytes float64) []mesh.Phase {
 	n := len(order)
 	if n <= 1 || bytes <= 0 {
 		return nil
 	}
-	return lower(t, kindAllReduce, "", order, bytes/float64(n), func(chunk float64) []mesh.Phase {
-		return ringSteps(t, order, chunk, "ar", 2*(n-1))
-	})
+	return ringSteps(t, order, bytes/float64(n), "ar", 2*(n-1))
 }
 
 // RingAllGather lowers an all-gather where every participant
 // contributes shardBytes and ends holding all N shards: N-1 ring
-// steps of shardBytes each.
+// steps of shardBytes each. Its phases share flows (see
+// RingAllReduce).
 func RingAllGather(t *mesh.Topology, order []mesh.DieID, shardBytes float64) []mesh.Phase {
 	n := len(order)
 	if n <= 1 || shardBytes <= 0 {
 		return nil
 	}
-	return lower(t, kindAllGather, "", order, shardBytes, func(shard float64) []mesh.Phase {
-		return ringSteps(t, order, shard, "ag", n-1)
-	})
+	return ringSteps(t, order, shardBytes, "ag", n-1)
 }
 
 // RingReduceScatter lowers a reduce-scatter of bytes per participant
-// into N-1 ring steps of bytes/N chunks.
+// into N-1 ring steps of bytes/N chunks. Its phases share flows (see
+// RingAllReduce).
 func RingReduceScatter(t *mesh.Topology, order []mesh.DieID, bytes float64) []mesh.Phase {
 	n := len(order)
 	if n <= 1 || bytes <= 0 {
 		return nil
 	}
-	return lower(t, kindReduceScatter, "", order, bytes/float64(n), func(chunk float64) []mesh.Phase {
-		return ringSteps(t, order, chunk, "rs", n-1)
-	})
+	return ringSteps(t, order, bytes/float64(n), "rs", n-1)
 }
 
-// P2P lowers a single point-to-point transfer.
+// P2P lowers a single point-to-point transfer. Its route is the
+// topology's (see RingAllReduce).
 func P2P(t *mesh.Topology, src, dst mesh.DieID, bytes float64, payload string) []mesh.Phase {
 	if bytes <= 0 || src == dst {
 		return nil
 	}
-	return lower(t, kindP2P, payload, []mesh.DieID{src, dst}, bytes, func(bytes float64) []mesh.Phase {
-		route := t.Route(src, dst)
-		if route == nil {
-			return nil
-		}
-		return []mesh.Phase{{
-			Flows: []mesh.Flow{{Src: src, Dst: dst, Bytes: bytes, Route: route, Payload: payload}},
-		}}
-	})
+	route := t.Route(src, dst)
+	if route == nil {
+		return nil
+	}
+	return []mesh.Phase{{
+		Flows: []mesh.Flow{{Src: src, Dst: dst, Bytes: bytes, Route: route, Payload: payload}},
+	}}
+}
+
+// compiled counts Compile calls over the process lifetime.
+var compiled atomic.Int64
+
+// Compile merges concurrently executing lowerings (Merge) into one
+// byte-invariant template. It is the only place a lowering becomes a
+// template; the caller keeps it.
+func Compile(seqs ...[]mesh.Phase) *mesh.PhaseTemplate {
+	compiled.Add(1)
+	return mesh.NewPhaseTemplate(Merge(seqs...))
+}
+
+// LoweringStats counts compiled lowering templates. Templates and
+// Misses both count Compile calls, each a miss of the caller's memo;
+// Hits is always zero, since nothing below that memo caches a
+// lowering.
+type LoweringStats struct {
+	Templates    int
+	Hits, Misses int64
+}
+
+// CacheStats snapshots the lowering counters.
+func CacheStats() LoweringStats {
+	n := compiled.Load()
+	return LoweringStats{Templates: int(n), Misses: n}
 }
 
 // Merge combines the flows of several concurrently executing phase
@@ -135,10 +164,9 @@ func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 }
 
 // repeatsStep reports whether every sequence's step k equals its step
-// k-1. It compares content: on a frozen topology a lowering is
-// materialized from its template into fresh flows per step, so equal
-// steps do not share pointers. A sequence that has ended contributes an
-// empty step.
+// k-1. It compares content, not pointers: a sequence's equal steps
+// need not share flows (a materialized template copies each step). A
+// sequence that has ended contributes an empty step.
 func repeatsStep(seqs [][]mesh.Phase, k int) bool {
 	step := func(s []mesh.Phase, k int) mesh.Phase {
 		if k < len(s) {

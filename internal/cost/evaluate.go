@@ -118,6 +118,8 @@ type evalState struct {
 	// Lazily compiled merged lowering templates (all TATP orchs merged;
 	// each strategy × ring-collective kind merged over its groups) and
 	// their TCME route plans, shared by every evaluation of this state.
+	// This is the one memo of lowerings: collective and stream lower
+	// afresh on every call, and collective.Compile runs only here.
 	mu     sync.Mutex
 	stream *mesh.PhaseTemplate
 	coll   map[collKey]collTemplate
@@ -146,8 +148,8 @@ type collTemplate struct {
 }
 
 // streamTemplate compiles the merged TATP stream structure (step k of
-// every orchestration aligned into one phase, payload-tagged exactly
-// like collective.Merge) once per state.
+// every orchestration aligned into one phase by collective.Merge) once
+// per state.
 func (st *evalState) streamTemplate() *mesh.PhaseTemplate {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -156,7 +158,7 @@ func (st *evalState) streamTemplate() *mesh.PhaseTemplate {
 		for i, orch := range st.orchs {
 			seqs[i] = orch.Phases(1)
 		}
-		st.stream = mesh.NewPhaseTemplate(collective.Merge(seqs...))
+		st.stream = collective.Compile(seqs...)
 	}
 	return st.stream
 }
@@ -187,24 +189,21 @@ func buildCollTemplate(t *mesh.Topology, orders [][]mesh.DieID, kind byte) collT
 			return collTemplate{}
 		}
 	}
+	unitBytes := float64(n) // all-reduce and reduce-scatter chunk by n
+	if kind == collAllGather {
+		unitBytes = 1
+	}
 	seqs := make([][]mesh.Phase, len(orders))
 	for i, order := range orders {
-		switch kind {
-		case collAllReduce:
-			seqs[i] = collective.RingAllReduce(t, order, float64(n)) // unit chunks
-		case collAllGather:
-			seqs[i] = collective.RingAllGather(t, order, 1)
-		case collReduceScatter:
-			seqs[i] = collective.RingReduceScatter(t, order, float64(n))
-		}
+		seqs[i] = lowerRingKind(t, kind, order, unitBytes)
 	}
-	return collTemplate{tmpl: mesh.NewPhaseTemplate(collective.Merge(seqs...)), n: n}
+	return collTemplate{tmpl: collective.Compile(seqs...), n: n}
 }
 
-// lowerRingKind dispatches one per-group lowering on the slow path.
-// For all-reduce and reduce-scatter bytes is the per-participant
-// payload (the lowering chunks it by the group size); for all-gather
-// it is the per-flow shard directly.
+// lowerRingKind dispatches one per-group lowering. For all-reduce and
+// reduce-scatter bytes is the per-participant payload (the lowering
+// chunks it by the group size); for all-gather it is the per-flow
+// shard directly.
 func lowerRingKind(t *mesh.Topology, kind byte, order []mesh.DieID, bytes float64) []mesh.Phase {
 	switch kind {
 	case collAllReduce:
@@ -578,7 +577,10 @@ func (ev *evaluator) layerStreamComm(mb int, scale float64, withFSDP bool) float
 	}
 	// FSDP×TATP hybrid: the per-layer weight all-gather rides merged
 	// inside the stream phases (Fig. 11), mixing two byte sizes in one
-	// phase — the materialized path handles the non-uniform flows.
+	// phase — the materialized path handles the non-uniform flows. Each
+	// op's streams are the merged stream template at its sub-tensor
+	// size.
+	tmpl := ev.st.streamTemplate()
 	var streamSeq []mesh.Phase
 	var rounds int
 	for _, op := range ev.graph.Ops {
@@ -586,12 +588,7 @@ func (ev *evaluator) layerStreamComm(mb int, scale float64, withFSDP bool) float
 			continue
 		}
 		sub, _ := streamSubTensorBytes(op, ev.m, cfg, o)
-		sub *= scale
-		var seqs [][]mesh.Phase
-		for _, orch := range ev.st.orchs {
-			seqs = append(seqs, orch.Phases(sub))
-		}
-		streamSeq = append(streamSeq, collective.Merge(seqs...)...)
+		streamSeq = append(streamSeq, tmpl.Materialize(sub*scale)...)
 		rounds += cfg.TATP
 	}
 	layerW := ev.graph.WeightBytes() / float64(cfg.TP*cfg.TATP)

@@ -55,8 +55,10 @@ func TestApplyCoreFaults(t *testing.T) {
 	if capacity := (Injection{CoreRate: 1, CoresPerDie: 4}).Apply(dead, rng); capacity != 0 {
 		t.Errorf("all cores dead: capacity %v, want 0", capacity)
 	}
-	if len(dead.AliveDies()) != 0 {
-		t.Errorf("all cores dead but %d dies alive", len(dead.AliveDies()))
+	for d := 0; d < dead.Dies(); d++ {
+		if dead.DieAlive(mesh.DieID(d)) {
+			t.Fatalf("all cores dead but die %d alive", d)
+		}
 	}
 }
 

@@ -229,7 +229,7 @@ func TestInternSemantics(t *testing.T) {
 	if a != b {
 		t.Fatal("Shared returned distinct instances for one key")
 	}
-	if !a.Frozen() {
+	if !a.frozen {
 		t.Fatal("interned topology not frozen")
 	}
 	func() {
@@ -242,7 +242,7 @@ func TestInternSemantics(t *testing.T) {
 	}()
 
 	c := a.Clone()
-	if c.Frozen() {
+	if c.frozen {
 		t.Fatal("clone is frozen")
 	}
 	c.SetLinkAlive(Link{0, 1}, false)
@@ -250,7 +250,7 @@ func TestInternSemantics(t *testing.T) {
 	if !a.LinkAlive(Link{0, 1}) || !a.DieAlive(3) {
 		t.Fatal("clone mutation leaked into the interned original")
 	}
-	if f := c.Intern(); f != c || !c.Frozen() {
+	if f := c.Intern(); f != c || !c.frozen {
 		t.Fatal("faulted intern must return its receiver, frozen")
 	}
 	// A healthy clone interns back to the shared healthy instance.
@@ -283,7 +283,7 @@ func TestInternSemantics(t *testing.T) {
 	l2.Bandwidth /= 2
 	l2.Latency *= 2
 	v := Shared(4, 8, l2)
-	if v == a || !v.Frozen() || Shared(4, 8, l2) != v {
+	if v == a || !v.frozen || Shared(4, 8, l2) != v {
 		t.Fatal("a second link spec did not intern to its own frozen instance")
 	}
 	type probe struct{}

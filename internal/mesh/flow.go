@@ -215,10 +215,9 @@ func (t *Topology) SeqTime(phases []Phase) PhaseTime {
 
 // MulticastTree merges a set of same-payload flows from a common
 // source into a tree: each link carries the payload once instead of
-// once per destination. It returns the equivalent flows (one per
-// tree edge... represented as per-destination flows sharing deduped
-// links) as a single Flow per unique tree link, preserving total
-// drain-time semantics under the link-serialization model.
+// once per destination. It returns one single-hop Flow per tree link,
+// in ascending (From, To) order, so the link-serialization model
+// charges every tree link exactly one payload.
 func MulticastTree(t *Topology, src DieID, dsts []DieID, bytes float64, payload string) []Flow {
 	if len(dsts) == 0 {
 		return nil

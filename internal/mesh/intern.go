@@ -14,13 +14,13 @@ import (
 // is healthy when no die and no link is dead: core loss is not routing
 // state, so a core-only fault mask prices on the shared instance too.
 //
-// The derived-structure caches (lowered collectives, lowering states,
-// route plans, link profiles) key off a routing identity, not a link
-// spec: link parameters are timing state, so the first healthy
-// instance interned for a grid owns the caches of every healthy
-// instance of that grid. A new D2D bandwidth on a known grid therefore
-// lowers nothing and runs no TCME; per link spec the interner keeps
-// only the small Topology itself.
+// The derived-structure caches (the cost model's lowering states with
+// their merged templates and route plans, and link profiles) key off a
+// routing identity, not a link spec: link parameters are timing state,
+// so the first healthy instance interned for a grid owns the caches of
+// every healthy instance of that grid. A new D2D bandwidth on a known
+// grid therefore lowers nothing and runs no TCME; per link spec the
+// interner keeps only the small Topology itself.
 //
 // Faulted topologies are not tabled: a fault study draws a fresh mask
 // per trial with no cross-trial reuse, so Intern freezes a faulted
@@ -85,11 +85,6 @@ func (t *Topology) Intern() *Topology {
 	t.frozen = true
 	return t
 }
-
-// Frozen reports whether the topology is immutable: a Shared instance
-// or an interned faulted one. The derived-structure caches only engage
-// on frozen topologies.
-func (t *Topology) Frozen() bool { return t.frozen }
 
 // Clone returns a mutable deep copy of the topology's fault state.
 // The immutable link index is shared with the receiver; the clone owns

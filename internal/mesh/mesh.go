@@ -73,20 +73,17 @@ type Topology struct {
 	// Frozen topologies are what the derived-structure caches key on.
 	frozen bool
 	// derived caches immutable structures computed from a frozen
-	// topology (lowered collectives, lowering states and their route
-	// plans). Only frozen topologies populate it: a mutable topology's
-	// cache would go stale on the next Set* call. Derived reads and
-	// writes owner's map, never a variant's own.
+	// topology (the cost model's lowering states, which hold their
+	// merged templates and route plans). Only frozen topologies
+	// populate it: a mutable topology's cache would go stale on the
+	// next Set* call. Derived reads and writes owner's map, never a
+	// variant's own.
 	derived sync.Map
 	// owner is the topology whose derived caches and link profiles this
 	// one uses: itself, except for a Shared healthy instance whose grid
 	// was interned first under other link parameters — that first
 	// instance owns the caches of every healthy instance of its grid.
 	owner *Topology
-	// aliveDies caches AliveDies on frozen topologies (immutable fault
-	// state), keeping the per-candidate pricing path allocation-free.
-	// Clone leaves it unset, so mutable copies always recompute.
-	aliveDies atomic.Pointer[[]DieID]
 	// routes memoizes Route on a frozen faulted topology: routes[src]
 	// is src's row, allocated on its first route, and entry dst of the
 	// row holds the route src→dst once computed. Intern allocates the
@@ -298,26 +295,6 @@ func (t *Topology) setLinkAlive(id int, alive bool) {
 		}
 	}
 	t.linkAlive[id] = alive
-}
-
-// AliveDies returns the IDs of functional dies in ascending order.
-// The slice is cached on frozen topologies and must not be mutated.
-func (t *Topology) AliveDies() []DieID {
-	if t.frozen {
-		if v := t.aliveDies.Load(); v != nil {
-			return *v
-		}
-	}
-	out := make([]DieID, 0, len(t.dieAlive)-t.deadDies)
-	for i := range t.dieAlive {
-		if t.dieAlive[i] {
-			out = append(out, DieID(i))
-		}
-	}
-	if t.frozen {
-		t.aliveDies.Store(&out)
-	}
-	return out
 }
 
 // HopDistance returns the Manhattan distance between two dies — the

@@ -269,8 +269,14 @@ func TestDieFaultMasks(t *testing.T) {
 	if tp.DieAlive(5) {
 		t.Fatal("die 5 should be dead")
 	}
-	if got := len(tp.AliveDies()); got != 15 {
-		t.Errorf("alive dies = %d, want 15", got)
+	alive := 0
+	for d := 0; d < tp.Dies(); d++ {
+		if tp.DieAlive(DieID(d)) {
+			alive++
+		}
+	}
+	if alive != 15 {
+		t.Errorf("alive dies = %d, want 15", alive)
 	}
 	for _, n := range tp.Neighbors(1) {
 		if n == 5 {

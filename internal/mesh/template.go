@@ -7,13 +7,12 @@ import (
 )
 
 // PhaseTemplate is an immutable, byte-invariant compiled phase
-// sequence: the route structures, payloads and labels of a lowered
-// collective depend only on the topology and the ordered die group,
-// while every flow's byte count rescales uniformly with the query
-// (ring chunks, stream sub-tensors, broadcast payloads). Compiling the
-// structure once and materializing per query removes route
-// computation — the dominant cost of lowering — from the evaluation
-// hot path.
+// sequence: the routes and payloads of a lowered collective or stream
+// depend only on the topology and the ordered die groups, while every
+// flow carries one byte count that rescales with the query (ring
+// chunks, stream sub-tensors). Compiling the structure once and
+// materializing per query removes route computation — the dominant
+// cost of lowering — from the evaluation hot path.
 //
 // All flows of a template share one backing array, so Materialize is
 // exactly two allocations. Templates are safe for concurrent use: the
@@ -174,9 +173,6 @@ func NewPhaseTemplate(phases []Phase) *PhaseTemplate {
 
 // Phases returns the number of phases in the template.
 func (t *PhaseTemplate) Phases() int { return len(t.phases) }
-
-// Flows returns the total flow count across phases.
-func (t *PhaseTemplate) Flows() int { return len(t.flows) }
 
 // LoweredSeq pairs a compiled template with the per-flow byte value
 // one evaluation assigns it — a phase sequence that never needs to be

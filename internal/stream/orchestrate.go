@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"sync"
 
 	"temp/internal/mesh"
 )
@@ -50,12 +49,6 @@ type Orchestration struct {
 	// neighbors (a physical ring exists).
 	ClosesRing bool
 	topo       *mesh.Topology
-
-	// tmpl is the compiled byte-invariant phase structure of the
-	// schedule, built once on frozen topologies (routes cannot change)
-	// and rescaled per Phases query.
-	tmplOnce sync.Once
-	tmpl     *mesh.PhaseTemplate
 }
 
 // Mode returns the orchestration mode.
@@ -155,49 +148,12 @@ func greedyChain(t *mesh.Topology, dies []mesh.DieID) ([]mesh.DieID, bool) {
 	return order, true
 }
 
-// MaxHopsPerRound returns the longest physical route any scheduled
-// send traverses — 1 for ring/bidirectional on contiguous groups,
-// O(N) for the fallback wrap-around transfer.
-func (o *Orchestration) MaxHopsPerRound() int {
-	max := 0
-	for _, sends := range o.Sched.Sends {
-		for _, snd := range sends {
-			src, dst := o.Order[snd.From], o.Order[snd.To]
-			h := o.hops(src, dst)
-			if h > max {
-				max = h
-			}
-		}
-	}
-	return max
-}
-
-func (o *Orchestration) hops(a, b mesh.DieID) int {
-	if o.topo.Adjacent(a, b) {
-		return 1
-	}
-	if p := o.topo.Route(a, b); p != nil {
-		return p.Hops()
-	}
-	return o.topo.HopDistance(a, b)
-}
-
 // Phases lowers the schedule to mesh communication phases, one per
-// round, with every send routed on the topology. subBytes is the
-// size of one sub-tensor. On a frozen (interned) topology the routed
-// structure is compiled once and rescaled per call; on a mutable
-// topology every call re-routes, because fault mutations between
-// calls can change the routes.
+// round, with every send of subBytes (one sub-tensor) routed on the
+// topology. It memoizes nothing: the evaluation state that prices an
+// orchestration compiles its merged phases once. The flows carry the
+// topology's routes, which callers must not write into.
 func (o *Orchestration) Phases(subBytes float64) []mesh.Phase {
-	if o.topo.Frozen() {
-		o.tmplOnce.Do(func() { o.tmpl = mesh.NewPhaseTemplate(o.lowerPhases(1)) })
-		return o.tmpl.Materialize(subBytes)
-	}
-	return o.lowerPhases(subBytes)
-}
-
-// lowerPhases routes every scheduled send on the topology.
-func (o *Orchestration) lowerPhases(subBytes float64) []mesh.Phase {
 	phases := make([]mesh.Phase, 0, len(o.Sched.Sends))
 	for _, sends := range o.Sched.Sends {
 		var ph mesh.Phase
@@ -218,48 +174,4 @@ func (o *Orchestration) lowerPhases(subBytes float64) []mesh.Phase {
 		phases = append(phases, ph)
 	}
 	return phases
-}
-
-// RoundStats summarises the per-round communication of the
-// orchestration for the analytic cost model.
-type RoundStats struct {
-	// BytesPerLink is the largest per-link byte load in any round,
-	// per sub-tensor byte (multiply by sub-tensor size).
-	BytesPerLink float64
-	// MaxHops is the longest route of any send.
-	MaxHops int
-	// TotalSubTensorHops is Σ over sends of route hops, per
-	// sub-tensor byte — the D2D energy driver.
-	TotalSubTensorHops float64
-	// Rounds is the schedule length.
-	Rounds int
-}
-
-// Stats computes RoundStats with unit-size sub-tensors.
-func (o *Orchestration) Stats() RoundStats {
-	rs := RoundStats{Rounds: o.Sched.N}
-	for _, sends := range o.Sched.Sends {
-		load := map[mesh.Link]float64{}
-		for _, snd := range sends {
-			src, dst := o.Order[snd.From], o.Order[snd.To]
-			route := o.topo.Route(src, dst)
-			if route == nil {
-				continue
-			}
-			h := route.Hops()
-			if h > rs.MaxHops {
-				rs.MaxHops = h
-			}
-			rs.TotalSubTensorHops += float64(h)
-			for _, l := range route.Links() {
-				load[l]++
-			}
-		}
-		for _, v := range load {
-			if v > rs.BytesPerLink {
-				rs.BytesPerLink = v
-			}
-		}
-	}
-	return rs
 }

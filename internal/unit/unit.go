@@ -111,34 +111,6 @@ func Seconds(s float64) string {
 	}
 }
 
-// Flops formats an operation count.
-func Flops(f float64) string {
-	switch {
-	case f >= PFLOPS:
-		return fmt.Sprintf("%.2fPFLOP", f/PFLOPS)
-	case f >= TFLOPS:
-		return fmt.Sprintf("%.2fTFLOP", f/TFLOPS)
-	case f >= GFLOPS:
-		return fmt.Sprintf("%.2fGFLOP", f/GFLOPS)
-	default:
-		return fmt.Sprintf("%.0fFLOP", f)
-	}
-}
-
-// Rate formats a bandwidth in bytes/second.
-func Rate(r float64) string {
-	switch {
-	case r >= TB:
-		return fmt.Sprintf("%.2fTB/s", r/TB)
-	case r >= GB:
-		return fmt.Sprintf("%.2fGB/s", r/GB)
-	case r >= MB:
-		return fmt.Sprintf("%.2fMB/s", r/MB)
-	default:
-		return fmt.Sprintf("%.0fB/s", r)
-	}
-}
-
 // Clamp returns v limited to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

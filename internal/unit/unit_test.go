@@ -68,21 +68,6 @@ func TestSecondsFormat(t *testing.T) {
 	}
 }
 
-func TestFlopsRateFormat(t *testing.T) {
-	if got := Flops(1.8 * PFLOPS); got != "1.80PFLOP" {
-		t.Errorf("Flops = %q", got)
-	}
-	if got := Flops(5 * GFLOPS); got != "5.00GFLOP" {
-		t.Errorf("Flops = %q", got)
-	}
-	if got := Rate(4 * TB); got != "4.00TB/s" {
-		t.Errorf("Rate = %q", got)
-	}
-	if got := Rate(600 * GB); got != "600.00GB/s" {
-		t.Errorf("Rate = %q", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if got := Clamp(5, 0, 1); got != 1 {
 		t.Errorf("Clamp high = %v", got)
