@@ -136,8 +136,9 @@ func CacheStats() LoweringStats {
 // overlapping collectives (e.g. FSDP all-gather + TATP P2P, Fig. 11)
 // are exposed to the contention model and the TCME optimizer. Every
 // flow's payload gains the prefix "s<i>." of its sequence. When every
-// sequence's step k equals its step k-1 (ring collectives repeat one
-// step), merged step k is merged step k-1 and shares its flows.
+// sequence's step k equals its step k-1 (ring collectives and
+// ring-schedule streams repeat one step), merged step k is merged step
+// k-1 and shares its flows.
 func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 	maxLen := 0
 	for _, s := range seqs {

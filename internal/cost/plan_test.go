@@ -11,6 +11,7 @@ import (
 	"temp/internal/mesh"
 	"temp/internal/model"
 	"temp/internal/parallel"
+	"temp/internal/stream"
 	"temp/internal/tcme"
 	"temp/internal/unit"
 )
@@ -353,32 +354,253 @@ func TestRingPayloadsOptimizeLikeStepTagged(t *testing.T) {
 	t.Logf("%d phases", checked)
 }
 
-// compareOptimized optimizes every phase of want and got and reports
-// flows that differ in Src, Dst, Bytes or Route, and results that
-// differ in counts or max loads. It returns the phases compared.
+// compareOptimized optimizes every phase of want (the reference
+// lowering) and got and reports flows that differ in Src, Dst, Bytes
+// or Route, and results that differ in counts or max loads. It returns
+// the phases compared.
 func compareOptimized(t *testing.T, name string, topo *mesh.Topology, want, got []mesh.Phase) int {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d phases, step-tagged %d", name, len(got), len(want))
+		t.Fatalf("%s: %d phases, reference %d", name, len(got), len(want))
 	}
 	for k := range want {
 		wr, gr := tcme.Optimize(topo, want[k], tcme.Options{}), tcme.Optimize(topo, got[k], tcme.Options{})
 		wp, gp := wr.Phase, gr.Phase
 		wr.Phase, gr.Phase = mesh.Phase{}, mesh.Phase{}
 		if !reflect.DeepEqual(gr, wr) {
-			t.Fatalf("%s phase %d: %v, step-tagged %v", name, k, gr, wr)
+			t.Fatalf("%s phase %d: %v, reference %v", name, k, gr, wr)
 		}
 		if len(gp.Flows) != len(wp.Flows) {
-			t.Fatalf("%s phase %d: %d optimized flows, step-tagged %d", name, k, len(gp.Flows), len(wp.Flows))
+			t.Fatalf("%s phase %d: %d optimized flows, reference %d", name, k, len(gp.Flows), len(wp.Flows))
 		}
 		for i, f := range gp.Flows {
 			g := wp.Flows[i]
 			if f.Src != g.Src || f.Dst != g.Dst || f.Bytes != g.Bytes || !reflect.DeepEqual(f.Route, g.Route) {
-				t.Fatalf("%s phase %d flow %d: %+v, step-tagged %+v", name, k, i, f, g)
+				t.Fatalf("%s phase %d flow %d: %+v, reference %+v", name, k, i, f, g)
 			}
 		}
 	}
 	return len(want)
+}
+
+// subTTaggedStream is the stream lowering whose payloads named the
+// sub-tensor in every schedule, kept as the reference for
+// TestStreamPayloadsOptimizeLikeSubTTagged: every round is routed and
+// formatted apart, each send "subT<k>".
+func subTTaggedStream(t *mesh.Topology, o *stream.Orchestration, subBytes float64) []mesh.Phase {
+	var phases []mesh.Phase
+	for _, sends := range o.Sched.Sends {
+		var ph mesh.Phase
+		for _, snd := range sends {
+			src, dst := o.Order[snd.From], o.Order[snd.To]
+			if route := t.Route(src, dst); route != nil {
+				ph.Flows = append(ph.Flows, mesh.Flow{Src: src, Dst: dst, Bytes: subBytes, Route: route,
+					Payload: fmt.Sprintf("subT%d", snd.SubT)})
+			}
+		}
+		phases = append(phases, ph)
+	}
+	return phases
+}
+
+// TestStreamPayloadsOptimizeLikeSubTTagged pins the ring and fallback
+// stream payloads that name the sending position, not the sub-tensor,
+// against subTTaggedStream. Each position of those schedules forwards
+// one distinct sub-tensor per round, so under either name a merged
+// round's flows are unique per (sequence, source): no merge group can
+// form, and the reversal groups are the sequences either way. For
+// every TEMP state on wsc-4x8 (both placement families), on the
+// healthy mesh and on an interned mesh with one dead die and one dead
+// link (survivor groups that chain or fall back), the merged stream
+// lowerings are optimized phase by phase both ways, at unit
+// sub-tensors and at one sub-tensor size per zoo model. Flows must
+// agree in Src, Dst, Bytes and Route, and tcme.Results in counts and
+// max loads. -short checks two models and every fifth configuration.
+func TestStreamPayloadsOptimizeLikeSubTTagged(t *testing.T) {
+	w := hw.EvaluationWafer()
+	c := mesh.FromWafer(w).Clone()
+	c.SetDieAlive(9, false)
+	c.SetLinkAlive(mesh.Link{From: 1, To: 2}, false)
+	models, stride := model.Zoo(), 1
+	if testing.Short() {
+		models, stride = models[:2], 5
+	}
+	// Each model's first weighted op sets its sub-tensor size.
+	var ops []model.Op
+	for _, m := range models {
+		for _, op := range model.BlockGraph(m).Ops {
+			if op.HasWeight() {
+				ops = append(ops, op)
+				break
+			}
+		}
+	}
+	space := parallel.EnumerateConfigs(w.Dies(), true, 0)
+	checked := 0
+	modes := map[stream.Mode]int{}
+	for _, topo := range []*mesh.Topology{mesh.FromWafer(w), c.Intern()} {
+		for i := 0; i < len(space); i += stride {
+			cfg := space[i].Normalize()
+			for _, linear := range []bool{false, true} {
+				st, err := stateFor(topo, cfg, linear, true)
+				if err != nil || len(st.orchs) == 0 {
+					continue
+				}
+				for _, o := range st.orchs {
+					modes[o.Mode()]++
+				}
+				sizes := map[float64]bool{1: true}
+				for j, m := range models {
+					sub, _ := streamSubTensorBytes(ops[j], m, cfg, TEMPOptions())
+					sizes[sub] = true
+				}
+				for sub := range sizes {
+					var ref, got [][]mesh.Phase
+					for _, o := range st.orchs {
+						ref = append(ref, subTTaggedStream(topo, o, sub))
+						got = append(got, o.Phases(sub))
+					}
+					name := fmt.Sprintf("%s/linear=%v/sub-tensor %v", cfg, linear, sub)
+					checked += compareOptimized(t, name, topo, collective.Merge(ref...), collective.Merge(got...))
+				}
+			}
+		}
+	}
+	for _, m := range []stream.Mode{stream.Ring, stream.Bidirectional, stream.Fallback} {
+		if modes[m] == 0 {
+			t.Errorf("no %v orchestration checked", m)
+		}
+	}
+	t.Logf("%d phases; orchestrations by mode %v", checked, modes)
+}
+
+// clonePhases deep-copies phases down to their routes.
+func clonePhases(phases []mesh.Phase) []mesh.Phase {
+	out := make([]mesh.Phase, len(phases))
+	for i, ph := range phases {
+		out[i].Flows = append([]mesh.Flow(nil), ph.Flows...)
+		for j := range out[i].Flows {
+			out[i].Flows[j].Route = append(mesh.Path(nil), ph.Flows[j].Route...)
+		}
+	}
+	return out
+}
+
+// samePhases reports whether a and b are equal phase by phase
+// (mesh.Phase.Equal).
+func samePhases(a, b []mesh.Phase) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStreamRoundsShareFlows pins the sharing of a ring-schedule
+// stream's repeated rounds from lowering to route plan, on the four
+// ring orchestrations of wsc-4x8 at DP=4, TATP=8 and on two scattered
+// fallback groups whose multi-hop routes collide. Rounds 0..N-2 of
+// every orchestration's Phases, of their Merge and of the compiled
+// template's materialization share one flow slice, and the shared
+// profile equals one compiled from unshared copies. The route plan's
+// steps and profile equal tcme.Optimize run on each materialized
+// round. Pricing through the plan leaves the template and the lowered
+// phases as they were: shared rounds are read-only.
+func TestStreamRoundsShareFlows(t *testing.T) {
+	topo := mesh.FromWafer(hw.EvaluationWafer())
+	place, err := parallel.Place(parallel.Config{DP: 4, TATP: 8}, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(r, c int) mesh.DieID { return topo.ID(mesh.Coord{R: r, C: c}) }
+	fixtures := []struct {
+		name  string
+		mode  stream.Mode
+		orchs []*stream.Orchestration
+	}{
+		{"ring", stream.Ring, newEvalState(topo, place, true).orchs},
+		{"fallback", stream.Fallback, []*stream.Orchestration{
+			stream.Orchestrate(topo, []mesh.DieID{at(0, 0), at(0, 2), at(2, 4), at(3, 7)}, nil),
+			stream.Orchestrate(topo, []mesh.DieID{at(0, 1), at(1, 3), at(2, 6), at(3, 5)}, nil),
+		}},
+	}
+	moved := false
+	for _, fx := range fixtures {
+		name, orchs, n := fx.name, fx.orchs, fx.orchs[0].N()
+		shared := func(what string, phases []mesh.Phase) {
+			t.Helper()
+			if len(phases) != n || len(phases[0].Flows) == 0 || len(phases[n-1].Flows) != 0 {
+				t.Fatalf("%s %s: %d rounds, want %d sending rounds and an empty last one", name, what, len(phases), n-1)
+			}
+			for k := 1; k < n-1; k++ {
+				if len(phases[k].Flows) != len(phases[0].Flows) || &phases[k].Flows[0] != &phases[0].Flows[0] {
+					t.Errorf("%s %s: round %d does not share round 0's flows", name, what, k)
+				}
+			}
+		}
+		var seqs [][]mesh.Phase
+		for _, o := range orchs {
+			if o.Mode() != fx.mode || o.N() != n {
+				t.Fatalf("%s: %v orchestration of %d dies", name, o.Mode(), o.N())
+			}
+			ph := o.Phases(1)
+			shared("phases", ph)
+			seqs = append(seqs, ph)
+		}
+		var lowered [][]mesh.Phase
+		for _, seq := range seqs {
+			lowered = append(lowered, clonePhases(seq))
+		}
+		shared("merge", collective.Merge(seqs...))
+		tmpl := collective.Compile(seqs...)
+		mat := tmpl.Materialize(1)
+		shared("materialized template", mat)
+		before := clonePhases(mat)
+		if got, want := topo.CompileProfile(mat), topo.CompileProfile(before); !reflect.DeepEqual(*got, *want) {
+			t.Errorf("%s: shared profile %+v, unshared %+v", name, got, want)
+		}
+
+		plan := newRoutePlan(topo, tmpl, tcme.Options{})
+		var opt []mesh.Phase
+		planMoved := false
+		for i, ph := range mat {
+			r := tcme.Optimize(topo, ph, tcme.Options{})
+			opt = append(opt, r.Phase)
+			planMoved = planMoved || r.MergedFlows+r.ReroutedFlows > 0
+			want := planStep{iters: int32(r.Iterations), merged: int32(r.MergedFlows), rerouted: int32(r.ReroutedFlows),
+				initMax: int32(r.InitialMaxLoad), finalMax: int32(r.FinalMaxLoad)}
+			if plan.steps[i] != want {
+				t.Errorf("%s round %d: plan step %+v, optimized %+v", name, i, plan.steps[i], want)
+			}
+		}
+		if !planMoved {
+			if plan.prof != nil {
+				t.Errorf("%s: no round moved, but the plan keeps a profile", name)
+			}
+		} else if want := topo.CompileProfile(opt); plan.prof == nil || !reflect.DeepEqual(*plan.prof, *want) {
+			t.Errorf("%s: plan profile %+v, optimized rounds %+v", name, plan.prof, want)
+		}
+		moved = moved || planMoved
+
+		st := &evalState{orchs: orchs}
+		ev := evaluator{topo: topo, st: st, o: TEMPOptions()}
+		ev.evalLowered([]mesh.LoweredSeq{{Tmpl: st.streamTemplate(), Bytes: 3 * unit.MB}})
+		if !samePhases(st.streamTemplate().Materialize(1), before) {
+			t.Errorf("%s: pricing changed the template's flows", name)
+		}
+		for i, seq := range seqs {
+			if !samePhases(seq, lowered[i]) {
+				t.Errorf("%s: pricing changed orchestration %d's lowered phases", name, i)
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("no fixture's plan moves a flow; the read-only check prices nothing TCME changed")
+	}
 }
 
 // materializedIntra is OperatorReplay.Intra's reference on st: the

@@ -33,10 +33,15 @@ type Phase struct {
 // Equal reports whether p and q carry the same flows in the same
 // order: equal Src, Dst, Bytes and Payload, and routes equal hop for
 // hop. Lowerings and the TCME optimizer read nothing else of a phase,
-// so equal phases lower and optimize alike.
+// so equal phases lower and optimize alike. Phases that share one flow
+// slice (the repeated rounds of a ring lowering) are equal without a
+// walk.
 func (p Phase) Equal(q Phase) bool {
 	if len(p.Flows) != len(q.Flows) {
 		return false
+	}
+	if p.shares(q) {
+		return true
 	}
 	for i := range p.Flows {
 		a, b := &p.Flows[i], &q.Flows[i]
@@ -51,6 +56,15 @@ func (p Phase) Equal(q Phase) bool {
 		}
 	}
 	return true
+}
+
+// shares reports whether p and q are one non-empty flow slice: the
+// same first flow and the same length. Lowerings, Merge, templates and
+// their materializations keep a repeated phase shared this way, and
+// nothing writes into a phase's flows in place, so a shared phase is
+// copied, profiled and compared once.
+func (p Phase) shares(q Phase) bool {
+	return len(p.Flows) > 0 && len(p.Flows) == len(q.Flows) && &p.Flows[0] == &q.Flows[0]
 }
 
 // LinkLoads accumulates the byte load each alive link carries.

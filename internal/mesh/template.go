@@ -14,11 +14,13 @@ import (
 // materializing per query removes route computation — the dominant
 // cost of lowering — from the evaluation hot path.
 //
-// All flows of a template share one backing array, so Materialize is
+// All flows of a template share one backing array, and a repeated
+// phase shares its predecessor's flows there, so Materialize is
 // exactly two allocations. Templates are safe for concurrent use: the
 // returned phases share the template's routes and payload strings,
-// which consumers never mutate in place (the TCME optimizer clones
-// phases and replaces routes wholesale).
+// and their repeated phases share flows, which consumers never mutate
+// in place (the TCME optimizer clones phases and replaces routes
+// wholesale).
 type PhaseTemplate struct {
 	phases []Phase
 	flows  []Flow
@@ -78,7 +80,9 @@ func (t *Topology) profileFor(tmpl *PhaseTemplate) *LinkProfile {
 // same forEachLink walk the timing kernels use. Flow byte values and
 // link parameters are ignored: the profile is timed at a byte value
 // per query (see LoweredSeq.Prof) on any topology of t's routing
-// owner, and keeps no reference to the phases.
+// owner, and keeps no reference to the phases. A phase sharing its
+// predecessor's flow slice repeats its predecessor's entries without
+// a walk.
 func (t *Topology) CompileProfile(phases []Phase) *LinkProfile {
 	n := len(phases)
 	p := &LinkProfile{
@@ -89,7 +93,17 @@ func (t *Topology) CompileProfile(phases []Phase) *LinkProfile {
 		hops:  make([]int32, 0, n),
 	}
 	s := timePool.Get().(*timeScratch)
-	for _, ph := range phases {
+	for i, ph := range phases {
+		if i > 0 && ph.shares(phases[i-1]) {
+			lo, hi := p.off[i-1], p.off[i]
+			p.ids = append(p.ids, p.ids[lo:hi]...)
+			p.counts = append(p.counts, p.counts[lo:hi]...)
+			p.off = append(p.off, int32(len(p.ids)))
+			p.flows = append(p.flows, p.flows[i-1])
+			p.travs = append(p.travs, p.travs[i-1])
+			p.hops = append(p.hops, p.hops[i-1])
+			continue
+		}
 		s.grab(len(t.links))
 		maxHops := 0
 		for i := range ph.Flows {
@@ -151,15 +165,23 @@ func (t *Topology) timePhaseProfiled(p *LinkProfile, ph int, scale float64) Phas
 
 // NewPhaseTemplate compiles phases into a template. The input is
 // deep-copied at the phase/flow level; flow Bytes values are dropped
-// (they are supplied by Materialize).
+// (they are supplied by Materialize). A phase sharing its
+// predecessor's flow slice (a repeated ring step or stream round)
+// stays shared: its flows are copied once.
 func NewPhaseTemplate(phases []Phase) *PhaseTemplate {
 	t := &PhaseTemplate{phases: make([]Phase, len(phases))}
 	total := 0
-	for _, p := range phases {
-		total += len(p.Flows)
+	for i, p := range phases {
+		if i == 0 || !p.shares(phases[i-1]) {
+			total += len(p.Flows)
+		}
 	}
 	t.flows = make([]Flow, 0, total)
 	for i, p := range phases {
+		if i > 0 && p.shares(phases[i-1]) {
+			t.phases[i] = t.phases[i-1]
+			continue
+		}
 		start := len(t.flows)
 		t.flows = append(t.flows, p.Flows...)
 		end := len(t.flows)
@@ -216,7 +238,9 @@ func (t *Topology) SeqTimeLowered(seq []LoweredSeq) PhaseTime {
 
 // Materialize returns the template's phase sequence with every flow
 // carrying bytes. Phase and flow order match the uncompiled lowering
-// exactly, so downstream float accumulation is bit-identical.
+// exactly, so downstream float accumulation is bit-identical. Phases
+// the template shares stay shared, so callers read the result and
+// never write into a returned flow.
 func (t *PhaseTemplate) Materialize(bytes float64) []Phase {
 	if len(t.phases) == 0 {
 		return nil
@@ -229,6 +253,10 @@ func (t *PhaseTemplate) Materialize(bytes float64) []Phase {
 	phases := make([]Phase, len(t.phases))
 	off := 0
 	for i := range t.phases {
+		if i > 0 && t.phases[i].shares(t.phases[i-1]) {
+			phases[i] = phases[i-1]
+			continue
+		}
 		n := len(t.phases[i].Flows)
 		phases[i] = Phase{Flows: flows[off : off+n : off+n]}
 		off += n

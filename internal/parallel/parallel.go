@@ -376,28 +376,6 @@ func PlaceLinear(cfg Config, topo *mesh.Topology) (*Placement, error) {
 func (p *Placement) buildGroups() {
 	cfg := p.Cfg
 	strategies := Strategies()
-	// Enumerate all logical coordinates once.
-	var rec func(level int, coord map[Strategy]int)
-	total := cfg.Degree()
-	dieOf := make(map[string]mesh.DieID, total)
-	key := func(coord map[Strategy]int) string {
-		return fmt.Sprintf("%d.%d.%d.%d.%d",
-			coord[TATP], coord[TP], coord[SP], coord[CP], coord[DP])
-	}
-	rec = func(level int, coord map[Strategy]int) {
-		if level == len(strategies) {
-			dieOf[key(coord)] = p.DieAt(coord)
-			return
-		}
-		s := strategies[level]
-		for i := 0; i < cfg.DegreeOf(s); i++ {
-			coord[s] = i
-			rec(level+1, coord)
-		}
-		coord[s] = 0
-	}
-	rec(0, map[Strategy]int{})
-
 	for _, s := range strategies {
 		d := cfg.DegreeOf(s)
 		if d <= 1 {
@@ -416,7 +394,7 @@ func (p *Placement) buildGroups() {
 				g := Group{Strategy: s}
 				for i := 0; i < d; i++ {
 					coord[s] = i
-					g.Dies = append(g.Dies, dieOf[key(coord)])
+					g.Dies = append(g.Dies, p.DieAt(coord))
 				}
 				coord[s] = 0
 				g.Rect = boundingRectIfFull(p.Topo, g.Dies)

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"temp/internal/mesh"
 )
@@ -42,6 +44,8 @@ func SelectOperand(weightBytes, inputBytes float64) Operand {
 // Orchestration binds a stream schedule to physical dies: position j
 // of the schedule executes on Order[j].
 type Orchestration struct {
+	// Sched is read-only: Orchestrate shares one schedule among every
+	// orchestration of its (mode, N).
 	Sched *Schedule
 	// Order maps logical chain position to physical die.
 	Order []mesh.DieID
@@ -75,30 +79,52 @@ func Orchestrate(t *mesh.Topology, dies []mesh.DieID, rect *mesh.Rect) *Orchestr
 	}
 	if rect != nil && rect.Area() == n {
 		if ring, ok := rect.RingPath(t); ok {
-			return &Orchestration{Sched: RingSchedule(n), Order: ring, ClosesRing: true, topo: t}
+			return &Orchestration{Sched: sharedSchedule(Ring, n), Order: ring, ClosesRing: true, topo: t}
 		}
 		snake := rect.SnakePath(t)
-		return &Orchestration{Sched: BidirectionalSchedule(n), Order: snake, topo: t}
+		return &Orchestration{Sched: sharedSchedule(Bidirectional, n), Order: snake, topo: t}
 	}
 	// Non-contiguous: try to find a neighbor-to-neighbor ordering by
 	// greedy chaining; if every consecutive pair is adjacent we can
 	// still run the bidirectional schedule at one hop.
 	if chain, ok := greedyChain(t, dies); ok {
-		return &Orchestration{Sched: BidirectionalSchedule(n), Order: chain, topo: t}
+		return &Orchestration{Sched: sharedSchedule(Bidirectional, n), Order: chain, topo: t}
 	}
 	order := append([]mesh.DieID(nil), dies...)
-	return &Orchestration{
-		Sched: &Schedule{
-			N:            n,
-			Mode:         Fallback,
-			Compute:      RingSchedule(n).Compute,
-			Sends:        RingSchedule(n).Sends,
-			VolumeFactor: 1,
-			PeakBuffer:   RingSchedule(n).PeakBuffer,
-		},
-		Order: order,
-		topo:  t,
+	return &Orchestration{Sched: sharedSchedule(Fallback, n), Order: order, topo: t}
+}
+
+// schedules holds Orchestrate's schedules, one per (mode, N), built
+// on first use and read-only after: every orchestration of a (mode, N)
+// shares one. The exported constructors build fresh schedules.
+var schedules = struct {
+	sync.Mutex
+	m map[scheduleKey]*Schedule
+}{m: map[scheduleKey]*Schedule{}}
+
+type scheduleKey struct {
+	mode Mode
+	n    int
+}
+
+// sharedSchedule returns the table's schedule of (mode, n). The
+// fallback schedule is the ring schedule run over scattered dies.
+func sharedSchedule(mode Mode, n int) *Schedule {
+	schedules.Lock()
+	defer schedules.Unlock()
+	k := scheduleKey{mode: mode, n: n}
+	if s, ok := schedules.m[k]; ok {
+		return s
 	}
+	var s *Schedule
+	if mode == Bidirectional {
+		s = BidirectionalSchedule(n)
+	} else {
+		s = RingSchedule(n)
+		s.Mode = mode
+	}
+	schedules.m[k] = s
+	return s
 }
 
 // greedyChain attempts to order dies into a path where consecutive
@@ -152,10 +178,27 @@ func greedyChain(t *mesh.Topology, dies []mesh.DieID) ([]mesh.DieID, bool) {
 // round, with every send of subBytes (one sub-tensor) routed on the
 // topology. It memoizes nothing: the evaluation state that prices an
 // orchestration compiles its merged phases once. The flows carry the
-// topology's routes, which callers must not write into.
+// topology's routes, and repeated rounds share flows: callers read the
+// result and never write into a returned flow.
+//
+// Ring and fallback payloads are "pos<j>", naming the sending position
+// and not the sub-tensor: each position forwards one distinct
+// sub-tensor per round, so either name keeps a round's flows unique
+// per source, and TCME, which merges only flows of equal payload from
+// one source, forms no merge group under either. Their rounds 0..N-2
+// send the same position pairs, so a round whose sends repeat the
+// previous round's is that round, sharing its flows. Bidirectional
+// payloads keep "subT<k>": round 0 sends each sub-tensor to both
+// neighbours, a merge TCME may take, and later rounds send two
+// different sub-tensors from one position.
 func (o *Orchestration) Phases(subBytes float64) []mesh.Phase {
-	phases := make([]mesh.Phase, 0, len(o.Sched.Sends))
-	for _, sends := range o.Sched.Sends {
+	byPos := o.Sched.Mode != Bidirectional
+	phases := make([]mesh.Phase, len(o.Sched.Sends))
+	for t, sends := range o.Sched.Sends {
+		if byPos && t > 0 && slices.EqualFunc(sends, o.Sched.Sends[t-1], samePair) {
+			phases[t] = phases[t-1]
+			continue
+		}
 		var ph mesh.Phase
 		for _, snd := range sends {
 			src, dst := o.Order[snd.From], o.Order[snd.To]
@@ -163,15 +206,24 @@ func (o *Orchestration) Phases(subBytes float64) []mesh.Phase {
 			if route == nil {
 				continue // unreachable under faults; caller re-plans
 			}
+			var payload string
+			if byPos {
+				payload = fmt.Sprintf("pos%d", snd.From)
+			} else {
+				payload = fmt.Sprintf("subT%d", snd.SubT)
+			}
 			ph.Flows = append(ph.Flows, mesh.Flow{
 				Src:     src,
 				Dst:     dst,
 				Bytes:   subBytes,
 				Route:   route,
-				Payload: fmt.Sprintf("subT%d", snd.SubT),
+				Payload: payload,
 			})
 		}
-		phases = append(phases, ph)
+		phases[t] = ph
 	}
 	return phases
 }
+
+// samePair reports whether two sends join the same positions.
+func samePair(a, b Send) bool { return a.From == b.From && a.To == b.To }

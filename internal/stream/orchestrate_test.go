@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"temp/internal/hw"
@@ -122,6 +124,55 @@ func TestTailLatencyRatio(t *testing.T) {
 	naive := &Orchestration{Sched: RingSchedule(8), Order: dies, topo: tp}
 	if got := maxHops(naive); got != 7 {
 		t.Errorf("naive ring on chain max hops = %d, want 7", got)
+	}
+}
+
+// TestOrchestrateSharesSchedules pins Orchestrate's schedule table: 8
+// goroutines orchestrating a ring rectangle, a line and a scattered
+// group get one schedule per (mode, N), and it equals the one the
+// exported constructors build (for fallback, the ring schedule with
+// its mode set).
+func TestOrchestrateSharesSchedules(t *testing.T) {
+	tp := topo(4, 8)
+	ring := mesh.Rect{R0: 0, C0: 0, R1: 1, C1: 3}
+	line := mesh.Rect{R0: 0, C0: 0, R1: 0, C1: 7}
+	scattered := []mesh.DieID{
+		tp.ID(mesh.Coord{R: 0, C: 0}), tp.ID(mesh.Coord{R: 0, C: 2}),
+		tp.ID(mesh.Coord{R: 2, C: 4}), tp.ID(mesh.Coord{R: 3, C: 7}),
+	}
+	groups := []func() *Orchestration{
+		func() *Orchestration { return Orchestrate(tp, ring.DiesOn(tp), &ring) },
+		func() *Orchestration { return Orchestrate(tp, line.DiesOn(tp), &line) },
+		func() *Orchestration { return Orchestrate(tp, scattered, nil) },
+	}
+	const workers = 8
+	got := make([][]*Schedule, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, g := range groups {
+				got[w] = append(got[w], g().Sched)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, mode := range []Mode{Ring, Bidirectional, Fallback} {
+		s := got[0][i]
+		for w := 1; w < workers; w++ {
+			if got[w][i] != s {
+				t.Errorf("%v: goroutine %d got another schedule", mode, w)
+			}
+		}
+		want := RingSchedule(s.N)
+		if mode == Bidirectional {
+			want = BidirectionalSchedule(s.N)
+		}
+		want.Mode = mode
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("%v: shared schedule %+v, built %+v", mode, s, want)
+		}
 	}
 }
 
