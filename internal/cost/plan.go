@@ -15,11 +15,12 @@ import (
 // repeated addition is strictly increasing in n: the bottleneck argmax
 // and its tie-break, the potential's count at its 1e-9 threshold and
 // potential.less all decide on traversal counts alone, merges always
-// see equal bytes, and reroute weighs a uniform phase's links by count.
-// Optimizing at b therefore makes the unit-byte plan's moves, its
-// optimized flows all still carry b, and its max loads are b added the
-// plan's counts times. TestRoutePlansMatchMaterialized pins plans
-// against optimizing the materialized phases at the query's bytes.
+// see equal bytes, and reroute weighs links by count. tcme's count
+// mode prices such a phase on counts directly. Optimizing at b
+// therefore makes the unit-byte plan's moves, its optimized flows all
+// still carry b, and its max loads are b added the plan's counts
+// times. TestRoutePlansMatchMaterialized pins plans against optimizing
+// the materialized phases at the query's bytes.
 type routePlan struct {
 	prof  *mesh.LinkProfile
 	steps []planStep
@@ -39,33 +40,23 @@ type planKey struct {
 	opts tcme.Options
 }
 
-// newRoutePlan optimizes tmpl's phases at unit bytes. Only the profile
-// and the counts survive; the optimized flows are dropped. When no
-// phase moved (most plans on contention-free rings), the optimized
-// phases are the template's own and the plan keeps no profile.
-//
-// tcme.Optimize is a pure function of the topology, the phase and the
-// options, so a phase equal to the one before it (the repeated steps
-// of a ring collective) takes the previous phase's result: each run of
-// equal phases is optimized once.
+// newRoutePlan optimizes tmpl's phases at unit bytes, each run of
+// equal phases once (tcme.OptimizeEach). Only the profile and the
+// counts survive; the optimized flows are dropped. When no phase moved
+// (most plans on contention-free rings), the optimized phases are the
+// template's own and the plan keeps no profile.
 func newRoutePlan(t *mesh.Topology, tmpl *mesh.PhaseTemplate, opts tcme.Options) *routePlan {
 	phases := tmpl.Materialize(1)
 	p := &routePlan{steps: make([]planStep, len(phases))}
 	moved := false
-	var prev mesh.Phase
-	var r tcme.Result
-	for i, ph := range phases {
-		if i == 0 || !ph.Equal(prev) {
-			r = tcme.Optimize(t, ph, opts)
-		}
-		prev = ph
+	tcme.OptimizeEach(t, phases, opts, func(i int, r tcme.Result) {
 		phases[i] = r.Phase
 		moved = moved || r.MergedFlows+r.ReroutedFlows > 0
 		p.steps[i] = planStep{
 			iters: int32(r.Iterations), merged: int32(r.MergedFlows), rerouted: int32(r.ReroutedFlows),
 			initMax: int32(r.InitialMaxLoad), finalMax: int32(r.FinalMaxLoad),
 		}
-	}
+	})
 	if moved {
 		p.prof = t.CompileProfile(phases)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"temp/internal/cost"
 	"temp/internal/engine"
@@ -145,6 +146,10 @@ func (c Campaign) baseline() (float64, error) {
 	return base.ThroughputTokens, nil
 }
 
+// trialRands pools trial generators. Seed resets a generator's whole
+// state, so a re-seeded one draws exactly what a fresh one would.
+var trialRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // trial runs one Monte Carlo trial of one cell on a normalized
 // campaign.
 func (c Campaign) trial(cl cellCoord, ci, ti int, baseTokens float64) (norm float64, functional bool) {
@@ -153,8 +158,10 @@ func (c Campaign) trial(cl cellCoord, ci, ti int, baseTokens float64) (norm floa
 		CoreRate:    cl.core,
 		CoresPerDie: c.CoresPerDie,
 	}
-	rng := rand.New(rand.NewSource(TrialSeed(c.Seed, ci, ti)))
+	rng := trialRands.Get().(*rand.Rand)
+	rng.Seed(TrialSeed(c.Seed, ci, ti))
 	out := EvaluateWith(c.Backend, c.Model, c.Wafer, c.Config, c.Opts, in, rng)
+	trialRands.Put(rng)
 	if !out.Functional {
 		return 0, false
 	}

@@ -10,6 +10,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -433,11 +434,18 @@ func (s *routeScratch) grab(n int) {
 // skipped, so it doubles as the fault-aware router. Returns nil when
 // dst is unreachable.
 func (t *Topology) RouteWeighted(src, dst DieID, weight func(Link) float64) Path {
+	return slices.Clip(t.AppendRouteWeighted(nil, src, dst, weight))
+}
+
+// AppendRouteWeighted appends RouteWeighted's path to buf and returns
+// the extended slice, or nil when dst is unreachable, so a caller that
+// prices many candidate routes can reuse one buffer.
+func (t *Topology) AppendRouteWeighted(buf Path, src, dst DieID, weight func(Link) float64) Path {
 	if !t.DieAlive(src) || !t.DieAlive(dst) {
 		return nil
 	}
 	if src == dst {
-		return Path{src}
+		return append(buf, src)
 	}
 	const inf = 1e300
 	n := t.Dies()
@@ -498,19 +506,21 @@ func (t *Topology) RouteWeighted(src, dst DieID, weight func(Link) float64) Path
 		routePool.Put(s)
 		return nil
 	}
-	p := make(Path, len(rev))
-	for i := range rev {
-		p[i] = rev[len(rev)-1-i]
+	buf = slices.Grow(buf, len(rev))
+	for i := len(rev) - 1; i >= 0; i-- {
+		buf = append(buf, rev[i])
 	}
 	routePool.Put(s)
-	return p
+	return buf
 }
 
 // Route returns the fault-aware shortest path (unit weights): the XY
 // route on a healthy mesh, RouteWeighted's on a faulted one. A frozen
 // faulted topology routes each (src, dst) once and returns the same
 // slice to every later caller, so flows, templates and route plans
-// share it: callers must treat the returned path as read-only.
+// share it: callers must treat the returned path as read-only. A pair
+// joined by one alive link is memoized as that hop without a Dijkstra
+// run.
 //
 // The memo is lock-free. Frozen faulted meshes are priced concurrently
 // (a repair's solver workers share one), so concurrent first requests
@@ -537,7 +547,14 @@ func (t *Topology) Route(src, dst DieID) Path {
 	if p := e.Load(); p != nil {
 		return *p
 	}
-	p := t.RouteWeighted(src, dst, nil)
+	var p Path
+	if t.LinkAlive(Link{src, dst}) {
+		// The unique shortest path: every other route takes at least
+		// two hops, so Dijkstra returns this one.
+		p = Path{src, dst}
+	} else {
+		p = t.RouteWeighted(src, dst, nil)
+	}
 	if e.CompareAndSwap(nil, &p) {
 		return p
 	}

@@ -3,6 +3,7 @@ package tcme
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -319,22 +320,13 @@ func TestImprovementZeroFinal(t *testing.T) {
 	}
 }
 
-// TestOptimizeUniformPhaseScaleInvariant pins the property route plans
-// in cost rely on: when every flow of a phase carries the same bytes,
-// the optimizer's moves do not depend on that byte value. Ring
-// collectives merged across groups make contended phases: strided
-// logical-order groups (the SMap layouts of DP×TP×SP) and the ring
-// orders of 2×2 blocks (GMap/TEMP rectangles), on a healthy 4×8 mesh
-// and on one with three dead links. Each phase is optimized at unit
-// bytes and at scales whose repeated sums round, and must make the
-// same moves, end on the same routes, and report max loads equal to
-// the scale added the unit run's counts times.
-func TestOptimizeUniformPhaseScaleInvariant(t *testing.T) {
-	healthy := mesh.Shared(4, 8, hw.TableID2D())
-	c := healthy.Clone()
-	for _, l := range []mesh.Link{{From: 1, To: 2}, {From: 9, To: 10}, {From: 3, To: 11}} {
-		c.SetLinkAlive(l, false)
-	}
+// ringPhases is the merged ring collectives of
+// TestOptimizeUniformPhaseScaleInvariant on tp, a 4×8 mesh: every
+// phase of the all-reduce, all-gather and reduce-scatter over strided
+// logical-order groups (the SMap layouts of DP×TP×SP) and over the
+// ring orders of 2×2 blocks (GMap/TEMP rectangles), each merged across
+// its groups. The flows of one phase carry equal bytes.
+func ringPhases(tp *mesh.Topology) []mesh.Phase {
 	var groupings [][][]mesh.DieID
 	for _, n := range []int{2, 4, 8} {
 		for _, stride := range []int{1, 2, 4, 8} {
@@ -361,30 +353,58 @@ func TestOptimizeUniformPhaseScaleInvariant(t *testing.T) {
 	}
 	groupings = append(groupings, blocks)
 
-	scaled := func(p mesh.Phase, b float64) mesh.Phase {
-		out := clonePhase(p)
-		for i := range out.Flows {
-			out.Flows[i].Bytes = b
+	var phases []mesh.Phase
+	for _, groups := range groupings {
+		var ars, ags, rss [][]mesh.Phase
+		for _, order := range groups {
+			n := float64(len(order))
+			ars = append(ars, collective.RingAllReduce(tp, order, n))
+			ags = append(ags, collective.RingAllGather(tp, order, 1))
+			rss = append(rss, collective.RingReduceScatter(tp, order, n))
 		}
-		return out
+		for _, seqs := range [][][]mesh.Phase{ars, ags, rss} {
+			phases = append(phases, collective.Merge(seqs...)...)
+		}
 	}
-	for _, tp := range []*mesh.Topology{healthy, c.Intern()} {
-		var phases []mesh.Phase
-		for _, groups := range groupings {
-			var ars, ags, rss [][]mesh.Phase
-			for _, order := range groups {
-				n := float64(len(order))
-				ars = append(ars, collective.RingAllReduce(tp, order, n))
-				ags = append(ags, collective.RingAllGather(tp, order, 1))
-				rss = append(rss, collective.RingReduceScatter(tp, order, n))
-			}
-			for _, seqs := range [][][]mesh.Phase{ars, ags, rss} {
-				phases = append(phases, collective.Merge(seqs...)...)
-			}
-		}
-		for i, p := range phases {
+	return phases
+}
+
+// deadLinks4x8 is the 4×8 mesh with three dead link bundles that
+// TestOptimizeUniformPhaseScaleInvariant prices.
+func deadLinks4x8() *mesh.Topology {
+	c := mesh.Shared(4, 8, hw.TableID2D()).Clone()
+	for _, l := range []mesh.Link{{From: 1, To: 2}, {From: 9, To: 10}, {From: 3, To: 11}} {
+		c.SetLinkAlive(l, false)
+	}
+	return c.Intern()
+}
+
+// scaled returns a copy of p with every flow carrying b bytes.
+func scaled(p mesh.Phase, b float64) mesh.Phase {
+	out := clonePhase(p)
+	for i := range out.Flows {
+		out.Flows[i].Bytes = b
+	}
+	return out
+}
+
+// byteScales are the byte values the scale tests optimize at besides
+// unit bytes: values whose repeated sums round, and one past 2^40.
+var byteScales = []float64{0.1, 3, 12345.678, math.Ldexp(1, 40) + 1}
+
+// TestOptimizeUniformPhaseScaleInvariant pins the property route plans
+// in cost rely on: when every flow of a phase carries the same bytes,
+// the optimizer's moves do not depend on that byte value. Ring
+// collectives merged across groups make contended phases (ringPhases),
+// on a healthy 4×8 mesh and on one with three dead links. Each phase
+// is optimized at unit bytes and at scales whose repeated sums round,
+// and must make the same moves, end on the same routes, and report max
+// loads equal to the scale added the unit run's counts times.
+func TestOptimizeUniformPhaseScaleInvariant(t *testing.T) {
+	for _, tp := range []*mesh.Topology{mesh.Shared(4, 8, hw.TableID2D()), deadLinks4x8()} {
+		for i, p := range ringPhases(tp) {
 			ref := Optimize(tp, scaled(p, 1), Options{})
-			for _, b := range []float64{0.1, 3, 12345.678, math.Ldexp(1, 40) + 1} {
+			for _, b := range byteScales {
 				r := Optimize(tp, scaled(p, b), Options{})
 				if r.Iterations != ref.Iterations || r.MergedFlows != ref.MergedFlows ||
 					r.ReroutedFlows != ref.ReroutedFlows ||
@@ -402,3 +422,133 @@ func TestOptimizeUniformPhaseScaleInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestCountModeMatchesWalk pins count mode against the walk, its
+// oracle. The walk runs at unit bytes, where every load is a count and
+// the load and count weights are equal bit for bit; count mode runs at
+// each byte value of the scale grid. Both must make the same moves and
+// end on the same flows, count mode's flows carrying its bytes, and
+// count mode's max loads must be its bytes added the walk's max loads
+// times. The phases are ringPhases on the healthy and the three-dead-
+// link 4×8 mesh and on seeded random link masks, and faultedPhases,
+// where merges fire. -short takes one random mask and every third ring
+// phase.
+func TestCountModeMatchesWalk(t *testing.T) {
+	type input struct {
+		name   string
+		tp     *mesh.Topology
+		phases []mesh.Phase
+	}
+	healthy, dead := mesh.Shared(4, 8, hw.TableID2D()), deadLinks4x8()
+	ftp, fphases := faultedPhases()
+	inputs := []input{
+		{"healthy 4x8", healthy, ringPhases(healthy)},
+		{"dead-link 4x8", dead, ringPhases(dead)},
+		{"faultedPhases", ftp, fphases},
+	}
+	seeds := 4
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := healthy.Clone()
+		for id := 0; id < c.NumLinks(); id++ {
+			if l := c.LinkByID(id); l.From < l.To && rng.Float64() < 0.15 {
+				c.SetLinkAlive(l, false)
+			}
+		}
+		if !c.Connected() {
+			t.Fatalf("mask %d cuts the mesh", seed)
+		}
+		tp := c.Intern()
+		inputs = append(inputs, input{fmt.Sprintf("mask %d", seed), tp, ringPhases(tp)})
+	}
+	moved := 0
+	for _, in := range inputs {
+		for i, p := range in.phases {
+			if testing.Short() && i%3 != 0 {
+				continue
+			}
+			walk := optimize(in.tp, scaled(p, 1), Options{}, 0)
+			moved += walk.MergedFlows + walk.ReroutedFlows
+			for _, b := range append([]float64{1}, byteScales...) {
+				q := scaled(p, b)
+				if countBytes(q) != b {
+					t.Fatalf("%s phase %d: Optimize at %v bytes would not run in count mode", in.name, i, b)
+				}
+				r := optimize(in.tp, q, Options{}, b)
+				if r.Iterations != walk.Iterations || r.MergedFlows != walk.MergedFlows ||
+					r.ReroutedFlows != walk.ReroutedFlows ||
+					r.InitialMaxLoad != unit.RepAdd(b, int32(walk.InitialMaxLoad)) ||
+					r.FinalMaxLoad != unit.RepAdd(b, int32(walk.FinalMaxLoad)) ||
+					len(r.Phase.Flows) != len(walk.Phase.Flows) {
+					t.Fatalf("%s phase %d at %v bytes: count mode %v; walk at unit bytes %v", in.name, i, b, r, walk)
+				}
+				for j, f := range r.Phase.Flows {
+					w := walk.Phase.Flows[j]
+					if f.Src != w.Src || f.Dst != w.Dst || f.Payload != w.Payload || f.Bytes != b ||
+						!samePath(f.Route, w.Route) {
+						t.Fatalf("%s phase %d at %v bytes: flow %d is %+v in count mode, %+v in the walk",
+							in.name, i, b, j, f, w)
+					}
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no phase moved: the walk and count mode compared only identities")
+	}
+}
+
+// TestCountModeAllocs pins what a rejected candidate costs in count
+// mode: on block rings merged across a healthy 4×8 mesh, every link
+// carries one flow, so each group flip and each reroute is priced and
+// rejected, and Optimize allocates only the phase copy it returns.
+func TestCountModeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tp := mesh.Shared(4, 8, hw.TableID2D())
+	var rings [][]mesh.Phase
+	for r := 0; r < 4; r += 2 {
+		for col := 0; col < 8; col += 2 {
+			d := mesh.DieID(r*8 + col)
+			rings = append(rings, collective.RingAllGather(tp, []mesh.DieID{d, d + 8, d + 9, d + 1}, unit.MB))
+		}
+	}
+	p := collective.Merge(rings...)[0]
+	if r := Optimize(tp, p, Options{}); r.Iterations != 1 || r.MergedFlows+r.ReroutedFlows != 0 {
+		t.Fatalf("block-ring phase: %v; want one iteration and no move", r)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Optimize(tp, p, Options{}) }); allocs != 1 {
+		t.Errorf("Optimize allocated %v times per run, want 1 (the phase copy)", allocs)
+	}
+}
+
+// BenchmarkOptimize optimizes every merged ring phase of ringPhases on
+// the three-dead-link 4×8 mesh per op, at 16 MB per flow: "count" is
+// Optimize, which runs these uniform phases in count mode, and "walk"
+// forces the walk on the same phases.
+func BenchmarkOptimize(b *testing.B) {
+	tp := deadLinks4x8()
+	var phases []mesh.Phase
+	for _, p := range ringPhases(tp) {
+		phases = append(phases, scaled(p, 16*unit.MB))
+	}
+	for _, mode := range []struct {
+		name  string
+		bytes float64
+	}{{"count", 16 * unit.MB}, {"walk", 0}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range phases {
+					benchSink = optimize(tp, p, Options{}, mode.bytes)
+				}
+			}
+		})
+	}
+}
+
+var benchSink Result
