@@ -1,7 +1,6 @@
 package temp
 
 import (
-	"fmt"
 	"testing"
 
 	"temp/internal/collective"
@@ -81,7 +80,7 @@ func BenchmarkAblationTCMEMoves(b *testing.B) {
 		} {
 			seqs = append(seqs, collective.RingAllGather(topo, g, bytes))
 		}
-		for i, c := range [][]mesh.DieID{
+		for _, c := range [][]mesh.DieID{
 			{id(0, 2), id(0, 0), id(2, 0), id(2, 2)},
 			{id(0, 3), id(0, 1), id(2, 1), id(2, 3)},
 			{id(1, 2), id(1, 0), id(3, 0), id(3, 2)},
@@ -90,7 +89,7 @@ func BenchmarkAblationTCMEMoves(b *testing.B) {
 			var chain mesh.Phase
 			for h := 0; h+1 < len(c); h++ {
 				chain.Flows = append(chain.Flows, mesh.Flow{Src: c[h], Dst: c[h+1], Bytes: bytes,
-					Route: topo.Route(c[h], c[h+1]), Payload: fmt.Sprintf("t%c.hop%d", 'a'+i, h)})
+					Route: topo.Route(c[h], c[h+1]), Payload: mesh.Payload{Datum: int32(h)}})
 			}
 			seqs = append(seqs, []mesh.Phase{chain})
 		}

@@ -14,7 +14,6 @@
 package collective
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"temp/internal/mesh"
@@ -23,13 +22,12 @@ import (
 // ringSteps lowers steps ring steps in which every position i sends
 // chunkBytes to position (i+1) mod N along the order. On an open chain
 // the N-1→0 step is a multi-hop route. Every step routes the same die
-// pairs, so one step is routed and formatted and the phases repeat it,
-// sharing its flows. Payloads are "<payload>.pos<i>", naming the
-// sending position and not the step: TCME merges only flows of equal
-// payload from one source, Merge aligns one step of each sequence per
-// phase, so within a phase the position alone keeps a ring's flows
-// apart.
-func ringSteps(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, payload string, steps int) []mesh.Phase {
+// pairs, so one step is routed and the phases repeat it, sharing its
+// flows. A flow's datum is its sending position, not the step: TCME
+// merges only flows of equal payload from one source, Merge aligns one
+// step of each sequence per phase, so within a phase the position
+// alone keeps a ring's flows apart.
+func ringSteps(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, steps int) []mesh.Phase {
 	n := len(order)
 	var step mesh.Phase
 	for i := 0; i < n; i++ {
@@ -43,7 +41,7 @@ func ringSteps(t *mesh.Topology, order []mesh.DieID, chunkBytes float64, payload
 			Dst:     dst,
 			Bytes:   chunkBytes,
 			Route:   route,
-			Payload: fmt.Sprintf("%s.pos%d", payload, i),
+			Payload: mesh.Payload{Datum: int32(i)},
 		})
 	}
 	phases := make([]mesh.Phase, steps)
@@ -63,7 +61,7 @@ func RingAllReduce(t *mesh.Topology, order []mesh.DieID, bytes float64) []mesh.P
 	if n <= 1 || bytes <= 0 {
 		return nil
 	}
-	return ringSteps(t, order, bytes/float64(n), "ar", 2*(n-1))
+	return ringSteps(t, order, bytes/float64(n), 2*(n-1))
 }
 
 // RingAllGather lowers an all-gather where every participant
@@ -75,7 +73,7 @@ func RingAllGather(t *mesh.Topology, order []mesh.DieID, shardBytes float64) []m
 	if n <= 1 || shardBytes <= 0 {
 		return nil
 	}
-	return ringSteps(t, order, shardBytes, "ag", n-1)
+	return ringSteps(t, order, shardBytes, n-1)
 }
 
 // RingReduceScatter lowers a reduce-scatter of bytes per participant
@@ -86,12 +84,12 @@ func RingReduceScatter(t *mesh.Topology, order []mesh.DieID, bytes float64) []me
 	if n <= 1 || bytes <= 0 {
 		return nil
 	}
-	return ringSteps(t, order, bytes/float64(n), "rs", n-1)
+	return ringSteps(t, order, bytes/float64(n), n-1)
 }
 
 // P2P lowers a single point-to-point transfer. Its route is the
 // topology's (see RingAllReduce).
-func P2P(t *mesh.Topology, src, dst mesh.DieID, bytes float64, payload string) []mesh.Phase {
+func P2P(t *mesh.Topology, src, dst mesh.DieID, bytes float64) []mesh.Phase {
 	if bytes <= 0 || src == dst {
 		return nil
 	}
@@ -100,7 +98,7 @@ func P2P(t *mesh.Topology, src, dst mesh.DieID, bytes float64, payload string) [
 		return nil
 	}
 	return []mesh.Phase{{
-		Flows: []mesh.Flow{{Src: src, Dst: dst, Bytes: bytes, Route: route, Payload: payload}},
+		Flows: []mesh.Flow{{Src: src, Dst: dst, Bytes: bytes, Route: route}},
 	}}
 }
 
@@ -135,10 +133,11 @@ func CacheStats() LoweringStats {
 // sequence into one shared phase. This is how hybrid parallelism's
 // overlapping collectives (e.g. FSDP all-gather + TATP P2P, Fig. 11)
 // are exposed to the contention model and the TCME optimizer. Every
-// flow's payload gains the prefix "s<i>." of its sequence. When every
-// sequence's step k equals its step k-1 (ring collectives and
-// ring-schedule streams repeat one step), merged step k is merged step
-// k-1 and shares its flows.
+// flow's payload takes its sequence's index as Seq, replacing any Seq
+// it had: merging a merged lowering again makes it one sequence, which
+// TCME flips as one group. When every sequence's step k equals its
+// step k-1 (ring collectives and ring-schedule streams repeat one
+// step), merged step k is merged step k-1 and shares its flows.
 func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 	maxLen := 0
 	for _, s := range seqs {
@@ -152,31 +151,39 @@ func Merge(seqs ...[]mesh.Phase) []mesh.Phase {
 			out[k] = out[k-1]
 			continue
 		}
+		n := 0
+		for _, s := range seqs {
+			n += len(stepAt(s, k).Flows)
+		}
+		if n == 0 {
+			continue
+		}
+		out[k].Flows = make([]mesh.Flow, 0, n)
 		for si, s := range seqs {
-			if k < len(s) {
-				for _, f := range s[k].Flows {
-					f.Payload = fmt.Sprintf("s%d.%s", si, f.Payload)
-					out[k].Flows = append(out[k].Flows, f)
-				}
+			for _, f := range stepAt(s, k).Flows {
+				f.Payload.Seq = int32(si)
+				out[k].Flows = append(out[k].Flows, f)
 			}
 		}
 	}
 	return out
 }
 
+// stepAt returns step k of a sequence, or an empty step once it has
+// ended.
+func stepAt(s []mesh.Phase, k int) mesh.Phase {
+	if k < len(s) {
+		return s[k]
+	}
+	return mesh.Phase{}
+}
+
 // repeatsStep reports whether every sequence's step k equals its step
 // k-1. It compares content, not pointers: a sequence's equal steps
-// need not share flows (a materialized template copies each step). A
-// sequence that has ended contributes an empty step.
+// need not share flows (a materialized template copies each step).
 func repeatsStep(seqs [][]mesh.Phase, k int) bool {
-	step := func(s []mesh.Phase, k int) mesh.Phase {
-		if k < len(s) {
-			return s[k]
-		}
-		return mesh.Phase{}
-	}
 	for _, s := range seqs {
-		if !step(s, k).Equal(step(s, k-1)) {
+		if !stepAt(s, k).Equal(stepAt(s, k-1)) {
 			return false
 		}
 	}

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"temp/internal/hw"
@@ -127,7 +126,7 @@ func TestDegenerateCollectives(t *testing.T) {
 	if RingAllReduce(tp, []mesh.DieID{0, 1}, 0) != nil {
 		t.Error("zero-byte all-reduce should be free")
 	}
-	if P2P(tp, 3, 3, unit.MB, "self") != nil {
+	if P2P(tp, 3, 3, unit.MB) != nil {
 		t.Error("self P2P should be free")
 	}
 }
@@ -136,7 +135,7 @@ func TestDegenerateCollectives(t *testing.T) {
 // multicast-tree phase charges every link one payload.
 func TestBroadcastUsesTree(t *testing.T) {
 	tp := topo(2, 4)
-	phases := []mesh.Phase{{Flows: mesh.MulticastTree(tp, 0, []mesh.DieID{1, 2, 3, 5}, 16*unit.MB, "w")}}
+	phases := []mesh.Phase{{Flows: mesh.MulticastTree(tp, 0, []mesh.DieID{1, 2, 3, 5}, 16*unit.MB, mesh.Payload{})}}
 	if err := tp.ValidatePhase(phases[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestBroadcastUsesTree(t *testing.T) {
 // shortest route.
 func TestP2PRouteIsMinimal(t *testing.T) {
 	tp := topo(2, 4)
-	p := P2P(tp, 0, 7, 4*unit.MB, "x")
+	p := P2P(tp, 0, 7, 4*unit.MB)
 	if len(p) != 1 || len(p[0].Flows) != 1 {
 		t.Fatalf("P2P = %+v", p)
 	}
@@ -195,14 +194,16 @@ func TestAllReduceTimeScalesInverseWithRing(t *testing.T) {
 
 // TestMergeAlignsPhases merges a ring all-gather with a one-phase
 // chain of transfers: step k of every sequence lands in merged phase
-// k, every payload carries its sequence's prefix, and a merged step
-// repeats the previous one exactly when every sequence's steps do.
+// k, every flow's payload takes its sequence's index as Seq over the
+// one it had and keeps its Datum, and a merged step repeats the
+// previous one exactly when every sequence's steps do.
 func TestMergeAlignsPhases(t *testing.T) {
 	tp := topo(2, 4)
 	a := RingAllGather(tp, []mesh.DieID{0, 1, 2, 3}, unit.MB)
 	var chain mesh.Phase
 	for i := mesh.DieID(4); i < 7; i++ {
-		chain.Flows = append(chain.Flows, mesh.Flow{Src: i, Dst: i + 1, Bytes: unit.MB, Route: tp.Route(i, i+1), Payload: "p"})
+		chain.Flows = append(chain.Flows, mesh.Flow{Src: i, Dst: i + 1, Bytes: unit.MB, Route: tp.Route(i, i+1),
+			Payload: mesh.Payload{Seq: 5, Datum: int32(i)}})
 	}
 	b := []mesh.Phase{chain}
 	merged := Merge(a, b)
@@ -212,9 +213,14 @@ func TestMergeAlignsPhases(t *testing.T) {
 	if len(merged[0].Flows) != len(a[0].Flows)+len(b[0].Flows) {
 		t.Errorf("merged phase 0 flows = %d", len(merged[0].Flows))
 	}
-	for _, f := range merged[0].Flows {
-		if !strings.HasPrefix(f.Payload, "s0.") && !strings.HasPrefix(f.Payload, "s1.") {
-			t.Errorf("merged payload %q missing sequence prefix", f.Payload)
+	inputs := append(append([]mesh.Flow(nil), a[0].Flows...), b[0].Flows...)
+	for i, f := range merged[0].Flows {
+		want := mesh.Payload{Datum: inputs[i].Payload.Datum}
+		if i >= len(a[0].Flows) {
+			want.Seq = 1
+		}
+		if f.Payload != want {
+			t.Errorf("merged flow %d payload %+v, want %+v", i, f.Payload, want)
 		}
 	}
 	// The chain ends after step 0, so step 1 carries the ring's flows
@@ -232,6 +238,40 @@ func TestMergeAlignsPhases(t *testing.T) {
 	for k := range merged {
 		if want := Merge(a[k:k+1], c[k:k+1])[0]; !merged[k].Equal(want) {
 			t.Errorf("merged phase %d %+v, want %+v", k, merged[k], want)
+		}
+	}
+}
+
+// TestMergeAllocs pins Merge's allocations on the four 8-die row
+// all-reduce rings of wsc-4x8: 32 flows per step and 14 steps, all
+// sharing the first. Merging one, two or all four rings allocates the
+// phase slice and the one distinct step's presized flows, whatever the
+// flow count.
+func TestMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tp := mesh.FromWafer(hw.EvaluationWafer())
+	var rings [][]mesh.Phase
+	for r := 0; r < 4; r++ {
+		order := make([]mesh.DieID, 8)
+		for c := range order {
+			order[c] = tp.ID(mesh.Coord{R: r, C: c})
+		}
+		rings = append(rings, RingAllReduce(tp, order, unit.MB))
+	}
+	merged := Merge(rings...)
+	if len(merged) != 14 || len(merged[0].Flows) != 32 {
+		t.Fatalf("merged %d steps of %d flows, want 14 of 32", len(merged), len(merged[0].Flows))
+	}
+	for k := range merged {
+		if &merged[k].Flows[0] != &merged[0].Flows[0] {
+			t.Fatalf("merged step %d does not share step 0's flows", k)
+		}
+	}
+	for _, n := range []int{1, 2, 4} {
+		if allocs := testing.AllocsPerRun(100, func() { Merge(rings[:n]...) }); allocs != 2 {
+			t.Errorf("merging %d rings allocated %v times per run, want 2", n, allocs)
 		}
 	}
 }

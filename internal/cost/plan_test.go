@@ -205,11 +205,11 @@ func TestRoutePlansMatchMaterialized(t *testing.T) {
 // The plan's steps and profile must equal optimizing every phase.
 func TestRoutePlanOptimizesEachDistinctPhase(t *testing.T) {
 	tp := mesh.Shared(2, 4, hw.TableID2D())
-	flow := func(src, dst mesh.DieID, payload string) mesh.Flow {
-		return mesh.Flow{Src: src, Dst: dst, Route: tp.Route(src, dst), Payload: payload}
+	flow := func(src, dst mesh.DieID, seq int32) mesh.Flow {
+		return mesh.Flow{Src: src, Dst: dst, Route: tp.Route(src, dst), Payload: mesh.Payload{Seq: seq}}
 	}
-	collide := mesh.Phase{Flows: []mesh.Flow{flow(0, 2, "a"), flow(1, 3, "b")}}
-	apart := mesh.Phase{Flows: []mesh.Flow{flow(0, 1, "a"), flow(2, 3, "b")}}
+	collide := mesh.Phase{Flows: []mesh.Flow{flow(0, 2, 0), flow(1, 3, 1)}}
+	apart := mesh.Phase{Flows: []mesh.Flow{flow(0, 1, 0), flow(2, 3, 1)}}
 	tmpl := mesh.NewPhaseTemplate([]mesh.Phase{collide, collide, apart, apart, collide})
 	plan := newRoutePlan(tp, tmpl, tcme.Options{})
 	var opt []mesh.Phase
@@ -259,40 +259,29 @@ func TestRoutePlansMatchMaterializedOnLinkVariant(t *testing.T) {
 
 // stepTaggedRing is the ring lowering whose payloads named the step,
 // kept as the reference for TestRingPayloadsOptimizeLikeStepTagged:
-// every step is routed and formatted apart, all-reduce steps tagged
-// "ar.rs<k>" then "ar.ag<k>", all-gather steps "ag<k>" and
-// reduce-scatter steps "rs<k>", each flow "<tag>.pos<i>". bytes is
-// lowerRingKind's.
+// every step is routed apart, and flow i of step k (counted through an
+// all-reduce's reduce-scatter and all-gather passes) carries datum
+// k·n+i. bytes is lowerRingKind's.
 func stepTaggedRing(t *mesh.Topology, kind byte, order []mesh.DieID, bytes float64) []mesh.Phase {
 	n := len(order)
-	step := func(chunk float64, tag string, k int) mesh.Phase {
+	chunk, steps := bytes/float64(n), n-1
+	switch kind {
+	case collAllReduce:
+		steps = 2 * (n - 1)
+	case collAllGather:
+		chunk = bytes
+	}
+	var phases []mesh.Phase
+	for k := 0; k < steps; k++ {
 		var ph mesh.Phase
 		for i := 0; i < n; i++ {
 			src, dst := order[i], order[(i+1)%n]
 			if route := t.Route(src, dst); route != nil {
 				ph.Flows = append(ph.Flows, mesh.Flow{Src: src, Dst: dst, Bytes: chunk, Route: route,
-					Payload: fmt.Sprintf("%s%d.pos%d", tag, k, i)})
+					Payload: mesh.Payload{Datum: int32(k*n + i)}})
 			}
 		}
-		return ph
-	}
-	var phases []mesh.Phase
-	for k := 0; k < n-1; k++ {
-		switch kind {
-		case collAllReduce, collReduceScatter:
-			tag := "rs"
-			if kind == collAllReduce {
-				tag = "ar.rs"
-			}
-			phases = append(phases, step(bytes/float64(n), tag, k))
-		case collAllGather:
-			phases = append(phases, step(bytes, "ag", k))
-		}
-	}
-	if kind == collAllReduce {
-		for k := 0; k < n-1; k++ {
-			phases = append(phases, step(bytes/float64(n), "ar.ag", k))
-		}
+		phases = append(phases, ph)
 	}
 	return phases
 }
@@ -385,8 +374,8 @@ func compareOptimized(t *testing.T, name string, topo *mesh.Topology, want, got 
 
 // subTTaggedStream is the stream lowering whose payloads named the
 // sub-tensor in every schedule, kept as the reference for
-// TestStreamPayloadsOptimizeLikeSubTTagged: every round is routed and
-// formatted apart, each send "subT<k>".
+// TestStreamPayloadsOptimizeLikeSubTTagged: every round is routed
+// apart, each send's datum its sub-tensor.
 func subTTaggedStream(t *mesh.Topology, o *stream.Orchestration, subBytes float64) []mesh.Phase {
 	var phases []mesh.Phase
 	for _, sends := range o.Sched.Sends {
@@ -395,7 +384,7 @@ func subTTaggedStream(t *mesh.Topology, o *stream.Orchestration, subBytes float6
 			src, dst := o.Order[snd.From], o.Order[snd.To]
 			if route := t.Route(src, dst); route != nil {
 				ph.Flows = append(ph.Flows, mesh.Flow{Src: src, Dst: dst, Bytes: subBytes, Route: route,
-					Payload: fmt.Sprintf("subT%d", snd.SubT)})
+					Payload: mesh.Payload{Datum: int32(snd.SubT)}})
 			}
 		}
 		phases = append(phases, ph)

@@ -154,29 +154,39 @@ func TestDiskMemoCorruptTail(t *testing.T) {
 }
 
 // TestDiskMemoCorruptHeader: a file from another schema (or plain
-// garbage) is ignored wholesale rather than misread.
+// garbage) is ignored wholesale rather than misread. The previous
+// version's records hold flow payloads as strings, which gob cannot
+// decode into the typed tag.
 func TestDiskMemoCorruptHeader(t *testing.T) {
-	dir := t.TempDir()
-	m1, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1.Store(diskJob(0), diskResult(0))
-	m1.Close()
-	data, _ := os.ReadFile(m1.Path())
-	data[0] ^= 0xff
-	os.WriteFile(m1.Path(), data, 0o644)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(data []byte)
+	}{
+		{"magic", func(data []byte) { data[0] ^= 0xff }},
+		{"previous version", func(data []byte) { data[len(diskMemoMagic)] = diskMemoVersion - 1 }},
+	} {
+		dir := t.TempDir()
+		m1, err := OpenDiskMemo(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m1.Store(diskJob(0), diskResult(0))
+		m1.Close()
+		data, _ := os.ReadFile(m1.Path())
+		tc.corrupt(data)
+		os.WriteFile(m1.Path(), data, 0o644)
 
-	m2, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	if m2.Len() != 0 {
-		t.Fatalf("foreign-header file yielded %d records, want 0", m2.Len())
-	}
-	if _, dropped := m2.Recovered(); dropped != len(data) {
-		t.Errorf("dropped %d bytes, want the whole %d-byte file", dropped, len(data))
+		m2, err := OpenDiskMemo(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2.Len() != 0 {
+			t.Errorf("%s: foreign-header file yielded %d records, want 0", tc.name, m2.Len())
+		}
+		if _, dropped := m2.Recovered(); dropped != len(data) {
+			t.Errorf("%s: dropped %d bytes, want the whole %d-byte file", tc.name, dropped, len(data))
+		}
+		m2.Close()
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 )
 
 // TestSweepSharesHotPathCaches hammers the evaluation hot path's
-// shared structures from concurrent Sweeps: the topology interner,
+// shared structures from concurrent Sweeps: the topology interner and
 // the per-topology derived state (placements, orchestrations, compiled
-// lowering templates, their link profiles and TCME route plans) and
-// the collective lowering cache are all built and read by every
-// worker at once. The pools run first, on a wafer no other test in
+// lowering templates, their link profiles and TCME route plans) are
+// all built and read by every worker at once. The pools run first, on a wafer no other test in
 // this package interns, so they race the construction of every one
 // of those structures, not just reads of warm ones. Run under -race
 // this is the concurrency contract test for the hot-path caches; the

@@ -114,11 +114,11 @@ func Fig05Challenges() (*Table, error) {
 
 	grid := mesh.New(2, 4, link)
 	bytes := 64 * unit.MB
-	mk := func(src, dst mesh.DieID, tag string) mesh.Flow {
-		return mesh.Flow{Src: src, Dst: dst, Bytes: bytes, Route: grid.RouteXY(src, dst), Payload: tag}
+	mk := func(src, dst mesh.DieID) mesh.Flow {
+		return mesh.Flow{Src: src, Dst: dst, Bytes: bytes, Route: grid.RouteXY(src, dst)}
 	}
-	solo := grid.Time(mesh.Phase{Flows: []mesh.Flow{mk(0, 2, "d1")}})
-	both := grid.Time(mesh.Phase{Flows: []mesh.Flow{mk(0, 2, "d1"), mk(1, 3, "d2")}})
+	solo := grid.Time(mesh.Phase{Flows: []mesh.Flow{mk(0, 2)}})
+	both := grid.Time(mesh.Phase{Flows: []mesh.Flow{mk(0, 2), mk(1, 3)}})
 	t.AddRow("contention latency inflation (shared link)", fmt.Sprintf("%.2fx (paper: >2x)", both.Serialization/solo.Serialization))
 	return t, nil
 }

@@ -121,8 +121,11 @@ func TestSeqTimeLoweredMatchesMaterialized(t *testing.T) {
 	}
 
 	// A compiled profile of other uniform phases (here the template's
-	// flows detoured YX, as a TCME reroute would) replaces the
-	// template's own profile.
+	// flows detoured YX, as a TCME reroute would, then its first phase
+	// as lowered) replaces the template's own profile. Its first two
+	// phases are equal without sharing flows, so they store their link
+	// entries once; the third has as many flows on other routes and
+	// takes its own.
 	alt := tmpl.Materialize(1)
 	for i := range alt {
 		for j := range alt[i].Flows {
@@ -130,7 +133,12 @@ func TestSeqTimeLoweredMatchesMaterialized(t *testing.T) {
 			f.Route = tp.RouteYX(f.Src, f.Dst)
 		}
 	}
+	alt = append(alt, tmpl.Materialize(1)[0])
 	prof := tp.CompileProfile(alt)
+	if prof.lo[1] != prof.lo[0] || prof.hi[1] != prof.hi[0] || prof.lo[2] != prof.hi[0] || int(prof.hi[2]) != len(prof.ids) {
+		t.Errorf("phase spans %v..%v of %d entries; want phases 0 and 1 in one span, phase 2 in its own",
+			prof.lo, prof.hi, len(prof.ids))
+	}
 	for i := range seq {
 		seq[i].Prof = prof
 	}

@@ -37,11 +37,11 @@ func faultedLowerings(tp *mesh.Topology) map[string][]mesh.Phase {
 	hops := []mesh.DieID{0, 3, 8, 11}
 	for i := 0; i+1 < len(hops); i++ {
 		chain.Flows = append(chain.Flows, mesh.Flow{Src: hops[i], Dst: hops[i+1], Bytes: 2 * unit.MB,
-			Route: tp.Route(hops[i], hops[i+1]), Payload: "c"})
+			Route: tp.Route(hops[i], hops[i+1])})
 	}
 	return map[string][]mesh.Phase{
 		"allreduce": collective.RingAllReduce(tp, ring, 8*unit.MB),
-		"broadcast": {{Flows: mesh.MulticastTree(tp, 0, []mesh.DieID{2, 3, 10, 11}, 4*unit.MB, "w")}},
+		"broadcast": {{Flows: mesh.MulticastTree(tp, 0, []mesh.DieID{2, 3, 10, 11}, 4*unit.MB, mesh.Payload{})}},
 		"chain":     {chain},
 		"stream":    stream.Orchestrate(tp, block.DiesOn(tp), &block).Phases(3 * unit.MB),
 		"fallback":  stream.Orchestrate(tp, scattered, nil).Phases(unit.MB),

@@ -2,21 +2,27 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Flow is one point-to-point transfer inside a communication phase:
-// Bytes of payload moving from Src to Dst along Route. Payload names
-// the logical datum carried so that the TCME optimizer can recognise
-// duplicate transmissions of the same data and merge them into
-// multicast trees (§VI-B phase 4).
+// Bytes of payload moving from Src to Dst along Route.
 type Flow struct {
 	Src, Dst DieID
 	Bytes    float64
 	Route    Path
-	Payload  string
+	Payload  Payload
 }
+
+// Payload tags a flow for the TCME optimizer (§VI-B). Seq is the
+// concurrent sequence the flow belongs to (collective.Merge sets it),
+// whose flows a group flip reverses as a unit. Datum names the data
+// carried (a ring position, a stream sub-tensor): flows of one Payload
+// from one source carry the same data and may merge into a multicast
+// tree.
+type Payload struct{ Seq, Datum int32 }
 
 // Phase is a set of flows that execute concurrently. A phase
 // completes when its slowest link has drained; consecutive phases are
@@ -46,13 +52,8 @@ func (p Phase) Equal(q Phase) bool {
 	for i := range p.Flows {
 		a, b := &p.Flows[i], &q.Flows[i]
 		if a.Src != b.Src || a.Dst != b.Dst || a.Bytes != b.Bytes || a.Payload != b.Payload ||
-			len(a.Route) != len(b.Route) {
+			!slices.Equal(a.Route, b.Route) {
 			return false
-		}
-		for j := range a.Route {
-			if a.Route[j] != b.Route[j] {
-				return false
-			}
 		}
 	}
 	return true
@@ -232,7 +233,7 @@ func (t *Topology) SeqTime(phases []Phase) PhaseTime {
 // once per destination. It returns one single-hop Flow per tree link,
 // in ascending (From, To) order, so the link-serialization model
 // charges every tree link exactly one payload.
-func MulticastTree(t *Topology, src DieID, dsts []DieID, bytes float64, payload string) []Flow {
+func MulticastTree(t *Topology, src DieID, dsts []DieID, bytes float64, payload Payload) []Flow {
 	if len(dsts) == 0 {
 		return nil
 	}
@@ -304,23 +305,23 @@ func MulticastTree(t *Topology, src DieID, dsts []DieID, bytes float64, payload 
 }
 
 // ValidatePhase checks that every flow's route is connected, starts
-// at Src and ends at Dst over alive links. Used by tests and by the
-// TCME optimizer's invariant checks.
+// at Src and ends at Dst over alive links. Tests use it to check
+// lowerings and optimized phases.
 func (t *Topology) ValidatePhase(p Phase) error {
 	for i, f := range p.Flows {
 		if len(f.Route) == 0 {
-			return fmt.Errorf("mesh: flow %d (%s) has empty route", i, f.Payload)
+			return fmt.Errorf("mesh: flow %d %+v has empty route", i, f.Payload)
 		}
 		if f.Route[0] != f.Src || f.Route[len(f.Route)-1] != f.Dst {
-			return fmt.Errorf("mesh: flow %d (%s) route endpoints %v do not match %d→%d",
+			return fmt.Errorf("mesh: flow %d %+v route endpoints %v do not match %d→%d",
 				i, f.Payload, f.Route, f.Src, f.Dst)
 		}
 		if !f.Route.Valid(t) {
-			return fmt.Errorf("mesh: flow %d (%s) route %v crosses a missing or dead link",
+			return fmt.Errorf("mesh: flow %d %+v route %v crosses a missing or dead link",
 				i, f.Payload, f.Route)
 		}
 		if f.Bytes < 0 {
-			return fmt.Errorf("mesh: flow %d (%s) has negative bytes", i, f.Payload)
+			return fmt.Errorf("mesh: flow %d %+v has negative bytes", i, f.Payload)
 		}
 	}
 	return nil

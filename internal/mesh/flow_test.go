@@ -8,8 +8,8 @@ import (
 	"temp/internal/unit"
 )
 
-func flowBetween(tp *Topology, src, dst DieID, bytes float64, payload string) Flow {
-	return Flow{Src: src, Dst: dst, Bytes: bytes, Route: tp.RouteXY(src, dst), Payload: payload}
+func flowBetween(tp *Topology, src, dst DieID, bytes float64) Flow {
+	return Flow{Src: src, Dst: dst, Bytes: bytes, Route: tp.RouteXY(src, dst)}
 }
 
 // maxLinkLoad is the heaviest per-link byte load of p.
@@ -26,7 +26,7 @@ func maxLinkLoad(p Phase) float64 {
 func TestPhaseTimeSingleHop(t *testing.T) {
 	tp := grid(2, 4)
 	bytes := 64 * unit.MB
-	p := Phase{Flows: []Flow{flowBetween(tp, 0, 1, bytes, "w0")}}
+	p := Phase{Flows: []Flow{flowBetween(tp, 0, 1, bytes)}}
 	pt := tp.Time(p)
 	link := hw.TableID2D()
 	wantSer := bytes / link.EffectiveBandwidth(bytes)
@@ -50,10 +50,10 @@ func TestContentionDoublesLatency(t *testing.T) {
 	// Dies 0→2 and 1→3 in the top row share link 1→2 under XY routing.
 	d0, d1 := tp.ID(Coord{0, 0}), tp.ID(Coord{0, 1})
 	d2, d3 := tp.ID(Coord{0, 2}), tp.ID(Coord{0, 3})
-	solo := tp.Time(Phase{Flows: []Flow{flowBetween(tp, d0, d2, bytes, "a")}})
+	solo := tp.Time(Phase{Flows: []Flow{flowBetween(tp, d0, d2, bytes)}})
 	both := tp.Time(Phase{Flows: []Flow{
-		flowBetween(tp, d0, d2, bytes, "a"),
-		flowBetween(tp, d1, d3, bytes, "b"),
+		flowBetween(tp, d0, d2, bytes),
+		flowBetween(tp, d1, d3, bytes),
 	}})
 	if both.Serialization < 2*solo.Serialization*0.99 {
 		t.Errorf("contention serialization %v < 2× solo %v", both.Serialization, solo.Serialization)
@@ -66,8 +66,8 @@ func TestContentionDoublesLatency(t *testing.T) {
 func TestPhaseLoads(t *testing.T) {
 	tp := grid(1, 4)
 	p := Phase{Flows: []Flow{
-		flowBetween(tp, 0, 3, 100, "x"),
-		flowBetween(tp, 1, 2, 50, "y"),
+		flowBetween(tp, 0, 3, 100),
+		flowBetween(tp, 1, 2, 50),
 	}}
 	loads := p.Loads()
 	if loads[Link{1, 2}] != 150 {
@@ -85,17 +85,18 @@ func TestPhaseLoads(t *testing.T) {
 // Dst, Bytes, Payload and route hop for hop, whatever backs the slices.
 func TestPhaseEqual(t *testing.T) {
 	tp := grid(2, 4)
-	base := Phase{Flows: []Flow{flowBetween(tp, 0, 5, 1, "a"), flowBetween(tp, 2, 3, 1, "b")}}
-	same := Phase{Flows: []Flow{flowBetween(tp, 0, 5, 1, "a"), flowBetween(tp, 2, 3, 1, "b")}}
+	base := Phase{Flows: []Flow{flowBetween(tp, 0, 5, 1), flowBetween(tp, 2, 3, 1)}}
+	same := Phase{Flows: []Flow{flowBetween(tp, 0, 5, 1), flowBetween(tp, 2, 3, 1)}}
 	if !base.Equal(same) || !(Phase{}).Equal(Phase{Flows: []Flow{}}) {
 		t.Error("equal phases compare unequal")
 	}
 	for name, edit := range map[string]func(f *Flow){
-		"src":     func(f *Flow) { f.Src = 1 },
-		"dst":     func(f *Flow) { f.Dst = 4 },
-		"bytes":   func(f *Flow) { f.Bytes = 2 },
-		"payload": func(f *Flow) { f.Payload = "c" },
-		"route":   func(f *Flow) { f.Route = tp.RouteYX(0, 5) },
+		"src":   func(f *Flow) { f.Src = 1 },
+		"dst":   func(f *Flow) { f.Dst = 4 },
+		"bytes": func(f *Flow) { f.Bytes = 2 },
+		"seq":   func(f *Flow) { f.Payload.Seq = 1 },
+		"datum": func(f *Flow) { f.Payload.Datum = 1 },
+		"route": func(f *Flow) { f.Route = tp.RouteYX(0, 5) },
 	} {
 		other := Phase{Flows: append([]Flow(nil), base.Flows...)}
 		edit(&other.Flows[0])
@@ -110,8 +111,8 @@ func TestPhaseEqual(t *testing.T) {
 
 func TestSeqTimeAccumulates(t *testing.T) {
 	tp := grid(1, 4)
-	p1 := Phase{Flows: []Flow{flowBetween(tp, 0, 1, 10*unit.MB, "a")}}
-	p2 := Phase{Flows: []Flow{flowBetween(tp, 1, 2, 10*unit.MB, "b")}}
+	p1 := Phase{Flows: []Flow{flowBetween(tp, 0, 1, 10*unit.MB)}}
+	p2 := Phase{Flows: []Flow{flowBetween(tp, 1, 2, 10*unit.MB)}}
 	seq := tp.SeqTime([]Phase{p1, p2})
 	t1, t2 := tp.Time(p1), tp.Time(p2)
 	if got, want := seq.Total(), t1.Total()+t2.Total(); math.Abs(got-want) > 1e-12 {
@@ -121,19 +122,19 @@ func TestSeqTimeAccumulates(t *testing.T) {
 
 func TestValidatePhase(t *testing.T) {
 	tp := grid(2, 2)
-	good := Phase{Flows: []Flow{flowBetween(tp, 0, 3, 10, "ok")}}
+	good := Phase{Flows: []Flow{flowBetween(tp, 0, 3, 10)}}
 	if err := tp.ValidatePhase(good); err != nil {
 		t.Fatalf("valid phase rejected: %v", err)
 	}
-	bad := Phase{Flows: []Flow{{Src: 0, Dst: 3, Bytes: 10, Route: Path{0, 3}, Payload: "diag"}}}
+	bad := Phase{Flows: []Flow{{Src: 0, Dst: 3, Bytes: 10, Route: Path{0, 3}}}}
 	if err := tp.ValidatePhase(bad); err == nil {
 		t.Fatal("diagonal route accepted")
 	}
-	empty := Phase{Flows: []Flow{{Src: 0, Dst: 1, Bytes: 10, Payload: "noroute"}}}
+	empty := Phase{Flows: []Flow{{Src: 0, Dst: 1, Bytes: 10}}}
 	if err := tp.ValidatePhase(empty); err == nil {
 		t.Fatal("empty route accepted")
 	}
-	wrongEnds := Phase{Flows: []Flow{{Src: 0, Dst: 1, Bytes: 10, Route: Path{0, 2}, Payload: "ends"}}}
+	wrongEnds := Phase{Flows: []Flow{{Src: 0, Dst: 1, Bytes: 10, Route: Path{0, 2}}}}
 	if err := tp.ValidatePhase(wrongEnds); err == nil {
 		t.Fatal("mismatched endpoints accepted")
 	}
@@ -141,8 +142,8 @@ func TestValidatePhase(t *testing.T) {
 
 func TestEnergyScalesWithHops(t *testing.T) {
 	tp := grid(1, 8)
-	oneHop := Phase{Flows: []Flow{flowBetween(tp, 0, 1, 1*unit.MB, "x")}}
-	sevenHops := Phase{Flows: []Flow{flowBetween(tp, 0, 7, 1*unit.MB, "x")}}
+	oneHop := Phase{Flows: []Flow{flowBetween(tp, 0, 1, 1*unit.MB)}}
+	sevenHops := Phase{Flows: []Flow{flowBetween(tp, 0, 7, 1*unit.MB)}}
 	// EnergyComm is charged from LinkBytes: every byte once per
 	// traversed link.
 	b1, b7 := tp.Time(oneHop).LinkBytes, tp.Time(sevenHops).LinkBytes
@@ -160,11 +161,11 @@ func TestMulticastTreeDedupesBytes(t *testing.T) {
 	dsts := []DieID{1, 2, 3}
 	// Unicast: three flows 0→1, 0→2, 0→3 share link 0→1 (load 3B).
 	uni := Phase{Flows: []Flow{
-		flowBetween(tp, 0, 1, bytes, "w"),
-		flowBetween(tp, 0, 2, bytes, "w"),
-		flowBetween(tp, 0, 3, bytes, "w"),
+		flowBetween(tp, 0, 1, bytes),
+		flowBetween(tp, 0, 2, bytes),
+		flowBetween(tp, 0, 3, bytes),
 	}}
-	multi := Phase{Flows: MulticastTree(tp, 0, dsts, bytes, "w")}
+	multi := Phase{Flows: MulticastTree(tp, 0, dsts, bytes, Payload{})}
 	if err := tp.ValidatePhase(multi); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestMulticastTreeDedupesBytes(t *testing.T) {
 
 func TestMulticastTreeEmpty(t *testing.T) {
 	tp := grid(2, 2)
-	if flows := MulticastTree(tp, 0, nil, 100, "w"); flows != nil {
+	if flows := MulticastTree(tp, 0, nil, 100, Payload{}); flows != nil {
 		t.Errorf("empty destination set should yield no flows, got %v", flows)
 	}
 }
@@ -200,8 +201,8 @@ func TestMulticastTreeEmpty(t *testing.T) {
 func TestTailLatencySevenHops(t *testing.T) {
 	tp := grid(1, 8)
 	bytes := 1 * unit.KB // latency-dominated regime
-	near := tp.Time(Phase{Flows: []Flow{flowBetween(tp, 0, 1, bytes, "n")}})
-	far := tp.Time(Phase{Flows: []Flow{flowBetween(tp, 0, 7, bytes, "f")}})
+	near := tp.Time(Phase{Flows: []Flow{flowBetween(tp, 0, 1, bytes)}})
+	far := tp.Time(Phase{Flows: []Flow{flowBetween(tp, 0, 7, bytes)}})
 	if got := far.HopLatency / near.HopLatency; math.Abs(got-7) > 1e-9 {
 		t.Errorf("hop latency ratio = %v, want 7", got)
 	}

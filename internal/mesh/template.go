@@ -17,10 +17,9 @@ import (
 // All flows of a template share one backing array, and a repeated
 // phase shares its predecessor's flows there, so Materialize is
 // exactly two allocations. Templates are safe for concurrent use: the
-// returned phases share the template's routes and payload strings,
-// and their repeated phases share flows, which consumers never mutate
-// in place (the TCME optimizer clones phases and replaces routes
-// wholesale).
+// returned phases share the template's routes, and their repeated
+// phases share flows, which consumers never mutate in place (the TCME
+// optimizer clones phases and replaces routes wholesale).
 type PhaseTemplate struct {
 	phases []Phase
 	flows  []Flow
@@ -43,8 +42,9 @@ type LinkProfile struct {
 	// topo is the routing owner of the topology the profile was
 	// compiled on: link variants of one grid share its profiles.
 	topo *Topology
-	// off[p]..off[p+1] bounds phase p's entries in ids/counts.
-	off    []int32
+	// lo[p]..hi[p] bounds phase p's entries in ids/counts; a phase
+	// equal to its predecessor shares its span.
+	lo, hi []int32
 	ids    []int32
 	counts []int32
 	// flows, travs and hops are per-phase: flow count, total (flow,
@@ -80,25 +80,26 @@ func (t *Topology) profileFor(tmpl *PhaseTemplate) *LinkProfile {
 // same forEachLink walk the timing kernels use. Flow byte values and
 // link parameters are ignored: the profile is timed at a byte value
 // per query (see LoweredSeq.Prof) on any topology of t's routing
-// owner, and keeps no reference to the phases. A phase sharing its
-// predecessor's flow slice repeats its predecessor's entries without
-// a walk.
+// owner, and keeps no reference to the phases. A phase Equal to its
+// predecessor (one sharing its flow slice answers without a walk)
+// takes its predecessor's span of entries, so each run of equal phases
+// is walked and stored once, and equal phases compile to one layout
+// whether or not they share flows.
 func (t *Topology) CompileProfile(phases []Phase) *LinkProfile {
 	n := len(phases)
 	p := &LinkProfile{
 		topo:  t.owner,
-		off:   make([]int32, 1, n+1),
+		lo:    make([]int32, 0, n),
+		hi:    make([]int32, 0, n),
 		flows: make([]int32, 0, n),
 		travs: make([]int32, 0, n),
 		hops:  make([]int32, 0, n),
 	}
 	s := timePool.Get().(*timeScratch)
 	for i, ph := range phases {
-		if i > 0 && ph.shares(phases[i-1]) {
-			lo, hi := p.off[i-1], p.off[i]
-			p.ids = append(p.ids, p.ids[lo:hi]...)
-			p.counts = append(p.counts, p.counts[lo:hi]...)
-			p.off = append(p.off, int32(len(p.ids)))
+		if i > 0 && ph.Equal(phases[i-1]) {
+			p.lo = append(p.lo, p.lo[i-1])
+			p.hi = append(p.hi, p.hi[i-1])
 			p.flows = append(p.flows, p.flows[i-1])
 			p.travs = append(p.travs, p.travs[i-1])
 			p.hops = append(p.hops, p.hops[i-1])
@@ -116,13 +117,14 @@ func (t *Topology) CompileProfile(phases []Phase) *LinkProfile {
 			s.msgCount[t.LinkID(l)]++
 			travs++
 		})
+		p.lo = append(p.lo, int32(len(p.ids)))
 		for id, c := range s.msgCount {
 			if c > 0 {
 				p.ids = append(p.ids, int32(id))
 				p.counts = append(p.counts, c)
 			}
 		}
-		p.off = append(p.off, int32(len(p.ids)))
+		p.hi = append(p.hi, int32(len(p.ids)))
 		p.flows = append(p.flows, int32(len(ph.Flows)))
 		p.travs = append(p.travs, travs)
 		p.hops = append(p.hops, int32(maxHops))
@@ -145,7 +147,7 @@ func (t *Topology) timePhaseProfiled(p *LinkProfile, ph int, scale float64) Phas
 	out.MaxHops = int(p.hops[ph])
 	lastN := int32(-1)
 	var load float64
-	for k := p.off[ph]; k < p.off[ph+1]; k++ {
+	for k := p.lo[ph]; k < p.hi[ph]; k++ {
 		n := p.counts[k]
 		if n != lastN {
 			load = unit.RepAdd(scale, n)

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -181,16 +180,16 @@ func greedyChain(t *mesh.Topology, dies []mesh.DieID) ([]mesh.DieID, bool) {
 // topology's routes, and repeated rounds share flows: callers read the
 // result and never write into a returned flow.
 //
-// Ring and fallback payloads are "pos<j>", naming the sending position
-// and not the sub-tensor: each position forwards one distinct
-// sub-tensor per round, so either name keeps a round's flows unique
-// per source, and TCME, which merges only flows of equal payload from
-// one source, forms no merge group under either. Their rounds 0..N-2
-// send the same position pairs, so a round whose sends repeat the
-// previous round's is that round, sharing its flows. Bidirectional
-// payloads keep "subT<k>": round 0 sends each sub-tensor to both
-// neighbours, a merge TCME may take, and later rounds send two
-// different sub-tensors from one position.
+// A ring or fallback send's datum is its sending position j, not its
+// sub-tensor: each position forwards one distinct sub-tensor per
+// round, so either datum keeps a round's flows unique per source, and
+// TCME, which merges only flows of equal payload from one source,
+// forms no merge group under either. Their rounds 0..N-2 send the same
+// position pairs, so a round whose sends repeat the previous round's
+// is that round, sharing its flows. A bidirectional send's datum is
+// its sub-tensor k: round 0 sends each sub-tensor to both neighbours,
+// a merge TCME may take, and later rounds send two different
+// sub-tensors from one position.
 func (o *Orchestration) Phases(subBytes float64) []mesh.Phase {
 	byPos := o.Sched.Mode != Bidirectional
 	phases := make([]mesh.Phase, len(o.Sched.Sends))
@@ -206,18 +205,16 @@ func (o *Orchestration) Phases(subBytes float64) []mesh.Phase {
 			if route == nil {
 				continue // unreachable under faults; caller re-plans
 			}
-			var payload string
+			datum := snd.SubT
 			if byPos {
-				payload = fmt.Sprintf("pos%d", snd.From)
-			} else {
-				payload = fmt.Sprintf("subT%d", snd.SubT)
+				datum = snd.From
 			}
 			ph.Flows = append(ph.Flows, mesh.Flow{
 				Src:     src,
 				Dst:     dst,
 				Bytes:   subBytes,
 				Route:   route,
-				Payload: payload,
+				Payload: mesh.Payload{Datum: int32(datum)},
 			})
 		}
 		phases[t] = ph

@@ -110,7 +110,7 @@ func (s *simulator) commTruth(op int, group int, bytes float64) float64 {
 	case 2:
 		phases = collective.RingAllGather(s.topo, order, bytes/float64(group))
 	default:
-		phases = collective.P2P(s.topo, order[0], order[len(order)-1], bytes, "p2p")
+		phases = collective.P2P(s.topo, order[0], order[len(order)-1], bytes)
 	}
 	return s.topo.SeqTime(phases).Total()
 }

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"temp/internal/mesh"
@@ -54,10 +52,9 @@ type denseState struct {
 	hist  []int32 // hist[c]: the links traversed c ≥ 1 times
 	top   int32   // the highest count present, 0 for none
 
-	// order lists the flows that carry a group key, sorted by (key,
-	// index); group g is order[bounds[g]:bounds[g+1]]. Only a merge
-	// changes which flows a phase holds, so the index is built on entry
-	// and after each merge.
+	// order lists the flows sorted by (payload Seq, index); group g is
+	// order[bounds[g]:bounds[g+1]]. Only a merge changes which flows a
+	// phase holds, so the index is built on entry and after each merge.
 	order, bounds []int32
 	cands         []int32
 	hotIdx        []int
@@ -113,16 +110,11 @@ func (d *denseState) load(p mesh.Phase) {
 	d.accumulate(p)
 	d.order = d.order[:0]
 	for i := range p.Flows {
-		if groupKey(p.Flows[i].Payload) != "" {
-			d.order = append(d.order, int32(i))
-		}
+		d.order = append(d.order, int32(i))
 	}
-	key := func(i int32) string { return groupKey(p.Flows[i].Payload) }
+	key := func(i int32) int32 { return p.Flows[i].Payload.Seq }
 	slices.SortFunc(d.order, func(a, b int32) int {
-		if c := strings.Compare(key(a), key(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
+		return cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(a, b))
 	})
 	d.bounds = append(d.bounds[:0], 0)
 	for k := 1; k <= len(d.order); k++ {
@@ -463,12 +455,12 @@ func (d *denseState) hotFlows(p mesh.Phase, l mesh.Link) []int {
 func mergeDuplicates(t *mesh.Topology, p *mesh.Phase, hot []int) int {
 	type key struct {
 		src     mesh.DieID
-		payload string
+		payload mesh.Payload
 	}
 	var groups map[key][]int
 	for _, i := range hot {
 		f := p.Flows[i]
-		if f.Payload == "" || !hasTwin(*p, i) {
+		if !hasTwin(*p, i) {
 			continue
 		}
 		if groups == nil {
@@ -482,11 +474,8 @@ func mergeDuplicates(t *mesh.Topology, p *mesh.Phase, hot []int) int {
 	}
 	// Extend each group with same-key flows elsewhere in the phase.
 	for i, f := range p.Flows {
-		if f.Payload == "" {
-			continue
-		}
 		k := key{f.Src, f.Payload}
-		if g, ok := groups[k]; ok && !contains(g, i) {
+		if g, ok := groups[k]; ok && !slices.Contains(g, i) {
 			groups[k] = append(groups[k], i)
 		}
 	}
@@ -496,11 +485,9 @@ func mergeDuplicates(t *mesh.Topology, p *mesh.Phase, hot []int) int {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].src != keys[b].src {
-			return keys[a].src < keys[b].src
-		}
-		return keys[a].payload < keys[b].payload
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.payload.Seq, b.payload.Seq),
+			cmp.Compare(a.payload.Datum, b.payload.Datum))
 	})
 	if len(keys) == 0 {
 		return 0
@@ -558,15 +545,6 @@ func hasTwin(p mesh.Phase, i int) bool {
 	return false
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // potential is the lexicographic objective the optimizer drives
 // down: first the bottleneck load, then the number of links sitting
 // at (within a small tolerance of) that load. Requiring every
@@ -586,19 +564,6 @@ func (a potential) less(b potential) bool {
 		return false
 	}
 	return a.count < b.count
-}
-
-// groupKey extracts the collective-instance tag from a payload: the
-// prefix up to the first '.' (collective.Merge prepends "s<i>." per
-// concurrent sequence). Flows sharing a key belong to one logical
-// ring step or chain whose orientation can be flipped as a unit.
-func groupKey(payload string) string {
-	for i := 0; i < len(payload); i++ {
-		if payload[i] == '.' {
-			return payload[:i]
-		}
-	}
-	return payload
 }
 
 // reverseGroups implements the pattern-level reroute of Fig. 11: when
@@ -631,7 +596,7 @@ func reverseGroups(t *mesh.Topology, p *mesh.Phase, d *denseState) int {
 		}
 		return false
 	}
-	// Collect the groups crossing any hot link, in key order.
+	// Collect the groups crossing any hot link, in Seq order.
 	d.cands = d.cands[:0]
 	for g := 0; g+1 < len(d.bounds); g++ {
 		for _, i := range d.order[d.bounds[g]:d.bounds[g+1]] {

@@ -15,18 +15,21 @@ import (
 
 func topo(r, c int) *mesh.Topology { return mesh.New(r, c, hw.TableID2D()) }
 
-func flow(t *mesh.Topology, src, dst mesh.DieID, bytes float64, payload string) mesh.Flow {
-	return mesh.Flow{Src: src, Dst: dst, Bytes: bytes, Route: t.RouteXY(src, dst), Payload: payload}
+// flow is an XY-routed flow of the flip group seq, carrying datum 0:
+// flows of one seq from one source are twins that may merge.
+func flow(t *mesh.Topology, src, dst mesh.DieID, bytes float64, seq int32) mesh.Flow {
+	return mesh.Flow{Src: src, Dst: dst, Bytes: bytes, Route: t.RouteXY(src, dst), Payload: mesh.Payload{Seq: seq}}
 }
 
 // chain is one phase of routed transfers along order, each consecutive
-// pair exchanging bytes and tagged "<payload>.hop<i>": the inter-group
-// chain transfers of Fig. 11's TATP example.
-func chain(t *mesh.Topology, order []mesh.DieID, bytes float64, payload string) []mesh.Phase {
+// pair exchanging bytes with hop i as its datum: the inter-group chain
+// transfers of Fig. 11's TATP example, which Merge tags with their
+// sequence.
+func chain(t *mesh.Topology, order []mesh.DieID, bytes float64) []mesh.Phase {
 	var ph mesh.Phase
 	for i := 0; i+1 < len(order); i++ {
 		ph.Flows = append(ph.Flows, mesh.Flow{Src: order[i], Dst: order[i+1], Bytes: bytes,
-			Route: t.Route(order[i], order[i+1]), Payload: fmt.Sprintf("%s.hop%d", payload, i)})
+			Route: t.Route(order[i], order[i+1]), Payload: mesh.Payload{Datum: int32(i)}})
 	}
 	return []mesh.Phase{ph}
 }
@@ -39,8 +42,8 @@ func TestRerouteResolvesFig5Contention(t *testing.T) {
 	d0, d1 := tp.ID(mesh.Coord{R: 0, C: 0}), tp.ID(mesh.Coord{R: 0, C: 1})
 	d2, d3 := tp.ID(mesh.Coord{R: 0, C: 2}), tp.ID(mesh.Coord{R: 0, C: 3})
 	p := mesh.Phase{Flows: []mesh.Flow{
-		flow(tp, d0, d2, 64*unit.MB, "data1"),
-		flow(tp, d1, d3, 64*unit.MB, "data2"),
+		flow(tp, d0, d2, 64*unit.MB, 0),
+		flow(tp, d1, d3, 64*unit.MB, 1),
 	}}
 	res := Optimize(tp, p, Options{})
 	if res.FinalMaxLoad >= res.InitialMaxLoad {
@@ -62,9 +65,9 @@ func TestRerouteResolvesFig5Contention(t *testing.T) {
 func TestMergeCollapsesReplicatedUnicasts(t *testing.T) {
 	tp := topo(1, 4)
 	p := mesh.Phase{Flows: []mesh.Flow{
-		flow(tp, 0, 1, 32*unit.MB, "w0"),
-		flow(tp, 0, 2, 32*unit.MB, "w0"),
-		flow(tp, 0, 3, 32*unit.MB, "w0"),
+		flow(tp, 0, 1, 32*unit.MB, 0),
+		flow(tp, 0, 2, 32*unit.MB, 0),
+		flow(tp, 0, 3, 32*unit.MB, 0),
 	}}
 	res := Optimize(tp, p, Options{})
 	if res.MergedFlows < 2 {
@@ -81,8 +84,8 @@ func TestMergeCollapsesReplicatedUnicasts(t *testing.T) {
 func TestMergeSkipsDifferentSizes(t *testing.T) {
 	tp := topo(1, 4)
 	p := mesh.Phase{Flows: []mesh.Flow{
-		flow(tp, 0, 2, 32*unit.MB, "w0"),
-		flow(tp, 0, 3, 16*unit.MB, "w0"), // same tag, different size ⇒ not the same datum
+		flow(tp, 0, 2, 32*unit.MB, 0),
+		flow(tp, 0, 3, 16*unit.MB, 0), // same tag, different size ⇒ not the same datum
 	}}
 	res := Optimize(tp, p, Options{DisableReroute: true})
 	if res.MergedFlows != 0 {
@@ -94,10 +97,10 @@ func TestAblationFlags(t *testing.T) {
 	tp := topo(2, 4)
 	mk := func() mesh.Phase {
 		return mesh.Phase{Flows: []mesh.Flow{
-			flow(tp, 0, 2, 64*unit.MB, "a"),
-			flow(tp, 1, 3, 64*unit.MB, "b"),
-			flow(tp, 0, 6, 64*unit.MB, "rep"),
-			flow(tp, 0, 2, 64*unit.MB, "rep"),
+			flow(tp, 0, 2, 64*unit.MB, 0),
+			flow(tp, 1, 3, 64*unit.MB, 1),
+			flow(tp, 0, 6, 64*unit.MB, 2),
+			flow(tp, 0, 2, 64*unit.MB, 2),
 		}}
 	}
 	full := Optimize(tp, mk(), Options{})
@@ -120,8 +123,8 @@ func TestOptimizeNeverWorsens(t *testing.T) {
 	// A busy mixed phase: FSDP-style gathers + chained P2P.
 	seqs := collective.Merge(
 		collective.RingAllGather(tp, []mesh.DieID{0, 1, 5, 4}, 16*unit.MB),
-		chain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB, "tatp"),
-		chain(tp, []mesh.DieID{3, 1, 9, 11}, 16*unit.MB, "tatp2"),
+		chain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB),
+		chain(tp, []mesh.DieID{3, 1, 9, 11}, 16*unit.MB),
 	)
 	for _, ph := range seqs {
 		res := Optimize(tp, ph, Options{})
@@ -157,8 +160,8 @@ func TestFig11Scenario(t *testing.T) {
 	for _, g := range fsdpGroups {
 		seqs = append(seqs, collective.RingAllGather(tp, g, bytes))
 	}
-	for i, c := range tatpChains {
-		seqs = append(seqs, chain(tp, c, bytes, "tatp"+string(rune('a'+i))))
+	for _, c := range tatpChains {
+		seqs = append(seqs, chain(tp, c, bytes))
 	}
 	merged := collective.Merge(seqs...)
 	var before, after float64
@@ -188,14 +191,14 @@ func faultedPhases() (*mesh.Topology, []mesh.Phase) {
 	seqs := collective.Merge(
 		collective.RingAllGather(tp, []mesh.DieID{0, 1, 5, 4}, 16*unit.MB),
 		collective.RingAllReduce(tp, []mesh.DieID{8, 9, 10, 11, 15, 14, 13, 12}, 16*unit.MB),
-		chain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB, "tatp"),
-		[]mesh.Phase{{Flows: mesh.MulticastTree(tp, 3, []mesh.DieID{1, 9, 11}, 16*unit.MB, "w")}},
+		chain(tp, []mesh.DieID{2, 0, 8, 10}, 16*unit.MB),
+		[]mesh.Phase{{Flows: mesh.MulticastTree(tp, 3, []mesh.DieID{1, 9, 11}, 16*unit.MB, mesh.Payload{})}},
 	)
-	routed := func(src, dst mesh.DieID, payload string) mesh.Flow {
-		return mesh.Flow{Src: src, Dst: dst, Bytes: 16 * unit.MB, Route: tp.Route(src, dst), Payload: payload}
+	routed := func(src, dst mesh.DieID, seq int32) mesh.Flow {
+		return mesh.Flow{Src: src, Dst: dst, Bytes: 16 * unit.MB, Route: tp.Route(src, dst), Payload: mesh.Payload{Seq: seq}}
 	}
 	seqs = append(seqs, mesh.Phase{Flows: []mesh.Flow{
-		routed(12, 14, "a"), routed(13, 15, "b"), routed(1, 0, "rep"), routed(1, 4, "rep"),
+		routed(12, 14, 0), routed(13, 15, 1), routed(1, 0, 2), routed(1, 4, 2),
 	}})
 	return tp, seqs
 }
@@ -270,7 +273,7 @@ func TestOptimizeLeavesInputRoutesIntact(t *testing.T) {
 // rather than pricing a link the mesh does not have.
 func TestOptimizeOffMeshPanics(t *testing.T) {
 	tp := topo(4, 4)
-	p := mesh.Phase{Flows: []mesh.Flow{{Src: 0, Dst: 5, Bytes: unit.MB, Route: mesh.Path{0, 5}, Payload: "diag"}}}
+	p := mesh.Phase{Flows: []mesh.Flow{{Src: 0, Dst: 5, Bytes: unit.MB, Route: mesh.Path{0, 5}}}}
 	defer func() {
 		if recover() == nil {
 			t.Error("Optimize accepted an off-mesh route step")
@@ -290,8 +293,8 @@ func TestOptimizeEmptyPhase(t *testing.T) {
 func TestOptimizeAllAggregates(t *testing.T) {
 	tp := topo(2, 4)
 	phases := []mesh.Phase{
-		{Flows: []mesh.Flow{flow(tp, 0, 2, unit.MB, "a"), flow(tp, 1, 3, unit.MB, "b")}},
-		{Flows: []mesh.Flow{flow(tp, 4, 6, unit.MB, "c"), flow(tp, 5, 7, unit.MB, "d")}},
+		{Flows: []mesh.Flow{flow(tp, 0, 2, unit.MB, 0), flow(tp, 1, 3, unit.MB, 1)}},
+		{Flows: []mesh.Flow{flow(tp, 4, 6, unit.MB, 0), flow(tp, 5, 7, unit.MB, 1)}},
 	}
 	out, agg := OptimizeAll(tp, phases, Options{})
 	if len(out) != 2 {
