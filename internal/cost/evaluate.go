@@ -123,7 +123,7 @@ type evalState struct {
 	mu     sync.Mutex
 	stream *mesh.PhaseTemplate
 	coll   map[collKey]collTemplate
-	plans  map[planKey]*routePlan
+	plans  map[*mesh.PhaseTemplate]*routePlan
 }
 
 // Ring-collective kinds the evaluator lowers through merged templates.
@@ -334,7 +334,7 @@ func (ev *evaluator) evalLowered(seq []mesh.LoweredSeq) float64 {
 		}
 		var agg tcme.Result
 		for i := range seq {
-			seq[i].Prof = ev.st.planFor(ev.topo, seq[i].Tmpl, ev.o.TCME).price(seq[i].Bytes, &agg)
+			seq[i].Prof = ev.st.planFor(ev.topo, seq[i].Tmpl).price(seq[i].Bytes, &agg)
 		}
 		ev.tcmeAgg.Add(agg)
 	}
@@ -750,7 +750,7 @@ func nearestNeighborOrder(t *mesh.Topology, dies []mesh.DieID) []mesh.DieID {
 // stream, unequal survivor groups); templates go through evalLowered.
 func (ev *evaluator) evalPhases(phases []mesh.Phase) float64 {
 	if ev.needTCME() {
-		opt, agg := tcme.OptimizeAll(ev.topo, phases, ev.o.TCME)
+		opt, agg := tcme.OptimizeAll(ev.topo, phases, tcme.Options{})
 		phases = opt
 		ev.tcmeAgg.Add(agg)
 	}

@@ -8,11 +8,7 @@
 // evaluation runs through one consistent pipeline.
 package cost
 
-import (
-	"fmt"
-
-	"temp/internal/tcme"
-)
+import "fmt"
 
 // Engine selects the mapping engine (§VIII-A baselines).
 type Engine int
@@ -89,8 +85,6 @@ type Options struct {
 	// processes per micro-step; the rest of the global batch is
 	// covered by gradient accumulation. 0 means DefaultMicrobatch.
 	Microbatch int
-	// TCME tunes the optimizer when Engine == TCMEEngine.
-	TCME tcme.Options
 	// Wafers is the number of wafers; PP in the parallel config
 	// spreads pipeline stages across them (§VIII-E). 0 means 1.
 	Wafers int

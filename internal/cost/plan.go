@@ -33,23 +33,16 @@ type planStep struct {
 	initMax, finalMax       int32
 }
 
-// planKey identifies a route plan within its evalState, whose
-// templates are all lowered on the state's one topology.
-type planKey struct {
-	tmpl *mesh.PhaseTemplate
-	opts tcme.Options
-}
-
 // newRoutePlan optimizes tmpl's phases at unit bytes, each run of
 // equal phases once (tcme.OptimizeEach). Only the profile and the
 // counts survive; the optimized flows are dropped. When no phase moved
 // (most plans on contention-free rings), the optimized phases are the
 // template's own and the plan keeps no profile.
-func newRoutePlan(t *mesh.Topology, tmpl *mesh.PhaseTemplate, opts tcme.Options) *routePlan {
+func newRoutePlan(t *mesh.Topology, tmpl *mesh.PhaseTemplate) *routePlan {
 	phases := tmpl.Materialize(1)
 	p := &routePlan{steps: make([]planStep, len(phases))}
 	moved := false
-	tcme.OptimizeEach(t, phases, opts, func(i int, r tcme.Result) {
+	tcme.OptimizeEach(t, phases, tcme.Options{}, func(i int, r tcme.Result) {
 		phases[i] = r.Phase
 		moved = moved || r.MergedFlows+r.ReroutedFlows > 0
 		p.steps[i] = planStep{
@@ -63,21 +56,21 @@ func newRoutePlan(t *mesh.Topology, tmpl *mesh.PhaseTemplate, opts tcme.Options)
 	return p
 }
 
-// planFor returns the state's route plan of tmpl under opts, building
-// it on first use. Plans live on the state beside the templates they
-// optimize, so they die with them.
-func (st *evalState) planFor(t *mesh.Topology, tmpl *mesh.PhaseTemplate, opts tcme.Options) *routePlan {
+// planFor returns the state's route plan of tmpl, building it on
+// first use. Plans are keyed by their template alone, whose state
+// lowers every template on its one topology; they live beside the
+// templates they optimize, so they die with them.
+func (st *evalState) planFor(t *mesh.Topology, tmpl *mesh.PhaseTemplate) *routePlan {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	k := planKey{tmpl: tmpl, opts: opts}
-	if p, ok := st.plans[k]; ok {
+	if p, ok := st.plans[tmpl]; ok {
 		return p
 	}
 	if st.plans == nil {
-		st.plans = map[planKey]*routePlan{}
+		st.plans = map[*mesh.PhaseTemplate]*routePlan{}
 	}
-	p := newRoutePlan(t, tmpl, opts)
-	st.plans[k] = p
+	p := newRoutePlan(t, tmpl)
+	st.plans[tmpl] = p
 	return p
 }
 

@@ -19,12 +19,12 @@ import (
 // materializedTime is the path route plans replaced, kept as their
 // reference: materialize every template at its query bytes, optimize
 // the concatenation with tcme.OptimizeAll and time it with SeqTime.
-func materializedTime(t *mesh.Topology, seq []mesh.LoweredSeq, opts tcme.Options) (mesh.PhaseTime, tcme.Result) {
+func materializedTime(t *mesh.Topology, seq []mesh.LoweredSeq) (mesh.PhaseTime, tcme.Result) {
 	var phases []mesh.Phase
 	for _, ls := range seq {
 		phases = append(phases, ls.Tmpl.Materialize(ls.Bytes)...)
 	}
-	opt, agg := tcme.OptimizeAll(t, phases, opts)
+	opt, agg := tcme.OptimizeAll(t, phases, tcme.Options{})
 	return t.SeqTime(opt), agg
 }
 
@@ -67,7 +67,7 @@ func newPlanOracle(t *testing.T, w hw.Wafer) *planOracle {
 func (po *planOracle) check(name string, ev *evaluator, seq []mesh.LoweredSeq) {
 	po.t.Helper()
 	po.queries++
-	want, wantAgg := materializedTime(ev.topo, seq, ev.o.TCME)
+	want, wantAgg := materializedTime(ev.topo, seq)
 	got := evaluator{topo: ev.topo, st: ev.st, o: ev.o, replay: ev.replay}
 	total := got.evalLowered(append([]mesh.LoweredSeq(nil), seq...))
 	if total != want.Total() || got.linkBytes != want.LinkBytes || !reflect.DeepEqual(got.tcmeAgg, wantAgg) {
@@ -211,7 +211,7 @@ func TestRoutePlanOptimizesEachDistinctPhase(t *testing.T) {
 	collide := mesh.Phase{Flows: []mesh.Flow{flow(0, 2, 0), flow(1, 3, 1)}}
 	apart := mesh.Phase{Flows: []mesh.Flow{flow(0, 1, 0), flow(2, 3, 1)}}
 	tmpl := mesh.NewPhaseTemplate([]mesh.Phase{collide, collide, apart, apart, collide})
-	plan := newRoutePlan(tp, tmpl, tcme.Options{})
+	plan := newRoutePlan(tp, tmpl)
 	var opt []mesh.Phase
 	for i, ph := range tmpl.Materialize(1) {
 		r := tcme.Optimize(tp, ph, tcme.Options{})
@@ -553,7 +553,7 @@ func TestStreamRoundsShareFlows(t *testing.T) {
 			t.Errorf("%s: shared profile %+v, unshared %+v", name, got, want)
 		}
 
-		plan := newRoutePlan(topo, tmpl, tcme.Options{})
+		plan := newRoutePlan(topo, tmpl)
 		var opt []mesh.Phase
 		planMoved := false
 		for i, ph := range mat {

@@ -18,9 +18,9 @@ import (
 // of the results.
 //
 // Results are bit-identical to uncoalesced sweeps: batched kernels
-// are grouping-invariant (pinned by the PR 7 batched-vs-scalar
-// tests), and the memo-publication step in Sweep is untouched, so
-// hit/miss counter semantics match the scalar path exactly. The only
+// are grouping-invariant (pinned by TestPriceBatchMatchesPrice), and
+// Sweep publishes coalesced results into the memo exactly as it does
+// its own, so hit/miss counters match an uncoalesced sweep. The only
 // observable differences are latency (a submission waits up to the
 // window for peers) and fewer duplicate pricings when two requests
 // miss on the same job at the same time.
@@ -117,26 +117,13 @@ func (c *Coalescer) take() []*coalesceSub {
 }
 
 // flush merges a batch of submissions into per-family config unions,
-// prices them once, and distributes results to every submitter.
+// prices them once, and distributes results to every submitter. A
+// batch of one prices its own families in its own order.
 func (c *Coalescer) flush(batch []*coalesceSub) {
 	if len(batch) == 0 {
 		return
 	}
 	p := c.target()
-	if len(batch) == 1 {
-		// Nothing to merge with: price directly (still counted as a
-		// flush so the telemetry reflects coalescer traffic).
-		s := batch[0]
-		n := 0
-		for _, cfgs := range s.families {
-			n += len(cfgs)
-		}
-		p.priceFamilies(s.order, s.families, n, s.priced)
-		p.cache.coalFlushes.Add(1)
-		p.cache.coalJobs.Add(int64(n))
-		close(s.done)
-		return
-	}
 
 	// Union the submissions: families in first-seen order, configs
 	// deduped across submitters within each family.
@@ -183,9 +170,7 @@ func (c *Coalescer) flush(batch []*coalesceSub) {
 // miss pricing through it; in-flight sweeps on the previous pool
 // value finish on whichever path they started.
 func SetCoalescer(co *Coalescer) {
-	cur := Default()
-	defaultPool.Store(&Pool{workers: cur.workers, cache: cur.cache, backend: cur.backend,
-		sem: make(chan struct{}, cur.workers), coal: co})
+	swapDefault(func(p *Pool) { p.coal = co })
 }
 
 // Coalescing reports whether the shared pool has a coalescer

@@ -155,8 +155,9 @@ func TestDiskMemoCorruptTail(t *testing.T) {
 
 // TestDiskMemoCorruptHeader: a file from another schema (or plain
 // garbage) is ignored wholesale rather than misread. The previous
-// version's records hold flow payloads as strings, which gob cannot
-// decode into the typed tag.
+// version's keys also encode three TCME option fields (an iteration
+// cap and two ablation switches) that the current key layout drops, so
+// they do not spell any current job's key.
 func TestDiskMemoCorruptHeader(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -10,9 +10,9 @@
 // rest in parallel.
 //
 // Below the memo layer, every worker also shares the pricing hot
-// path's structural caches — interned topologies, per-topology
-// placement/orchestration state and compiled collective-lowering
-// templates (see DESIGN.md "Hot-path architecture") — because those
+// path's structural caches — interned topologies and the per-topology
+// evaluation states with their merged lowering templates and TCME
+// route plans (see DESIGN.md "Hot-path architecture") — because those
 // key off process-global frozen topologies. A Sweep or GA population
 // therefore lowers each distinct group structure once no matter how
 // many candidates or workers touch it; TestSweepSharesHotPathCaches
@@ -52,22 +52,16 @@ type Result struct {
 	Err       error
 }
 
-// shardCount is the cache's baseline shard count, keeping lock
-// contention off the hot path; must be a power of two. SetWorkers
-// grows the stripe count when the worker bound outstrips it (see
-// shardsFor).
-const shardCount = 64
-
-// Cache is a goroutine-safe sharded memoization cache over
-// cost.Evaluate, built on the shared Memo helper. The cost model is
-// deterministic, so concurrent misses on the same key may compute
-// twice but always store the same value; hit/miss counters track
-// effectiveness. An optional persistent DiskMemo sits under the
-// in-memory memo: in-memory misses probe it before pricing and
-// freshly priced results are appended to it, so repeated runs
-// warm-start with ~zero exact evaluations.
+// Cache is the engine's goroutine-safe memo of priced jobs, striped
+// over read-write-locked maps so parallel workers do not serialize on
+// one lock. Pool.Sweep is its one lookup-and-price path: it peeks
+// each normalized job, serves misses from the optional persistent
+// DiskMemo or prices them, and publishes the results. The cost model
+// is deterministic, so concurrent misses on the same key may price
+// twice but always store the same value.
 type Cache struct {
-	memo        *Memo[Job, Result]
+	shards      []cacheShard
+	mask        uint64
 	disk        atomic.Pointer[DiskMemo]
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -82,51 +76,64 @@ type Cache struct {
 	coalShared  atomic.Int64
 }
 
-// NewCache returns an empty cache.
+// cacheShard is one lock stripe of a Cache.
+type cacheShard struct {
+	mu sync.RWMutex
+	m  map[Job]Result
+}
+
+// NewCache returns an empty cache. Its stripe count is fixed here: at
+// least 64 and four per GOMAXPROCS thread (a power of two), since no
+// more goroutines than those threads run at once.
 func NewCache() *Cache {
-	return NewCacheSharded(shardCount)
-}
-
-// NewCacheSharded returns an empty cache striped over at least the
-// given shard count.
-func NewCacheSharded(shards int) *Cache {
-	if shards < shardCount {
-		shards = shardCount
-	}
-	return &Cache{memo: NewMemo[Job, Result](shards, jobHash)}
-}
-
-// shardsFor picks the stripe count for a worker bound: the baseline,
-// grown to keep at least four stripes per worker (power of two).
-func shardsFor(workers int) int {
-	n := shardCount
-	for n < 4*workers {
+	n := 64
+	for n < 4*runtime.GOMAXPROCS(0) {
 		n <<= 1
 	}
-	return n
+	c := &Cache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	for i := range c.shards {
+		c.shards[i].m = make(map[Job]Result)
+	}
+	return c
 }
 
-// resharded returns a new cache striped over at least shards stripes
-// with every entry, counter and the disk memo carried over. Callers
-// swap it in atomically (see SetWorkers); evaluations racing with the
-// swap may price against the old cache, which stays correct — the
-// cost model is deterministic — and merely re-prices on first touch
-// of the new cache.
-func (c *Cache) resharded(shards int) *Cache {
-	nc := NewCacheSharded(shards)
-	c.memo.Range(func(k Job, v Result) {
-		nc.memo.Get(k, func() Result { return v })
-	})
-	nc.disk.Store(c.disk.Load())
-	nc.hits.Store(c.hits.Load())
-	nc.misses.Store(c.misses.Load())
-	nc.diskHits.Store(c.diskHits.Load())
-	nc.batchCalls.Store(c.batchCalls.Load())
-	nc.batchedJobs.Store(c.batchedJobs.Load())
-	nc.coalFlushes.Store(c.coalFlushes.Load())
-	nc.coalJobs.Store(c.coalJobs.Load())
-	nc.coalShared.Store(c.coalShared.Load())
-	return nc
+func (c *Cache) shard(j Job) *cacheShard { return &c.shards[jobHash(j)&c.mask] }
+
+// peek returns the memoized result of a normalized job, if any.
+func (c *Cache) peek(j Job) (Result, bool) {
+	s := c.shard(j)
+	s.mu.RLock()
+	r, ok := s.m[j]
+	s.mu.RUnlock()
+	return r, ok
+}
+
+// publish stores r for j unless j already has an entry, and returns
+// the stored entry. fresh reports whether this call stored it: of
+// concurrent publishers of one key only the first store is fresh, so
+// counting fresh stores as misses yields the distinct-key count at any
+// worker count.
+func (c *Cache) publish(j Job, r Result) (stored Result, fresh bool) {
+	s := c.shard(j)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.m[j]; ok {
+		return old, false
+	}
+	s.m[j] = r
+	return r, true
+}
+
+// len returns the entry count across stripes.
+func (c *Cache) len() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		n += len(s.m)
+		s.mu.RUnlock()
+	}
+	return n
 }
 
 // SetDiskMemo attaches (or, with nil, detaches) a persistent memo
@@ -180,50 +187,6 @@ func jobHash(j Job) uint64 {
 	return h
 }
 
-// priceJob runs one evaluation through the job's backend; the empty
-// key is the analytic tier's direct fast path.
-func priceJob(j Job) Result {
-	if j.Backend == "" {
-		b, err := cost.Evaluate(j.Model, j.Wafer, j.Config, j.Opts)
-		return Result{Breakdown: b, Err: err}
-	}
-	be, err := cost.NewBackend(j.Backend)
-	if err != nil {
-		return Result{Err: err}
-	}
-	b, err := be.Price(j.Model, j.Wafer, j.Config, j.Opts)
-	return Result{Breakdown: b, Err: err}
-}
-
-// get serves a normalized job through the memo hierarchy: in-memory
-// memo, then the disk memo (when attached), then price. It maintains
-// the hit/miss/disk counters; price runs at most once per distinct
-// key and its result is persisted.
-func (c *Cache) get(j Job, price func() Result) (r Result, fresh, fromDisk bool) {
-	r, fresh = c.memo.Get(j, func() Result {
-		if d := c.disk.Load(); d != nil {
-			if dr, ok := d.Lookup(j); ok {
-				fromDisk = true
-				return dr
-			}
-		}
-		res := price()
-		if d := c.disk.Load(); d != nil {
-			d.Store(j, res)
-		}
-		return res
-	})
-	switch {
-	case !fresh:
-		c.hits.Add(1)
-	case fromDisk:
-		c.diskHits.Add(1)
-	default:
-		c.misses.Add(1)
-	}
-	return r, fresh, fromDisk
-}
-
 // Stats reports cache effectiveness counters. The JSON tags make a
 // snapshot directly embeddable in machine-readable outputs (tempbench
 // -json, the tempserve /metrics endpoint).
@@ -264,7 +227,7 @@ func (c *Cache) Stats() Stats {
 		BatchCalls: c.batchCalls.Load(), BatchedJobs: c.batchedJobs.Load(),
 		CoalesceFlushes: c.coalFlushes.Load(), CoalescedJobs: c.coalJobs.Load(),
 		CoalesceShared: c.coalShared.Load(),
-		Entries:        c.memo.Len(),
+		Entries:        c.len(),
 	}
 	if d := c.disk.Load(); d != nil {
 		s.DiskEntries = d.Len()
@@ -326,18 +289,9 @@ func (p *Pool) Workers() int { return p.workers }
 func (p *Pool) Cache() *Cache { return p.cache }
 
 // EvaluateJob runs one memoized evaluation of an explicit job
-// (including its backend key), acquiring a worker token of the pool's
-// global bound only for the miss path (the actual cost-model
-// computation).
+// (including its backend key): a Sweep of one.
 func (p *Pool) EvaluateJob(j Job) (cost.Breakdown, error) {
-	j = p.normalize(j)
-	r, _, _ := p.cache.get(j, func() Result {
-		var res Result
-		p.Do(func() {
-			res = priceJob(j)
-		})
-		return res
-	})
+	r := p.Sweep([]Job{j})[0]
 	return r.Breakdown, r.Err
 }
 
@@ -370,15 +324,17 @@ type jobFamily struct {
 const sweepChunkCap = 64
 
 // Sweep fans the jobs out across the pool's workers and returns
-// their results in input order, regardless of completion order.
+// their results in input order, regardless of completion order. It is
+// the engine's one lookup-and-price path: it alone probes the memo,
+// consults the disk memo, prices misses and counts hits, misses and
+// disk hits.
 //
 // Misses are priced in batches: after probing the in-memory memo and
 // the disk memo, the distinct unpriced jobs are grouped by family and
 // chunked through cost.PriceBatch, so a population-sized sweep pays
 // the per-family setup once per chunk instead of once per candidate.
-// Results and cache-counter semantics are identical to evaluating
-// each job individually (a batch prices each candidate bit-exactly as
-// a batch of one does).
+// A batch prices each candidate bit-exactly as a batch of one does,
+// so results do not depend on how jobs are grouped into sweeps.
 func (p *Pool) Sweep(jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	norm := make([]Job, len(jobs))
@@ -386,7 +342,7 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 	for i := range jobs {
 		j := p.normalize(jobs[i])
 		norm[i] = j
-		if r, ok := p.cache.memo.Peek(j); ok {
+		if r, ok := p.cache.peek(j); ok {
 			out[i] = r
 			p.cache.hits.Add(1)
 			continue
@@ -399,6 +355,8 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 
 	// Collect the distinct missing jobs, serving what the disk memo
 	// already has and grouping the rest by family, in first-seen order.
+	// fromDisk holds every distinct miss, true when the disk memo
+	// served it; skipping repeats keeps the chunk accounting exact.
 	priced := make(map[Job]Result)
 	fromDisk := make(map[Job]bool)
 	disk := p.cache.disk.Load()
@@ -407,9 +365,6 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 	distinct := 0
 	for _, i := range missIdx {
 		j := norm[i]
-		if _, ok := priced[j]; ok {
-			continue
-		}
 		if _, ok := fromDisk[j]; ok {
 			continue
 		}
@@ -420,22 +375,10 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 				continue
 			}
 		}
+		fromDisk[j] = false
 		f := jobFamily{Model: j.Model, Wafer: j.Wafer, Opts: j.Opts, Backend: j.Backend}
 		if _, ok := families[f]; !ok {
 			order = append(order, f)
-		} else {
-			// Dedupe within the family (PriceBatch would dedupe too,
-			// but skipping here keeps the chunk accounting exact).
-			dup := false
-			for _, c := range families[f] {
-				if c == j.Config {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
 		}
 		families[f] = append(families[f], j.Config)
 		distinct++
@@ -453,12 +396,12 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 		}
 	}
 
-	// Publish through the memo so counters, entry identity and
-	// concurrent-sweep races behave exactly like the scalar path, and
-	// fresh results reach the disk memo.
+	// Publish into the memo: a job another sweep (or an earlier
+	// duplicate in this one) stored first counts as a hit and serves
+	// that entry, and fresh results reach the disk memo.
 	for _, i := range missIdx {
 		j := norm[i]
-		r, fresh := p.cache.memo.Get(j, func() Result { return priced[j] })
+		r, fresh := p.cache.publish(j, priced[j])
 		out[i] = r
 		switch {
 		case !fresh:
@@ -605,25 +548,24 @@ func init() {
 // Default returns the shared pool.
 func Default() *Pool { return defaultPool.Load() }
 
+// swapDefault replaces the shared pool with a copy that edit
+// retunes, keeping its cache (and so the attached disk memo) and
+// giving it a fresh worker bound. In-flight evaluations finish on the
+// pool they started on.
+func swapDefault(edit func(p *Pool)) {
+	p := *Default()
+	edit(&p)
+	p.sem = make(chan struct{}, p.workers)
+	defaultPool.Store(&p)
+}
+
 // SetWorkers rebounds the shared pool's worker count, retaining the
-// shared cache contents (and the default backend and any attached
-// disk memo). When the new worker bound outgrows the cache's stripe
-// count, the cache is resharded — entries and counters migrate — so a
-// late SetWorkers call still gets contention-appropriate striping
-// instead of the init-time default. Evaluations racing with the swap
-// land in the old cache and are re-priced on first touch of the new
-// one; call SetWorkers during setup to avoid the (correct but
-// wasteful) overlap.
+// shared cache contents, the default backend and any coalescer.
 func SetWorkers(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	cur := Default()
-	cache := cur.cache
-	if want := shardsFor(n); want > cache.memo.Shards() {
-		cache = cache.resharded(want)
-	}
-	defaultPool.Store(&Pool{workers: n, cache: cache, backend: cur.backend, sem: make(chan struct{}, n), coal: cur.coal})
+	swapDefault(func(p *Pool) { p.workers = n })
 }
 
 // Workers returns the shared pool's worker bound.
@@ -639,8 +581,7 @@ func SetDefaultBackend(key string) (string, error) {
 	if _, err := cost.NewBackend(canon); err != nil {
 		return "", err
 	}
-	cur := Default()
-	defaultPool.Store(&Pool{workers: cur.workers, cache: cur.cache, backend: canon, sem: make(chan struct{}, cur.workers), coal: cur.coal})
+	swapDefault(func(p *Pool) { p.backend = canon })
 	return canon, nil
 }
 

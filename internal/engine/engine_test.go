@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"temp/internal/cost"
 	"temp/internal/hw"
@@ -73,16 +74,19 @@ func TestCacheHits(t *testing.T) {
 
 // TestCacheConcurrentSafety hammers one pool's cache from many
 // goroutines over an overlapping job set; run under -race this is the
-// data-race proof for the sharded cache.
+// data-race proof for the sharded cache. Racing misses on one job may
+// price it twice, but only the first publish counts a miss, so the
+// counters are exact.
 func TestCacheConcurrentSafety(t *testing.T) {
 	jobs := testJobs(t)[:16]
+	const goroutines, calls = 8, 64
 	p := New(4)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 4*len(jobs); i++ {
+			for i := 0; i < calls; i++ {
 				j := jobs[(g+i)%len(jobs)]
 				b, err := p.EvaluateJob(j)
 				if err != nil {
@@ -97,8 +101,12 @@ func TestCacheConcurrentSafety(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s := p.Cache().Stats(); s.Entries > 16 {
-		t.Errorf("cache grew past the distinct key count: %+v", s)
+	s := p.Cache().Stats()
+	if s.Entries != len(jobs) || s.Misses != int64(len(jobs)) {
+		t.Errorf("want %d entries and misses, one per distinct job: %+v", len(jobs), s)
+	}
+	if s.Hits+s.Misses != goroutines*calls || s.DiskHits != 0 {
+		t.Errorf("hits %d + misses %d, want %d calls and no disk hits: %+v", s.Hits, s.Misses, goroutines*calls, s)
 	}
 }
 
@@ -158,17 +166,23 @@ func TestGlobalBoundHoldsUnderNesting(t *testing.T) {
 }
 
 // TestSetWorkersKeepsSharedCache checks retuning the default pool
-// does not drop what callers already memoized.
+// does not drop what callers already memoized, nor its coalescer.
 func TestSetWorkersKeepsSharedCache(t *testing.T) {
 	before := Default().Cache()
 	old := Workers()
+	co := NewCoalescer(nil, time.Millisecond, 0)
+	SetCoalescer(co)
+	defer SetCoalescer(nil)
 	SetWorkers(3)
 	defer SetWorkers(old)
-	if Workers() != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", Workers())
+	if Workers() != 3 || cap(Default().sem) != 3 {
+		t.Errorf("Workers() = %d, bound %d after SetWorkers(3)", Workers(), cap(Default().sem))
 	}
 	if Default().Cache() != before {
 		t.Error("SetWorkers replaced the shared cache")
+	}
+	if Default().coal != co {
+		t.Error("SetWorkers dropped the shared pool's coalescer")
 	}
 }
 

@@ -75,9 +75,6 @@ func appendJobKey(buf []byte, j Job) []byte {
 	buf = appendInt(buf, int(o.Recompute))
 	buf = appendBool(buf, o.DistributedOptimizer)
 	buf = appendInt(buf, o.Microbatch)
-	buf = appendInt(buf, o.TCME.MaxIter)
-	buf = appendBool(buf, o.TCME.DisableMerge)
-	buf = appendBool(buf, o.TCME.DisableReroute)
 	buf = appendInt(buf, o.Wafers)
 	buf = appendBool(buf, o.DisableStreamOverlap)
 	buf = appendBool(buf, o.ForceStreamWeights)

@@ -24,6 +24,46 @@ func TestSweepBatchesMisses(t *testing.T) {
 	if s2.BatchCalls != s1.BatchCalls || s2.BatchedJobs != s1.BatchedJobs {
 		t.Errorf("warm sweep batched more work: %+v → %+v", s1, s2)
 	}
+
+	// EvaluateJob is a sweep of one: its miss is one batch call of one
+	// job, and a later sweep of the job hits.
+	j := jobs[0]
+	j.Model.Name = "evaluate-probe"
+	if _, err := p.EvaluateJob(j); err != nil {
+		t.Fatal(err)
+	}
+	s3 := p.Cache().Stats()
+	if s3.Misses != s2.Misses+1 || s3.Hits != s2.Hits ||
+		s3.BatchCalls != s2.BatchCalls+1 || s3.BatchedJobs != s2.BatchedJobs+1 {
+		t.Errorf("EvaluateJob miss: %+v → %+v, want one miss, batch call and batched job", s2, s3)
+	}
+	p.Sweep([]Job{j})
+	s4 := p.Cache().Stats()
+	if s4.Hits != s3.Hits+1 || s4.Misses != s3.Misses || s4.BatchCalls != s3.BatchCalls {
+		t.Errorf("sweep after EvaluateJob: %+v → %+v, want one hit", s3, s4)
+	}
+}
+
+// TestSweepHitAllocs pins the warm hit path, which served pool sweeps
+// run on every request: a sweep whose jobs are all memoized allocates
+// its result and normalized-job slices and nothing else.
+func TestSweepHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the hit path")
+	}
+	jobs := testJobs(t)
+	p := New(4)
+	p.Sweep(jobs)
+	for _, n := range []int{1, 8, 32} {
+		if n > len(jobs) {
+			t.Fatalf("need %d jobs, have %d", n, len(jobs))
+		}
+		batch := jobs[:n]
+		avg := testing.AllocsPerRun(50, func() { p.Sweep(batch) })
+		if avg > 2 {
+			t.Errorf("warm sweep of %d jobs allocates %.1f objects/op, want ≤ 2", n, avg)
+		}
+	}
 }
 
 // TestSweepDuplicateJobs: duplicate jobs in one sweep share one
@@ -78,59 +118,5 @@ func TestSweepMixedBackends(t *testing.T) {
 	// "" and "analytic" canonicalize to one family; replay is its own.
 	if s := p.Cache().Stats(); s.Misses != int64(2*len(base)) {
 		t.Errorf("%d misses, want %d (two distinct tiers)", s.Misses, 2*len(base))
-	}
-}
-
-// TestSetWorkersReshards: a worker bound that outgrows the cache's
-// stripe count reshards the shared cache, keeping every entry and
-// counter.
-func TestSetWorkersReshards(t *testing.T) {
-	old := Workers()
-	defer SetWorkers(old)
-
-	// A job distinct from anything other tests evaluate on the shared
-	// pool, so the delta accounting below is exact.
-	j := testJobs(t)[0]
-	j.Model.Name = "reshard-probe"
-	if _, err := EvaluateJob(j); err != nil {
-		t.Fatal(err)
-	}
-	before := Default().Cache().Stats()
-	shardsBefore := Default().Cache().memo.Shards()
-
-	SetWorkers(8 * shardCount) // forces shardsFor > current stripes
-	after := Default().Cache().Stats()
-	shardsAfter := Default().Cache().memo.Shards()
-	if shardsAfter <= shardsBefore {
-		t.Fatalf("SetWorkers(%d) kept %d shards", 8*shardCount, shardsAfter)
-	}
-	if want := shardsFor(8 * shardCount); shardsAfter != want {
-		t.Errorf("resharded to %d stripes, want %d", shardsAfter, want)
-	}
-	if after.Entries != before.Entries || after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Errorf("reshard dropped state: %+v → %+v", before, after)
-	}
-
-	// The migrated entry still serves hits, not re-pricing.
-	if _, err := EvaluateJob(j); err != nil {
-		t.Fatal(err)
-	}
-	final := Default().Cache().Stats()
-	if final.Misses != after.Misses {
-		t.Errorf("migrated entry re-priced: misses %d → %d", after.Misses, final.Misses)
-	}
-	if final.Hits != after.Hits+1 {
-		t.Errorf("migrated entry did not hit: hits %d → %d", after.Hits, final.Hits)
-	}
-}
-
-// TestShardsFor pins the stripe-count policy.
-func TestShardsFor(t *testing.T) {
-	for _, tc := range []struct{ workers, want int }{
-		{1, shardCount}, {16, shardCount}, {17, 128}, {32, 128}, {64, 256}, {1000, 4096},
-	} {
-		if got := shardsFor(tc.workers); got != tc.want {
-			t.Errorf("shardsFor(%d) = %d, want %d", tc.workers, got, tc.want)
-		}
 	}
 }

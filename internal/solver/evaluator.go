@@ -56,8 +56,9 @@ func (e *evaluator) interIdx(op, a, b int) int { return (op*len(e.space)+a)*len(
 // fill stores a freshly computed term v in cell c. The one
 // CompareAndSwap that replaces unpriced is the fresh evaluation and
 // is counted; a goroutine that loses the race returns the stored
-// value. This is engine.MemoShard.Get's contract, so Stats.Evaluations
-// and the MaxEvals budget stay exact at any worker count.
+// value. Concurrent computations of one term may both run, but only
+// the first store counts, so Stats.Evaluations and the MaxEvals budget
+// count distinct terms and stay exact at any worker count.
 func (e *evaluator) fill(c *atomic.Uint64, v float64) float64 {
 	if c.CompareAndSwap(unpriced, math.Float64bits(v)) {
 		e.n.Add(1)

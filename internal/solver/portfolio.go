@@ -66,9 +66,8 @@ func (s *Portfolio) racers(p Problem) []Strategy {
 // context deadline before the race, so total wall-clock stays bounded
 // even when the workers bound serializes racers.
 func (s *Portfolio) Solve(ctx context.Context, p Problem, b Budget) (Assignment, Stats) {
-	stats := Stats{Strategy: s.Name()}
 	if !p.valid() {
-		return nil, stats
+		return nil, Stats{Strategy: s.Name()}
 	}
 	subs := s.racers(p)
 	inner := b
@@ -84,27 +83,32 @@ func (s *Portfolio) Solve(ctx context.Context, p Problem, b Budget) (Assignment,
 	engine.ForEach(b.Workers, len(subs), func(i int) {
 		assigns[i], subStats[i] = subs[i].Solve(ctx, p, inner)
 	})
+	return raceResult(assigns, subStats)
+}
 
+// raceResult folds a race's per-racer results into the portfolio's,
+// in-process or distributed: strictly lower FinalCost wins and ties
+// break toward the earlier racer, the winner's search stats are the
+// race's, evaluation counts sum over racers, Elapsed is the slowest
+// racer's, and Sub carries every racer's stats.
+func raceResult(assigns []Assignment, subs []Stats) (Assignment, Stats) {
 	winner := 0
 	for i := 1; i < len(subs); i++ {
-		if subStats[i].FinalCost < subStats[winner].FinalCost {
+		if subs[i].FinalCost < subs[winner].FinalCost {
 			winner = i
 		}
 	}
-	stats.Sub = subStats
-	stats.Winner = subStats[winner].Strategy
-	stats.DPCost = subStats[winner].DPCost
-	stats.FinalCost = subStats[winner].FinalCost
-	stats.Generations = subStats[winner].Generations
-	stats.Iterations = subStats[winner].Iterations
-	stats.Restarts = subStats[winner].Restarts
-	stats.Checkpoints = subStats[winner].Checkpoints
-	for _, ss := range subStats {
+	win := subs[winner]
+	stats := Stats{
+		Strategy: "portfolio", Winner: win.Strategy, Sub: subs,
+		DPCost: win.DPCost, FinalCost: win.FinalCost,
+		Generations: win.Generations, Iterations: win.Iterations, Restarts: win.Restarts,
+		Checkpoints: win.Checkpoints,
+	}
+	for _, ss := range subs {
 		stats.Evaluations += ss.Evaluations
 		stats.ScreenEvaluations += ss.ScreenEvaluations
-		if ss.Elapsed > stats.Elapsed {
-			stats.Elapsed = ss.Elapsed
-		}
+		stats.Elapsed = max(stats.Elapsed, ss.Elapsed)
 	}
 	return assigns[winner], stats
 }

@@ -53,52 +53,30 @@ func runRaceTask(ctx context.Context, t raceTask) (raceOut, error) {
 }
 
 // DistributedRace runs the portfolio's race with one racer per fabric
-// task. Winner selection replicates Portfolio.Solve: strictly lower
-// FinalCost wins, ties break toward the earlier racer, and the
-// aggregate stats carry every racer under Sub. The only semantic
-// difference from the in-process portfolio is the deadline: it
-// applies per racer rather than as one shared context, since workers
-// are separate processes. Cancelling ctx aborts the race: unfinished
-// racers report ctx.Err() and the call fails.
+// task (in-process through the registered handler on a nil fabric),
+// and folds the racers' results exactly as Portfolio.Solve does. The
+// only semantic difference from the in-process portfolio is the
+// deadline: it applies per racer rather than as one shared context,
+// since workers are separate processes. Cancelling ctx aborts the
+// race: unfinished racers report ctx.Err() and the call fails.
 func DistributedRace(ctx context.Context, f *distrib.Fabric, m model.Config, w hw.Wafer, backendKey string, seed, screenSeed int64, b Budget) (Assignment, Stats, error) {
-	inner := b
-	inner.Deadline = b.Deadline
 	names := []string{"ga", "anneal", "hillclimb", "multifid"}
 	tasks := make([]raceTask, len(names))
 	for i, name := range names {
 		tasks[i] = raceTask{
 			Strategy: name, Seed: seed + int64(i), ScreenSeed: screenSeed,
-			Model: m, Wafer: w, Backend: backendKey, Budget: inner,
+			Model: m, Wafer: w, Backend: backendKey, Budget: b,
 		}
 	}
 	outs, errs := distrib.RunTasksCtx[raceTask, raceOut](ctx, f, "solver.race", tasks)
+	assigns := make([]Assignment, len(outs))
+	subs := make([]Stats, len(outs))
 	for i, err := range errs {
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("solver: distributed racer %s: %w", names[i], err)
 		}
+		assigns[i], subs[i] = outs[i].Assignment, outs[i].Stats
 	}
-	winner := 0
-	for i := 1; i < len(outs); i++ {
-		if outs[i].Stats.FinalCost < outs[winner].Stats.FinalCost {
-			winner = i
-		}
-	}
-	stats := Stats{Strategy: "portfolio"}
-	win := outs[winner].Stats
-	stats.Winner = win.Strategy
-	stats.DPCost = win.DPCost
-	stats.FinalCost = win.FinalCost
-	stats.Generations = win.Generations
-	stats.Iterations = win.Iterations
-	stats.Restarts = win.Restarts
-	stats.Checkpoints = win.Checkpoints
-	for _, o := range outs {
-		stats.Sub = append(stats.Sub, o.Stats)
-		stats.Evaluations += o.Stats.Evaluations
-		stats.ScreenEvaluations += o.Stats.ScreenEvaluations
-		if o.Stats.Elapsed > stats.Elapsed {
-			stats.Elapsed = o.Stats.Elapsed
-		}
-	}
-	return outs[winner].Assignment, stats, nil
+	a, stats := raceResult(assigns, subs)
+	return a, stats, nil
 }

@@ -280,11 +280,9 @@ func countBytes(p mesh.Phase) float64 {
 	return b
 }
 
-// Options tunes the optimizer; the zero value enables everything with
-// the default iteration cap.
+// Options tunes the optimizer for ablations; the zero value enables
+// everything. The loop runs at most DefaultMaxIter iterations.
 type Options struct {
-	// MaxIter caps the optimization loop; 0 means DefaultMaxIter.
-	MaxIter int
 	// DisableMerge turns off multicast merging (ablation).
 	DisableMerge bool
 	// DisableReroute turns off congestion-aware rerouting (ablation).
@@ -327,16 +325,12 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 // optimize is Optimize in count mode when bytes > 0, which every flow
 // of p must then carry, and in walk mode otherwise.
 func optimize(t *mesh.Topology, p mesh.Phase, opts Options, bytes float64) Result {
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
 	cur := clonePhase(p)
 	res := Result{}
 	d := newDense(t, cur, bytes)
 	_, res.InitialMaxLoad = d.maxLoad(cur)
 
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < DefaultMaxIter; iter++ {
 		mcl, load := d.maxLoad(cur)
 		if load <= 0 {
 			break
