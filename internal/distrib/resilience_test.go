@@ -20,19 +20,30 @@ import (
 	"temp/internal/parallel"
 )
 
-// memoProbeKind reports how many warm memo records the executing
-// process holds — run through the fabric, it observes the worker
-// subprocess's post-sync state.
+// memoProbeKind reports how many memo entries the executing process
+// holds, then sweeps its input jobs and reports how the memo served
+// them — run through the fabric, it observes the worker subprocess's
+// post-sync state.
 const memoProbeKind = "distrib.test.memoprobe"
 
-type memoProbeIn struct{ X int }
+type memoProbeIn struct{ Jobs []engine.Job }
 
-type memoProbeOut struct{ Records int }
+type memoProbeOut struct {
+	Records          int
+	DiskHits, Misses int64
+	StepTimes        []float64
+}
 
 func init() {
 	RegisterKind(memoProbeKind, HandlerGob(func(ctx context.Context, in memoProbeIn) (memoProbeOut, error) {
-		_, n := engine.MemoSegment()
-		return memoProbeOut{Records: n}, nil
+		before := engine.CountersSnapshot()
+		out := memoProbeOut{Records: before.Entries}
+		for _, r := range engine.Sweep(in.Jobs) {
+			out.StepTimes = append(out.StepTimes, r.Breakdown.StepTime)
+		}
+		after := engine.CountersSnapshot()
+		out.DiskHits, out.Misses = after.DiskHits-before.DiskHits, after.Misses-before.Misses
+		return out, nil
 	}))
 }
 
@@ -341,37 +352,48 @@ func TestRunCtxCancelAbandonsShards(t *testing.T) {
 // reports no memo of its own receives the coordinator's warm segment
 // at attach and serves probes against it.
 func TestMemoSyncWarmStartsWorker(t *testing.T) {
-	memo := engine.NewMemoryMemo()
+	memo, err := engine.AttachDiskMemo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		engine.Default().SetDiskMemo(nil)
+		memo.Close()
+	})
 	job := engine.Job{
 		Model:  model.GPT3_6_7B(),
 		Wafer:  hw.EvaluationWafer(),
-		Config: parallel.Config{DP: 1, TP: 1, SP: 1, CP: 1, TATP: 1, PP: 1},
+		Config: parallel.Config{DP: 2, TP: 2, TATP: 8},
 		Opts:   cost.TEMPOptions(),
 	}
 	const records = 5
-	for i := 0; i < records; i++ {
-		j := job
-		j.Model.Layers += i
-		var b cost.Breakdown
-		b.StepTime = float64(i) + 0.5
-		if err := memo.Store(j, engine.Result{Breakdown: b}); err != nil {
-			t.Fatal(err)
-		}
+	jobs := make([]engine.Job, records)
+	for i := range jobs {
+		jobs[i] = job
+		jobs[i].Model.Layers += i
 	}
-	engine.Default().SetDiskMemo(memo)
-	t.Cleanup(func() { engine.Default().SetDiskMemo(nil) })
+	priced := engine.Sweep(jobs)
+	if _, n := engine.MemoSegment(); n != records {
+		t.Fatalf("coordinator memo holds %d records, want %d", n, records)
+	}
 
 	cmd, env := workerCommand()
 	f, err := New(Options{Workers: 1, SyncMemo: true, Command: cmd, Env: env})
 	if err != nil {
 		t.Fatalf("fabric: %v", err)
 	}
-	outs, errs := RunTasks[memoProbeIn, memoProbeOut](f, memoProbeKind, []memoProbeIn{{X: 1}})
+	outs, errs := RunTasks[memoProbeIn, memoProbeOut](f, memoProbeKind, []memoProbeIn{{Jobs: jobs}})
 	if errs[0] != nil {
 		t.Fatalf("probe: %v", errs[0])
 	}
-	if outs[0].Records != records {
-		t.Fatalf("worker reports %d warm memo records, want %d", outs[0].Records, records)
+	if got := outs[0]; got.Records != records || got.DiskHits != records || got.Misses != 0 {
+		t.Fatalf("worker held %d warm memo records and served %d disk hits, %d misses; want %d, %d, 0",
+			got.Records, got.DiskHits, got.Misses, records, records)
+	}
+	for i, r := range priced {
+		if outs[0].StepTimes[i] != r.Breakdown.StepTime {
+			t.Errorf("job %d: worker step time %v, coordinator %v", i, outs[0].StepTimes[i], r.Breakdown.StepTime)
+		}
 	}
 	fs := f.Shutdown()
 	if fs.InProcessTasks != 0 {

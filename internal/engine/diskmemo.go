@@ -35,6 +35,8 @@ const (
 	// diskMemoMaxFrame bounds a frame's key/value lengths; anything
 	// larger is corruption, not data.
 	diskMemoMaxFrame = 1 << 28
+	// frameHeader is a record's length and checksum prefix.
+	frameHeader = 12
 )
 
 // diskMemoFile is the memo's file name inside its directory.
@@ -42,13 +44,13 @@ const diskMemoFile = "costmemo.bin"
 
 // Auto-compaction policy. Concurrent appenders (distributed workers
 // sharing one memo dir) can legitimately write the same job twice —
-// each process only dedupes against its own index plus whatever was
-// on disk when it opened. Last-write-wins on load keeps the index
-// correct, but the dead bytes accumulate across runs. When an open
-// finds that fewer than half the parsed records are live (and the
-// file is big enough for the rewrite to matter), it rewrites the file
-// from the index so long-lived memo dirs stay bounded by their live
-// content.
+// each process only dedupes against its own memo, which holds whatever
+// was on disk when it attached. The first record of a key wins on
+// load, but the dead bytes accumulate across runs. When an attach
+// finds that fewer than half the parsed records are live (and the file
+// is big enough for the rewrite to matter), it rewrites the file from
+// the first frame of each key so long-lived memo dirs stay bounded by
+// their live content.
 const compactMinRecords = 64
 
 // diskRecord is the stored shape of one Result. Errors are persisted
@@ -61,90 +63,104 @@ type diskRecord struct {
 	HasErr    bool
 }
 
-// DiskMemo is a persistent, content-keyed result store layered under
-// the engine's in-memory memo: read fully on open, appended on every
-// miss, compacted (atomic tmp+rename) when opening finds a corrupt
-// tail. One process appends through one handle; cross-process
-// appenders are safe because each record is written with a single
-// O_APPEND write and readers validate frames.
+// DiskMemo is the append log of a pool's memo: attaching it loads the
+// file into the memo once, and every fresh result is appended with one
+// O_APPEND write. It keeps no per-record state, so results live in
+// memory once, in the memo. Cross-process appenders are safe because
+// each record is written whole and readers validate frames.
 type DiskMemo struct {
-	mu    sync.Mutex
-	f     *os.File
-	path  string
-	index map[string]Result
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	buf  bytes.Buffer // the frame being appended
 
-	keyBuf []byte
-	valBuf bytes.Buffer
-
-	loaded    int // records recovered on open (including duplicates)
-	dropped   int // trailing bytes discarded on open
-	compacted int // duplicate records discarded by auto-compaction on open
+	records   int // live records at attach plus records appended since
+	dropped   int // trailing bytes discarded on attach
+	compacted int // duplicate records discarded by auto-compaction on attach
 }
 
-// OpenDiskMemo opens (creating if needed) the persistent memo in dir.
-// All valid records are loaded into the in-memory index; a corrupt or
-// truncated tail is dropped and the file compacted to its valid
-// prefix before appending resumes.
-func OpenDiskMemo(dir string) (*DiskMemo, error) {
+// AttachDiskMemo opens (creating if needed) the persistent memo in dir,
+// publishes its records into the pool's memo, each marked as loaded
+// from disk, and attaches it so fresh results are appended. Among
+// duplicate records of a key the first wins. A corrupt or truncated
+// tail is dropped and the file compacted to its valid prefix before
+// appending resumes.
+func (p *Pool) AttachDiskMemo(dir string) (*DiskMemo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: disk memo dir: %w", err)
 	}
-	path := filepath.Join(dir, diskMemoFile)
-	m := &DiskMemo{path: path, index: map[string]Result{}}
-
-	data, err := os.ReadFile(path)
+	d := &DiskMemo{path: filepath.Join(dir, diskMemoFile)}
+	data, err := os.ReadFile(d.path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("engine: disk memo read: %w", err)
 	}
-	validLen := m.load(data)
-	if validLen < len(data) {
-		m.dropped = len(data) - validLen
-	}
+
+	// seen and firsts live only while parsing: the keys in the file and
+	// the first frame of each, which an auto-compaction keeps.
+	seen := make(map[string]struct{})
+	var firsts [][]byte
+	total := 0
+	valid := parseMemo(data, func(key []byte, r Result, frame []byte) {
+		total++
+		if _, dup := seen[string(key)]; dup {
+			return
+		}
+		k := string(key)
+		seen[k] = struct{}{}
+		firsts = append(firsts, frame)
+		p.cache.publish(k, r, true)
+	})
+	d.records = len(seen)
+	d.dropped = len(data) - valid
 	switch {
-	case m.loaded >= compactMinRecords && 2*len(m.index) < m.loaded:
+	case total >= compactMinRecords && 2*d.records < total:
 		// Size-triggered auto-compaction: under half the records are
-		// live (duplicates from concurrent writers), so rewrite the
-		// file from the index. This also sheds any corrupt tail.
-		m.compacted = m.loaded - len(m.index)
-		if err := m.compactFromIndex(); err != nil {
+		// live (duplicates from concurrent writers), so rewrite the file
+		// from each key's first frame. This also sheds any corrupt tail.
+		d.compacted = total - d.records
+		live := headerBytes()
+		for _, fr := range firsts {
+			live = append(live, fr...)
+		}
+		if err := d.rewrite(live); err != nil {
 			return nil, err
 		}
-		m.loaded = len(m.index)
-	case validLen < len(data):
+	case valid < len(data):
 		// Corrupt or foreign tail (or a whole file from another schema
 		// version): atomically rewrite the valid prefix so appends
 		// never land after garbage.
-		if err := m.compact(data[:validLen]); err != nil {
+		if err := d.rewrite(data[:valid]); err != nil {
 			return nil, err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(d.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("engine: disk memo open: %w", err)
 	}
-	m.f = f
+	d.f = f
 	if len(data) == 0 {
-		if err := m.writeHeader(); err != nil {
+		if _, err := f.Write(headerBytes()); err != nil {
 			f.Close()
-			return nil, err
+			return nil, fmt.Errorf("engine: disk memo header: %w", err)
 		}
 	}
-	return m, nil
+	p.cache.disk.Store(d)
+	return d, nil
 }
 
-// load parses data into the index and returns the length of the valid
-// prefix (header plus every whole, checksummed, decodable record).
-func (m *DiskMemo) load(data []byte) int {
-	if len(data) == 0 {
-		return 0
-	}
+// parseMemo walks a memo file or segment, calling rec with the key,
+// result and raw frame of every whole, checksummed, decodable record,
+// and returns the length of the valid prefix (the header plus those
+// records). A file with another magic or schema version has no valid
+// prefix. The attach loader keeps the valid prefix; a segment import
+// rejects anything short of a whole parse.
+func parseMemo(data []byte, rec func(key []byte, r Result, frame []byte)) int {
 	hdr := len(diskMemoMagic) + 1
-	if len(data) < hdr || string(data[:len(diskMemoMagic)]) != diskMemoMagic ||
-		data[len(diskMemoMagic)] != diskMemoVersion {
+	if len(data) < hdr || !bytes.Equal(data[:hdr], headerBytes()) {
 		return 0
 	}
 	off := hdr
-	for off+12 <= len(data) {
+	for off+frameHeader <= len(data) {
 		// Two processes racing to create the file may both write the
 		// header; a duplicate header at a record boundary is benign.
 		if bytes.HasPrefix(data[off:], headerBytes()) {
@@ -157,221 +173,133 @@ func (m *DiskMemo) load(data []byte) int {
 		if keyLen == 0 || keyLen > diskMemoMaxFrame || valLen > diskMemoMaxFrame {
 			break
 		}
-		end := off + 12 + int(keyLen) + int(valLen)
-		if end < off || end > len(data) {
+		end := off + frameHeader + int(keyLen) + int(valLen)
+		if end > len(data) {
 			break
 		}
-		body := data[off+12 : end]
+		body := data[off+frameHeader : end]
 		if crc32.ChecksumIEEE(body) != crc {
 			break
 		}
-		var rec diskRecord
-		if err := gob.NewDecoder(bytes.NewReader(body[keyLen:])).Decode(&rec); err != nil {
+		var dr diskRecord
+		if err := gob.NewDecoder(bytes.NewReader(body[keyLen:])).Decode(&dr); err != nil {
 			break
 		}
-		r := Result{Breakdown: rec.Breakdown}
-		if rec.HasErr {
-			r.Err = errors.New(rec.ErrMsg)
+		r := Result{Breakdown: dr.Breakdown}
+		if dr.HasErr {
+			r.Err = errors.New(dr.ErrMsg)
 		}
-		m.index[string(body[:keyLen])] = r
-		m.loaded++
+		rec(body[:keyLen], r, data[off:end])
 		off = end
 	}
 	return off
 }
 
-// compact atomically replaces the file with the given valid prefix.
-func (m *DiskMemo) compact(valid []byte) error {
-	tmp := m.path + ".tmp"
-	if len(valid) == 0 {
-		valid = headerBytes()
+// importSegment publishes a shipped segment's records into the pool's
+// memo, each marked as loaded from disk, and returns how many it added
+// (keys already memoized keep their entry). The whole segment parses
+// before any record is published: a shipped segment has no torn-tail
+// excuse, so any invalid byte rejects the import.
+func (p *Pool) importSegment(data []byte) (int, error) {
+	type record struct {
+		key []byte
+		r   Result
 	}
-	if err := os.WriteFile(tmp, valid, 0o644); err != nil {
-		return fmt.Errorf("engine: disk memo compact: %w", err)
-	}
-	if err := os.Rename(tmp, m.path); err != nil {
-		return fmt.Errorf("engine: disk memo compact: %w", err)
-	}
-	return nil
-}
-
-// compactFromIndex atomically rewrites the file with exactly the live
-// records (one frame per index entry, file order unspecified).
-func (m *DiskMemo) compactFromIndex() error {
-	buf, err := m.segmentLocked()
-	if err != nil {
-		return err
-	}
-	return m.compact(buf)
-}
-
-// segmentLocked serializes the live index in the on-disk format
-// (header plus one record frame per entry). Callers hold m.mu.
-func (m *DiskMemo) segmentLocked() ([]byte, error) {
-	buf := headerBytes()
-	var val bytes.Buffer
-	for key, r := range m.index {
-		rec := diskRecord{Breakdown: r.Breakdown}
-		if r.Err != nil {
-			rec.HasErr = true
-			rec.ErrMsg = r.Err.Error()
-		}
-		val.Reset()
-		if err := gob.NewEncoder(&val).Encode(rec); err != nil {
-			return nil, fmt.Errorf("engine: disk memo segment encode: %w", err)
-		}
-		buf = appendRecordFrame(buf, key, val.Bytes())
-	}
-	return buf, nil
-}
-
-// Segment serializes the memo's live records in the on-disk format,
-// for shipping warm state to shared-nothing workers over the fabric
-// (distrib memo sync). The segment round-trips through ImportSegment.
-func (m *DiskMemo) Segment() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.segmentLocked()
-}
-
-// ImportSegment merges a serialized segment's records into the index
-// without persisting them (synced state belongs to the coordinator's
-// memo, not the worker's). Unlike load, the whole segment must parse:
-// any invalid record rejects the import, since a shipped segment has
-// no torn-tail excuse. Returns how many records were merged (existing
-// keys keep their local value).
-func (m *DiskMemo) ImportSegment(data []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	probe := &DiskMemo{index: map[string]Result{}}
-	if n := probe.load(data); n != len(data) {
+	var recs []record
+	if n := parseMemo(data, func(key []byte, r Result, _ []byte) {
+		recs = append(recs, record{key, r})
+	}); n != len(data) {
 		return 0, fmt.Errorf("engine: memo segment corrupt at byte %d of %d", n, len(data))
 	}
 	added := 0
-	for key, r := range probe.index {
-		if _, ok := m.index[key]; !ok {
-			m.index[key] = r
+	for _, x := range recs {
+		if _, fresh := p.cache.publish(string(x.key), x.r, true); fresh {
 			added++
 		}
 	}
 	return added, nil
 }
 
-// NewMemoryMemo returns a memo with no backing file: lookups and
-// stores work against the in-memory index only. It is the landing
-// spot for synced segments on workers that have no memo directory.
-func NewMemoryMemo() *DiskMemo {
-	return &DiskMemo{index: map[string]Result{}}
+// segment returns the valid prefix of the memo file and its record
+// count, (nil, 0) when the file holds no record or cannot be read. A
+// record another writer is appending is past the valid prefix.
+func (d *DiskMemo) segment() ([]byte, int) {
+	data, err := os.ReadFile(d.path)
+	if err != nil {
+		return nil, 0
+	}
+	n := 0
+	valid := parseMemo(data, func([]byte, Result, []byte) { n++ })
+	if n == 0 {
+		return nil, 0
+	}
+	return data[:valid], n
 }
 
-// appendRecordFrame appends one self-delimiting record frame
-// (lengths, checksum, key, value) to buf.
-func appendRecordFrame(buf []byte, key string, val []byte) []byte {
-	var lens [12]byte
-	binary.LittleEndian.PutUint32(lens[0:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(lens[4:], uint32(len(val)))
-	crc := crc32.ChecksumIEEE([]byte(key))
-	crc = crc32.Update(crc, crc32.IEEETable, val)
-	binary.LittleEndian.PutUint32(lens[8:], crc)
-	buf = append(buf, lens[:]...)
-	buf = append(buf, key...)
-	buf = append(buf, val...)
-	return buf
+// rewrite atomically replaces the file with data (a bare header when
+// data is empty).
+func (d *DiskMemo) rewrite(data []byte) error {
+	tmp := d.path + ".tmp"
+	if len(data) == 0 {
+		data = headerBytes()
+	}
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("engine: disk memo compact: %w", err)
+	}
+	if err := os.Rename(tmp, d.path); err != nil {
+		return fmt.Errorf("engine: disk memo compact: %w", err)
+	}
+	return nil
 }
 
 func headerBytes() []byte {
 	return append([]byte(diskMemoMagic), diskMemoVersion)
 }
 
-func (m *DiskMemo) writeHeader() error {
-	if _, err := m.f.Write(headerBytes()); err != nil {
-		return fmt.Errorf("engine: disk memo header: %w", err)
-	}
-	return nil
-}
-
-// Lookup returns the persisted result for a normalized job. The hit
-// path does not allocate: the key is encoded into a retained buffer
-// and looked up with a non-escaping string conversion.
-func (m *DiskMemo) Lookup(j Job) (Result, bool) {
-	m.mu.Lock()
-	m.keyBuf = appendJobKey(m.keyBuf[:0], j)
-	r, ok := m.index[string(m.keyBuf)]
-	m.mu.Unlock()
-	return r, ok
-}
-
-// Store persists one freshly priced result, making it visible to
-// Lookup immediately and to every later process on this directory.
-// Each record is one O_APPEND write, so concurrent writers interleave
-// whole records. Write errors are reported but leave the in-memory
-// index updated — a failing disk degrades to a session cache.
-func (m *DiskMemo) Store(j Job, r Result) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.keyBuf = appendJobKey(m.keyBuf[:0], j)
-	if _, ok := m.index[string(m.keyBuf)]; ok {
+// append persists one freshly priced result under its job key, visible
+// to every later attach of this directory. Each record is one O_APPEND
+// write, so concurrent writers interleave whole records. A write error
+// is reported and loses only the record: the memo still holds it, so a
+// failing disk degrades to a session cache.
+func (d *DiskMemo) append(key string, r Result) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.f == nil {
 		return nil
 	}
-	key := string(m.keyBuf)
-	m.index[key] = r
-	if m.f == nil {
-		return nil
-	}
-
-	rec := diskRecord{Breakdown: r.Breakdown}
+	dr := diskRecord{Breakdown: r.Breakdown}
 	if r.Err != nil {
-		rec.HasErr = true
-		rec.ErrMsg = r.Err.Error()
+		dr.HasErr = true
+		dr.ErrMsg = r.Err.Error()
 	}
-	m.valBuf.Reset()
-	if err := gob.NewEncoder(&m.valBuf).Encode(rec); err != nil {
+	// Encode the frame in place: a zeroed length and checksum prefix,
+	// the key and the value, then fill the prefix in.
+	var prefix [frameHeader]byte
+	d.buf.Reset()
+	d.buf.Write(prefix[:])
+	d.buf.WriteString(key)
+	if err := gob.NewEncoder(&d.buf).Encode(dr); err != nil {
 		return fmt.Errorf("engine: disk memo encode: %w", err)
 	}
-	val := m.valBuf.Bytes()
-
-	frame := appendRecordFrame(make([]byte, 0, 12+len(key)+len(val)), key, val)
-	if _, err := m.f.Write(frame); err != nil {
+	frame := d.buf.Bytes()
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(frame[4:], uint32(len(frame)-frameHeader-len(key)))
+	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(frame[frameHeader:]))
+	if _, err := d.f.Write(frame); err != nil {
 		return fmt.Errorf("engine: disk memo append: %w", err)
 	}
+	d.records++
 	return nil
 }
 
-// Len returns the number of indexed records.
-func (m *DiskMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.index)
-}
-
-// Recovered reports how many records the open loaded and how many
-// trailing bytes it had to drop as corrupt.
-func (m *DiskMemo) Recovered() (records, droppedBytes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.loaded, m.dropped
-}
-
-// Compacted reports how many duplicate records the open's
-// auto-compaction discarded (0 when no compaction ran).
-func (m *DiskMemo) Compacted() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compacted
-}
-
-// Path returns the backing file's path.
-func (m *DiskMemo) Path() string { return m.path }
-
-// Close releases the file handle. Lookup and Store on a closed memo
-// still serve the in-memory index (stores stop persisting).
-func (m *DiskMemo) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.f == nil {
+// Close releases the file handle; appends after it are dropped.
+func (d *DiskMemo) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.f == nil {
 		return nil
 	}
-	err := m.f.Close()
-	m.f = nil
+	err := d.f.Close()
+	d.f = nil
 	return err
 }

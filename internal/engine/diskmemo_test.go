@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -49,14 +50,47 @@ func sameResult(a, b Result) bool {
 	return a.Err == nil || a.Err.Error() == b.Err.Error()
 }
 
-// TestDiskMemoRoundTrip: a cold reopen serves every stored result
-// bit-identically, including persisted errors.
-func TestDiskMemoRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	m1, err := OpenDiskMemo(dir)
+// storeRecord memoizes r as j's priced result in p and appends it to
+// p's disk memo, as Sweep does with a fresh result.
+func storeRecord(p *Pool, j Job, r Result) error {
+	key := string(appendJobKey(nil, p.normalize(j)))
+	if _, fresh := p.cache.publish(key, r, false); !fresh {
+		return fmt.Errorf("job %+v stored twice", j.Model.Layers)
+	}
+	return p.cache.disk.Load().append(key, r)
+}
+
+// memoized returns j's memoized result in p without pricing it.
+func memoized(p *Pool, j Job) (Result, bool) {
+	return p.cache.lookup(appendJobKey(nil, p.normalize(j)))
+}
+
+// attach attaches a fresh pool to the memo in dir.
+func attach(t *testing.T, dir string) (*Pool, *DiskMemo) {
+	t.Helper()
+	p := New(1)
+	d, err := p.AttachDiskMemo(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, d
+}
+
+func fileSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	st, err := os.Stat(filepath.Join(dir, diskMemoFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// TestDiskMemoRoundTrip: a cold attach serves every stored result
+// bit-identically, including persisted errors, and counts each
+// record's first lookup as a disk hit.
+func TestDiskMemoRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	p1, d1 := attach(t, dir)
 	const n = 8
 	want := make([]Result, n)
 	for i := 0; i < n; i++ {
@@ -64,31 +98,29 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 		if i == 3 {
 			want[i] = Result{Err: errors.New("cost: no viable placement for dp1")}
 		}
-		if err := m1.Store(diskJob(i), want[i]); err != nil {
+		if err := storeRecord(p1, diskJob(i), want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Same-handle lookups hit immediately.
+	// The storing pool serves them immediately.
 	for i := 0; i < n; i++ {
-		r, ok := m1.Lookup(diskJob(i))
+		r, ok := memoized(p1, diskJob(i))
 		if !ok || !sameResult(r, want[i]) {
 			t.Fatalf("warm lookup %d: ok=%v r=%+v", i, ok, r)
 		}
 	}
-	if err := m1.Close(); err != nil {
+	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	m2, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	if rec, dropped := m2.Recovered(); rec != n || dropped != 0 {
-		t.Fatalf("reopen recovered %d records, dropped %d bytes; want %d, 0", rec, dropped, n)
+	p2, d2 := attach(t, dir)
+	defer d2.Close()
+	if s := p2.Cache().Stats(); s.DiskEntries != n || s.Entries != n || s.DiskDropped != 0 {
+		t.Fatalf("reattach: %d disk entries, %d memo entries, %d dropped bytes; want %d, %d, 0",
+			s.DiskEntries, s.Entries, s.DiskDropped, n, n)
 	}
 	for i := 0; i < n; i++ {
-		r, ok := m2.Lookup(diskJob(i))
+		r, ok := memoized(p2, diskJob(i))
 		if !ok {
 			t.Fatalf("cold lookup %d missing", i)
 		}
@@ -96,58 +128,56 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 			t.Fatalf("cold lookup %d: got %+v want %+v", i, r, want[i])
 		}
 	}
-	if _, ok := m2.Lookup(diskJob(n + 5)); ok {
+	if _, ok := memoized(p2, diskJob(n+5)); ok {
 		t.Fatal("lookup of never-stored job reported a hit")
+	}
+	if s := p2.Cache().Stats(); s.DiskHits != n || s.Hits != 0 {
+		t.Fatalf("cold lookups counted %d disk hits and %d hits, want %d and 0", s.DiskHits, s.Hits, n)
 	}
 }
 
 // TestDiskMemoCorruptTail: a torn or garbage tail drops only the
-// records at and past the corruption, and the reopen compacts the
+// records at and past the corruption, and the attach compacts the
 // file so appends resume cleanly.
 func TestDiskMemoCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	m1, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1, d1 := attach(t, dir)
 	for i := 0; i < 4; i++ {
-		if err := m1.Store(diskJob(i), diskResult(i)); err != nil {
+		if err := storeRecord(p1, diskJob(i), diskResult(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m1.Close()
-	path := m1.Path()
-	clean, err := os.ReadFile(path)
+	d1.Close()
+	clean, err := os.ReadFile(d1.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(clean, "garbage tail"...), 0o644); err != nil {
+	const tail = "garbage tail"
+	if err := os.WriteFile(d1.path, append(clean, tail...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	m2, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, dropped := m2.Recovered(); rec != 4 || dropped == 0 {
-		t.Fatalf("recovered %d records, dropped %d; want 4 records and a dropped tail", rec, dropped)
+	p2, d2 := attach(t, dir)
+	if s := p2.Cache().Stats(); s.DiskEntries != 4 || s.DiskDropped != len(tail) {
+		t.Fatalf("recovered %d records, dropped %d; want 4 records and the %d-byte tail",
+			s.DiskEntries, s.DiskDropped, len(tail))
 	}
 	// The compaction must have restored the exact clean prefix, so a
-	// post-recovery append is readable by the next open.
-	if err := m2.Store(diskJob(9), diskResult(9)); err != nil {
+	// post-recovery append is readable by the next attach.
+	if err := storeRecord(p2, diskJob(9), diskResult(9)); err != nil {
 		t.Fatal(err)
 	}
-	m2.Close()
-	m3, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
+	if s := p2.Cache().Stats(); s.DiskEntries != 5 {
+		t.Fatalf("%d disk entries after an append, want 5", s.DiskEntries)
 	}
-	defer m3.Close()
-	if rec, dropped := m3.Recovered(); rec != 5 || dropped != 0 {
-		t.Fatalf("post-compaction open recovered %d/%d; want 5 records, 0 dropped", rec, dropped)
+	d2.Close()
+	p3, d3 := attach(t, dir)
+	defer d3.Close()
+	if s := p3.Cache().Stats(); s.DiskEntries != 5 || s.DiskDropped != 0 {
+		t.Fatalf("post-compaction attach recovered %d/%d; want 5 records, 0 dropped", s.DiskEntries, s.DiskDropped)
 	}
 	for _, i := range []int{0, 1, 2, 3, 9} {
-		if r, ok := m3.Lookup(diskJob(i)); !ok || !sameResult(r, diskResult(i)) {
+		if r, ok := memoized(p3, diskJob(i)); !ok || !sameResult(r, diskResult(i)) {
 			t.Fatalf("record %d lost after compaction (ok=%v)", i, ok)
 		}
 	}
@@ -167,96 +197,65 @@ func TestDiskMemoCorruptHeader(t *testing.T) {
 		{"previous version", func(data []byte) { data[len(diskMemoMagic)] = diskMemoVersion - 1 }},
 	} {
 		dir := t.TempDir()
-		m1, err := OpenDiskMemo(dir)
-		if err != nil {
+		p1, d1 := attach(t, dir)
+		if err := storeRecord(p1, diskJob(0), diskResult(0)); err != nil {
 			t.Fatal(err)
 		}
-		m1.Store(diskJob(0), diskResult(0))
-		m1.Close()
-		data, _ := os.ReadFile(m1.Path())
+		d1.Close()
+		data, _ := os.ReadFile(d1.path)
 		tc.corrupt(data)
-		os.WriteFile(m1.Path(), data, 0o644)
+		os.WriteFile(d1.path, data, 0o644)
 
-		m2, err := OpenDiskMemo(dir)
-		if err != nil {
-			t.Fatal(err)
+		p2, d2 := attach(t, dir)
+		s := p2.Cache().Stats()
+		if s.Entries != 0 || s.DiskEntries != 0 {
+			t.Errorf("%s: foreign-header file yielded %d memo entries and %d disk entries, want 0",
+				tc.name, s.Entries, s.DiskEntries)
 		}
-		if m2.Len() != 0 {
-			t.Errorf("%s: foreign-header file yielded %d records, want 0", tc.name, m2.Len())
+		if s.DiskDropped != len(data) {
+			t.Errorf("%s: dropped %d bytes, want the whole %d-byte file", tc.name, s.DiskDropped, len(data))
 		}
-		if _, dropped := m2.Recovered(); dropped != len(data) {
-			t.Errorf("%s: dropped %d bytes, want the whole %d-byte file", tc.name, dropped, len(data))
-		}
-		m2.Close()
+		d2.Close()
 	}
 }
 
-// TestDiskMemoConcurrentWriters: two handles on one directory (two
-// processes in miniature) appending concurrently interleave whole
-// records — a cold open recovers every record from both.
+// TestDiskMemoConcurrentWriters: two pools attached to one directory
+// (two processes in miniature) appending concurrently interleave
+// whole records — a cold attach recovers every record from both.
 func TestDiskMemoConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	a, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa, a := attach(t, dir)
+	pb, b := attach(t, dir)
 	const per = 32
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < per; i++ {
-			a.Store(diskJob(i), diskResult(i))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := per; i < 2*per; i++ {
-			b.Store(diskJob(i), diskResult(i))
-		}
-	}()
+	for _, w := range []struct {
+		p     *Pool
+		first int
+	}{{pa, 0}, {pb, per}} {
+		wg.Add(1)
+		go func(p *Pool, first int) {
+			defer wg.Done()
+			for i := first; i < first+per; i++ {
+				if err := storeRecord(p, diskJob(i), diskResult(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w.p, w.first)
+	}
 	wg.Wait()
 	a.Close()
 	b.Close()
 
-	m, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if rec, dropped := m.Recovered(); rec != 2*per || dropped != 0 {
-		t.Fatalf("recovered %d records, dropped %d; want %d, 0", rec, dropped, 2*per)
+	p, d := attach(t, dir)
+	defer d.Close()
+	if s := p.Cache().Stats(); s.DiskEntries != 2*per || s.DiskDropped != 0 {
+		t.Fatalf("recovered %d records, dropped %d; want %d, 0", s.DiskEntries, s.DiskDropped, 2*per)
 	}
 	for i := 0; i < 2*per; i++ {
-		if r, ok := m.Lookup(diskJob(i)); !ok || !sameResult(r, diskResult(i)) {
+		if r, ok := memoized(p, diskJob(i)); !ok || !sameResult(r, diskResult(i)) {
 			t.Fatalf("record %d lost in concurrent append (ok=%v)", i, ok)
 		}
-	}
-}
-
-// TestDiskMemoLookupZeroAllocs pins the warm hit path: a lookup on a
-// loaded memo must not allocate.
-func TestDiskMemoLookupZeroAllocs(t *testing.T) {
-	dir := t.TempDir()
-	m, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	j := diskJob(1)
-	m.Store(j, diskResult(1))
-	m.Lookup(j) // warm the key buffer
-	avg := testing.AllocsPerRun(100, func() {
-		if _, ok := m.Lookup(j); !ok {
-			t.Fatal("lookup missed")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("disk-memo hit allocates %.1f objects/op, want 0", avg)
 	}
 }
 
@@ -269,11 +268,10 @@ func TestPoolWarmStartsFromDiskMemo(t *testing.T) {
 	jobs := testJobs(t)
 
 	p1 := New(4)
-	d1, err := OpenDiskMemo(dir)
+	d1, err := p1.AttachDiskMemo(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1.SetDiskMemo(d1)
 	r1 := p1.Sweep(jobs)
 	s1 := p1.Cache().Stats()
 	if s1.Misses == 0 || s1.DiskHits != 0 {
@@ -282,12 +280,11 @@ func TestPoolWarmStartsFromDiskMemo(t *testing.T) {
 	d1.Close()
 
 	p2 := New(4)
-	d2, err := OpenDiskMemo(dir)
+	d2, err := p2.AttachDiskMemo(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	p2.SetDiskMemo(d2)
 	r2 := p2.Sweep(jobs)
 	s2 := p2.Cache().Stats()
 	if s2.Misses != 0 {
@@ -304,7 +301,11 @@ func TestPoolWarmStartsFromDiskMemo(t *testing.T) {
 
 	// Single-job evaluations warm-start too.
 	p3 := New(2)
-	p3.SetDiskMemo(d2)
+	d3, err := p3.AttachDiskMemo(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
 	b, err := p3.EvaluateJob(jobs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -317,68 +318,97 @@ func TestPoolWarmStartsFromDiskMemo(t *testing.T) {
 	}
 }
 
+// TestDiskHitsCountOncePerRecord races lookups that the disk memo
+// serves: every record's first lookup counts one disk hit however many
+// goroutines reach it at once, and every other lookup counts a hit.
+func TestDiskHitsCountOncePerRecord(t *testing.T) {
+	dir := t.TempDir()
+	const records, goroutines, sweeps = 16, 8, 64
+	jobs := make([]Job, records)
+	p0, d0 := attach(t, dir)
+	for i := range jobs {
+		jobs[i] = diskJob(i)
+		if err := storeRecord(p0, jobs[i], diskResult(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d0.Close()
+
+	p, d := attach(t, dir)
+	defer d.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < sweeps; k++ {
+				for i, r := range p.Sweep(jobs) {
+					if !sameResult(r, diskResult(i)) {
+						t.Errorf("job %d: result differs from its record", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := p.Cache().Stats()
+	if s.DiskHits != records || s.Misses != 0 {
+		t.Errorf("%d disk hits and %d misses, want %d and 0", s.DiskHits, s.Misses, records)
+	}
+	if s.Hits+s.DiskHits != goroutines*sweeps*records {
+		t.Errorf("hits %d + disk hits %d, want %d lookups", s.Hits, s.DiskHits, goroutines*sweeps*records)
+	}
+}
+
 // TestDiskMemoAutoCompaction: when concurrent writers leave more dead
-// duplicate records than live ones, the next open compacts the file
+// duplicate records than live ones, the next attach compacts the file
 // and preserves every live record; below the threshold it leaves the
 // file alone.
 func TestDiskMemoAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	const n = 40 // live records; 3 handles write each => 120 total, 40 live
+	const n = 40 // live records; 3 pools write each => 120 total, 40 live
 
-	// Three concurrent handles on the same dir (all opened before any
-	// write, as racing worker processes would), each appending the
-	// same n records: a handle dedupes only against its own index plus
-	// what was on disk when it opened, so the file accumulates 3n
+	// Three pools attached to the same dir (all before any write, as
+	// racing worker processes would), each appending the same n
+	// records: a pool dedupes only against its own memo, which holds
+	// what was on disk when it attached, so the file accumulates 3n
 	// records of which n are live.
-	handles := make([]*DiskMemo, 3)
-	for h := range handles {
-		m, err := OpenDiskMemo(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[h] = m
+	pools := make([]*Pool, 3)
+	memos := make([]*DiskMemo, 3)
+	for h := range pools {
+		pools[h], memos[h] = attach(t, dir)
 	}
-	for _, m := range handles {
+	for h, p := range pools {
 		for i := 0; i < n; i++ {
-			if err := m.Store(diskJob(i), diskResult(i)); err != nil {
+			if err := storeRecord(p, diskJob(i), diskResult(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := m.Close(); err != nil {
+		if err := memos[h].Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	before, err := os.Stat(fmt.Sprintf("%s/costmemo.bin", dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	before := fileSize(t, dir)
+	p, d := attach(t, dir)
+	defer d.Close()
 	// 120 parsed, 40 live: 2*40 < 120 triggers compaction.
-	if got := m.Compacted(); got != 2*n {
-		t.Fatalf("Compacted() = %d, want %d", got, 2*n)
+	s := p.Cache().Stats()
+	if s.DiskCompacted != 2*n {
+		t.Fatalf("compacted %d records, want %d", s.DiskCompacted, 2*n)
 	}
-	if m.Len() != n {
-		t.Fatalf("Len() = %d after compaction, want %d", m.Len(), n)
+	if s.DiskEntries != n || s.Entries != n || s.DiskDropped != 0 {
+		t.Fatalf("after compaction: %d disk entries, %d memo entries, %d dropped; want %d, %d, 0",
+			s.DiskEntries, s.Entries, s.DiskDropped, n, n)
 	}
-	rec, dropped := m.Recovered()
-	if rec != n || dropped != 0 {
-		t.Fatalf("Recovered() = (%d, %d), want (%d, 0)", rec, dropped, n)
-	}
-	after, err := os.Stat(m.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size() {
-		t.Fatalf("compaction did not shrink the file: %d -> %d bytes", before.Size(), after.Size())
+	after := fileSize(t, dir)
+	if after >= before {
+		t.Fatalf("compaction did not shrink the file: %d -> %d bytes", before, after)
 	}
 	// Every live record survived, bit-identical.
 	for i := 0; i < n; i++ {
-		r, ok := m.Lookup(diskJob(i))
+		r, ok := memoized(p, diskJob(i))
 		if !ok {
 			t.Fatalf("record %d lost by compaction", i)
 		}
@@ -387,18 +417,16 @@ func TestDiskMemoAutoCompaction(t *testing.T) {
 		}
 	}
 
-	// The compacted file is clean: a further reopen parses exactly the
+	// The compacted file is clean: a further attach parses exactly the
 	// live records and compacts nothing.
-	m2, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
+	p2, d2 := attach(t, dir)
+	defer d2.Close()
+	if s := p2.Cache().Stats(); s.DiskCompacted != 0 || s.DiskEntries != n {
+		t.Fatalf("reattach after compaction: compacted %d more, %d disk entries; want 0, %d",
+			s.DiskCompacted, s.DiskEntries, n)
 	}
-	defer m2.Close()
-	if c := m2.Compacted(); c != 0 {
-		t.Fatalf("reopen after compaction compacted %d more records", c)
-	}
-	if rec, _ := m2.Recovered(); rec != n {
-		t.Fatalf("reopen recovered %d records, want %d", rec, n)
+	if got := fileSize(t, dir); got != after {
+		t.Fatalf("reattach rewrote the compacted file: %d -> %d bytes", after, got)
 	}
 }
 
@@ -406,59 +434,51 @@ func TestDiskMemoAutoCompaction(t *testing.T) {
 // live leave the file untouched (strict threshold), and files under
 // the minimum record count never compact.
 func TestDiskMemoCompactionThreshold(t *testing.T) {
-	// Exactly half live (two concurrent handles, same records): 80
-	// total, 40 live — 2*40 < 80 is false, so no compaction.
+	// Exactly half live (two attached pools, same records): 80 total,
+	// 40 live — 2*40 < 80 is false, so no compaction.
 	dir := t.TempDir()
 	const n = 40
-	ha, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*DiskMemo{ha, hb} {
+	pa, ha := attach(t, dir)
+	pb, hb := attach(t, dir)
+	for h, p := range []*Pool{pa, pb} {
 		for i := 0; i < n; i++ {
-			if err := m.Store(diskJob(i), diskResult(i)); err != nil {
+			if err := storeRecord(p, diskJob(i), diskResult(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		m.Close()
+		[]*DiskMemo{ha, hb}[h].Close()
 	}
-	m, err := OpenDiskMemo(dir)
-	if err != nil {
-		t.Fatal(err)
+	before := fileSize(t, dir)
+	p, m := attach(t, dir)
+	if s := p.Cache().Stats(); s.DiskCompacted != 0 || s.DiskEntries != n {
+		t.Fatalf("at exactly-half live ratio: compacted %d, %d disk entries; want 0, %d", s.DiskCompacted, s.DiskEntries, n)
 	}
-	if c := m.Compacted(); c != 0 {
-		t.Fatalf("compacted %d records at exactly-half live ratio", c)
-	}
-	if rec, _ := m.Recovered(); rec != 2*n {
-		t.Fatalf("recovered %d, want %d", rec, 2*n)
+	if got := fileSize(t, dir); got != before {
+		t.Fatalf("at exactly-half live ratio the file changed: %d -> %d bytes", before, got)
 	}
 	m.Close()
 
 	// Tiny file, terrible ratio (4 total, 1 live) but under the
 	// 64-record floor: no compaction.
 	dir2 := t.TempDir()
-	tiny := make([]*DiskMemo, 4)
+	tiny := make([]*Pool, 4)
+	memos := make([]*DiskMemo, 4)
 	for h := range tiny {
-		if tiny[h], err = OpenDiskMemo(dir2); err != nil {
+		tiny[h], memos[h] = attach(t, dir2)
+	}
+	for h, p := range tiny {
+		if err := storeRecord(p, diskJob(0), diskResult(0)); err != nil {
 			t.Fatal(err)
 		}
+		memos[h].Close()
 	}
-	for _, m := range tiny {
-		if err := m.Store(diskJob(0), diskResult(0)); err != nil {
-			t.Fatal(err)
-		}
-		m.Close()
-	}
-	m2, err := OpenDiskMemo(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before = fileSize(t, dir2)
+	p2, m2 := attach(t, dir2)
 	defer m2.Close()
-	if c := m2.Compacted(); c != 0 {
-		t.Fatalf("compacted %d records under the minimum-record floor", c)
+	if s := p2.Cache().Stats(); s.DiskCompacted != 0 || s.DiskEntries != 1 {
+		t.Fatalf("under the minimum-record floor: compacted %d, %d disk entries; want 0, 1", s.DiskCompacted, s.DiskEntries)
+	}
+	if got := fileSize(t, dir2); got != before {
+		t.Fatalf("under the minimum-record floor the file changed: %d -> %d bytes", before, got)
 	}
 }

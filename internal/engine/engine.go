@@ -9,6 +9,13 @@
 // pay for each evaluation once, and multi-core runners evaluate the
 // rest in parallel.
 //
+// The memo is keyed by each job's canonical binary encoding, the key
+// the persistent memo (DiskMemo) writes to disk. A DiskMemo is the
+// memo's append log: attaching one parses its file into the memo once,
+// and every freshly priced result is appended to it. So each result
+// lives in memory once, whether it was priced here, loaded from disk
+// or imported from a fabric coordinator's segment.
+//
 // Below the memo layer, every worker also shares the pricing hot
 // path's structural caches — interned topologies and the per-topology
 // evaluation states with their merged lowering templates and TCME
@@ -21,6 +28,7 @@
 package engine
 
 import (
+	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,8 +39,8 @@ import (
 	"temp/internal/parallel"
 )
 
-// Job identifies one cost-model evaluation. All fields are plain
-// comparable values, so a Job doubles as the cache key.
+// Job identifies one cost-model evaluation. Its canonical binary
+// encoding (appendJobKey) is the memo key, in memory and on disk.
 type Job struct {
 	Model  model.Config
 	Wafer  hw.Wafer
@@ -52,16 +60,19 @@ type Result struct {
 	Err       error
 }
 
-// Cache is the engine's goroutine-safe memo of priced jobs, striped
-// over read-write-locked maps so parallel workers do not serialize on
-// one lock. Pool.Sweep is its one lookup-and-price path: it peeks
-// each normalized job, serves misses from the optional persistent
-// DiskMemo or prices them, and publishes the results. The cost model
-// is deterministic, so concurrent misses on the same key may price
-// twice but always store the same value.
+// Cache is the engine's goroutine-safe memo of priced jobs, keyed by
+// the job's canonical binary encoding (appendJobKey, the key the
+// persistent memo stores) and striped over read-write-locked maps so
+// parallel workers do not serialize on one lock. Pool.Sweep is its one
+// lookup-and-price path: it looks each normalized job up, prices the
+// misses and publishes the results. Attaching a DiskMemo publishes the
+// file's records here too, so every result lives in memory once. The
+// cost model is deterministic, so concurrent misses on the same key
+// may price twice but always store the same value.
 type Cache struct {
 	shards      []cacheShard
 	mask        uint64
+	seed        maphash.Seed
 	disk        atomic.Pointer[DiskMemo]
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -79,7 +90,15 @@ type Cache struct {
 // cacheShard is one lock stripe of a Cache.
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[Job]Result
+	m  map[string]*memoEntry
+}
+
+// memoEntry is one memoized result. fromDisk marks an entry the
+// persistent memo loaded that no lookup has served yet: its first
+// lookup counts a disk hit and clears the mark.
+type memoEntry struct {
+	r        Result
+	fromDisk bool
 }
 
 // NewCache returns an empty cache. Its stripe count is fixed here: at
@@ -90,37 +109,55 @@ func NewCache() *Cache {
 	for n < 4*runtime.GOMAXPROCS(0) {
 		n <<= 1
 	}
-	c := &Cache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	c := &Cache{shards: make([]cacheShard, n), mask: uint64(n - 1), seed: maphash.MakeSeed()}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Job]Result)
+		c.shards[i].m = make(map[string]*memoEntry)
 	}
 	return c
 }
 
-func (c *Cache) shard(j Job) *cacheShard { return &c.shards[jobHash(j)&c.mask] }
-
-// peek returns the memoized result of a normalized job, if any.
-func (c *Cache) peek(j Job) (Result, bool) {
-	s := c.shard(j)
+// lookup returns the result memoized under key and counts the lookup:
+// the first lookup of an entry loaded from the persistent memo counts
+// a disk hit, every other a hit. It does not allocate.
+func (c *Cache) lookup(key []byte) (Result, bool) {
+	s := &c.shards[maphash.Bytes(c.seed, key)&c.mask]
 	s.mu.RLock()
-	r, ok := s.m[j]
+	e, ok := s.m[string(key)]
+	fromDisk := ok && e.fromDisk
 	s.mu.RUnlock()
-	return r, ok
+	if !ok {
+		return Result{}, false
+	}
+	if fromDisk {
+		// Of racing first lookups, only the one that clears the mark
+		// counts the disk hit.
+		s.mu.Lock()
+		fromDisk = e.fromDisk
+		e.fromDisk = false
+		s.mu.Unlock()
+	}
+	if fromDisk {
+		c.diskHits.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
+	return e.r, true
 }
 
-// publish stores r for j unless j already has an entry, and returns
-// the stored entry. fresh reports whether this call stored it: of
-// concurrent publishers of one key only the first store is fresh, so
-// counting fresh stores as misses yields the distinct-key count at any
-// worker count.
-func (c *Cache) publish(j Job, r Result) (stored Result, fresh bool) {
-	s := c.shard(j)
+// publish stores r under key unless key already has an entry, and
+// returns the stored entry's result. fresh reports whether this call
+// stored it: of concurrent publishers of one key only the first store
+// is fresh, so counting fresh stores as misses yields the distinct-key
+// count at any worker count. fromDisk marks a record the persistent
+// memo loaded.
+func (c *Cache) publish(key string, r Result, fromDisk bool) (stored Result, fresh bool) {
+	s := &c.shards[maphash.String(c.seed, key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.m[j]; ok {
-		return old, false
+	if e, ok := s.m[key]; ok {
+		return e.r, false
 	}
-	s.m[j] = r
+	s.m[key] = &memoEntry{r: r, fromDisk: fromDisk}
 	return r, true
 }
 
@@ -136,64 +173,13 @@ func (c *Cache) len() int {
 	return n
 }
 
-// SetDiskMemo attaches (or, with nil, detaches) a persistent memo
-// under the cache.
-func (c *Cache) SetDiskMemo(d *DiskMemo) { c.disk.Store(d) }
-
-// DiskMemo returns the attached persistent memo, or nil.
-func (c *Cache) DiskMemo() *DiskMemo { return c.disk.Load() }
-
-// jobHash mixes the discriminating key fields with FNV-1a. Only
-// shard selection depends on it, so it hashes a representative
-// subset of the key, not every field.
-func jobHash(j Job) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
-	for i := 0; i < len(j.Model.Name); i++ {
-		mix(uint64(j.Model.Name[i]))
-	}
-	mix(uint64(j.Model.Seq))
-	mix(uint64(j.Model.Batch))
-	mix(uint64(j.Model.Layers))
-	c := j.Config
-	mix(uint64(c.DP))
-	mix(uint64(c.TP))
-	mix(uint64(c.SP))
-	mix(uint64(c.CP))
-	mix(uint64(c.TATP))
-	mix(uint64(c.PP))
-	if c.FSDP {
-		mix(1)
-	}
-	if c.MegatronSP {
-		mix(2)
-	}
-	mix(uint64(j.Wafer.Rows))
-	mix(uint64(j.Wafer.Cols))
-	mix(uint64(j.Opts.Engine))
-	mix(uint64(j.Opts.Recompute))
-	mix(uint64(j.Opts.Microbatch))
-	mix(uint64(j.Opts.Wafers))
-	for i := 0; i < len(j.Backend); i++ {
-		mix(uint64(j.Backend[i]))
-	}
-	return h
-}
-
 // Stats reports cache effectiveness counters. The JSON tags make a
 // snapshot directly embeddable in machine-readable outputs (tempbench
 // -json, the tempserve /metrics endpoint).
 type Stats struct {
-	// Hits and Misses count in-memory cache hits and exact (priced)
-	// evaluations; DiskHits counts in-memory misses served from the
-	// persistent memo without pricing.
+	// Hits and Misses count memo hits and exact (priced) evaluations;
+	// DiskHits counts the first lookup of each result the persistent
+	// memo loaded, served without pricing.
 	Hits     int64 `json:"cache_hits"`
 	Misses   int64 `json:"cache_misses"`
 	DiskHits int64 `json:"cache_disk_hits"`
@@ -201,9 +187,11 @@ type Stats struct {
 	// the candidates they covered (Sweep's miss path).
 	BatchCalls  int64 `json:"batch_calls"`
 	BatchedJobs int64 `json:"batched_jobs"`
-	Entries     int   `json:"entries"`
-	// DiskEntries is the persistent memo's record count (0 when none
-	// is attached).
+	// Entries counts memoized results, the records loaded from a
+	// persistent memo or an imported segment included.
+	Entries int `json:"entries"`
+	// DiskEntries counts the attached persistent memo's live records
+	// at attach plus those appended since (0 when none is attached).
 	DiskEntries int `json:"disk_entries"`
 	// DiskCompacted and DiskDropped report what the persistent memo's
 	// open-time recovery discarded: duplicate records rewritten away
@@ -230,9 +218,9 @@ func (c *Cache) Stats() Stats {
 		Entries:        c.len(),
 	}
 	if d := c.disk.Load(); d != nil {
-		s.DiskEntries = d.Len()
-		s.DiskCompacted = d.Compacted()
-		_, s.DiskDropped = d.Recovered()
+		d.mu.Lock()
+		s.DiskEntries, s.DiskCompacted, s.DiskDropped = d.records, d.compacted, d.dropped
+		d.mu.Unlock()
 	}
 	return s
 }
@@ -323,28 +311,31 @@ type jobFamily struct {
 // still spreads across the worker pool.
 const sweepChunkCap = 64
 
+// jobKeyCap sizes Sweep's stack buffer for job keys: a job's key is
+// 358 bytes plus its model, wafer and backend names.
+const jobKeyCap = 512
+
 // Sweep fans the jobs out across the pool's workers and returns
 // their results in input order, regardless of completion order. It is
-// the engine's one lookup-and-price path: it alone probes the memo,
-// consults the disk memo, prices misses and counts hits, misses and
-// disk hits.
+// the engine's one lookup-and-price path: it alone looks jobs up in
+// the memo, prices misses and counts hits, misses and disk hits.
 //
-// Misses are priced in batches: after probing the in-memory memo and
-// the disk memo, the distinct unpriced jobs are grouped by family and
-// chunked through cost.PriceBatch, so a population-sized sweep pays
-// the per-family setup once per chunk instead of once per candidate.
-// A batch prices each candidate bit-exactly as a batch of one does,
-// so results do not depend on how jobs are grouped into sweeps.
+// Misses are priced in batches: the distinct unpriced jobs are grouped
+// by family and chunked through cost.PriceBatch, so a population-sized
+// sweep pays the per-family setup once per chunk instead of once per
+// candidate. A batch prices each candidate bit-exactly as a batch of
+// one does, so results do not depend on how jobs are grouped into
+// sweeps.
 func (p *Pool) Sweep(jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	norm := make([]Job, len(jobs))
+	var kb [jobKeyCap]byte
 	var missIdx []int
 	for i := range jobs {
 		j := p.normalize(jobs[i])
 		norm[i] = j
-		if r, ok := p.cache.peek(j); ok {
+		if r, ok := p.cache.lookup(appendJobKey(kb[:0], j)); ok {
 			out[i] = r
-			p.cache.hits.Add(1)
 			continue
 		}
 		missIdx = append(missIdx, i)
@@ -353,66 +344,51 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 		return out
 	}
 
-	// Collect the distinct missing jobs, serving what the disk memo
-	// already has and grouping the rest by family, in first-seen order.
-	// fromDisk holds every distinct miss, true when the disk memo
-	// served it; skipping repeats keeps the chunk accounting exact.
-	priced := make(map[Job]Result)
-	fromDisk := make(map[Job]bool)
-	disk := p.cache.disk.Load()
+	// Group the distinct missing jobs by family, in first-seen order.
+	// priced holds each distinct miss from here on, so a repeat later in
+	// the sweep is priced once and the chunk accounting stays exact.
+	priced := make(map[Job]Result, len(missIdx))
 	families := make(map[jobFamily][]parallel.Config)
 	var order []jobFamily
-	distinct := 0
 	for _, i := range missIdx {
 		j := norm[i]
-		if _, ok := fromDisk[j]; ok {
+		if _, ok := priced[j]; ok {
 			continue
 		}
-		if disk != nil {
-			if r, ok := disk.Lookup(j); ok {
-				priced[j] = r
-				fromDisk[j] = true
-				continue
-			}
-		}
-		fromDisk[j] = false
+		priced[j] = Result{}
 		f := jobFamily{Model: j.Model, Wafer: j.Wafer, Opts: j.Opts, Backend: j.Backend}
 		if _, ok := families[f]; !ok {
 			order = append(order, f)
 		}
 		families[f] = append(families[f], j.Config)
-		distinct++
 	}
-
-	if distinct > 0 {
-		if co := p.coal; co != nil {
-			// Cross-request miss coalescing: hand the family groups to
-			// the coalescer, which merges them with other in-flight
-			// sweeps' misses before pricing (results are bit-identical —
-			// batched kernels are grouping-invariant).
-			co.price(order, families, priced)
-		} else {
-			p.priceFamilies(order, families, distinct, priced)
-		}
+	if co := p.coal; co != nil {
+		// Cross-request miss coalescing: hand the family groups to the
+		// coalescer, which merges them with other in-flight sweeps'
+		// misses before pricing (results are bit-identical — batched
+		// kernels are grouping-invariant).
+		co.price(order, families, priced)
+	} else {
+		p.priceFamilies(order, families, len(priced), priced)
 	}
 
 	// Publish into the memo: a job another sweep (or an earlier
 	// duplicate in this one) stored first counts as a hit and serves
-	// that entry, and fresh results reach the disk memo.
+	// that entry, and fresh results are appended to the disk memo.
+	disk := p.cache.disk.Load()
 	for _, i := range missIdx {
 		j := norm[i]
-		r, fresh := p.cache.publish(j, priced[j])
+		key := string(appendJobKey(kb[:0], j))
+		r, fresh := p.cache.publish(key, priced[j], false)
 		out[i] = r
-		switch {
-		case !fresh:
+		if !fresh {
 			p.cache.hits.Add(1)
-		case fromDisk[j]:
-			p.cache.diskHits.Add(1)
-		default:
-			p.cache.misses.Add(1)
-			if disk != nil {
-				disk.Store(j, r)
-			}
+			continue
+		}
+		p.cache.misses.Add(1)
+		if disk != nil {
+			// A failed append loses only the record; the memo holds it.
+			_ = disk.append(key, r)
 		}
 	}
 	return out
@@ -589,59 +565,38 @@ func SetDefaultBackend(key string) (string, error) {
 // means analytic).
 func DefaultBackend() string { return Default().backend }
 
-// SetDiskMemo attaches a persistent memo under the pool's cache (nil
-// detaches). In-memory misses consult it before pricing; fresh
-// results are appended to it.
-func (p *Pool) SetDiskMemo(d *DiskMemo) { p.cache.SetDiskMemo(d) }
+// SetDiskMemo(nil) detaches the pool's persistent memo: fresh results
+// stop being appended, and the records it loaded stay memoized. A memo
+// is attached by AttachDiskMemo, which loads it into this pool's memo.
+func (p *Pool) SetDiskMemo(d *DiskMemo) { p.cache.disk.Store(d) }
 
-// AttachDiskMemo opens (creating if needed) the persistent memo in
-// dir and attaches it to the shared pool — the CLIs' -memo-dir /
-// TEMPMEMO hook. Returns the memo so callers can Close it on exit.
-func AttachDiskMemo(dir string) (*DiskMemo, error) {
-	d, err := OpenDiskMemo(dir)
-	if err != nil {
-		return nil, err
-	}
-	Default().SetDiskMemo(d)
-	return d, nil
-}
+// AttachDiskMemo opens (creating if needed) the persistent memo in dir
+// and attaches it to the shared pool — the CLIs' -memo-dir / TEMPMEMO
+// hook. Returns the memo so callers can Close it on exit.
+func AttachDiskMemo(dir string) (*DiskMemo, error) { return Default().AttachDiskMemo(dir) }
 
 // HasDiskMemo reports whether the shared pool has a memo attached —
 // what a fabric worker advertises in its hello so the coordinator
 // knows whether to sync warm state.
-func HasDiskMemo() bool { return Default().cache.DiskMemo() != nil }
+func HasDiskMemo() bool { return Default().cache.disk.Load() != nil }
 
-// MemoSegment serializes the shared pool's attached memo for shipping
-// to shared-nothing workers (distrib memo sync). Returns (nil, 0)
-// when no memo is attached, it is empty, or serialization fails —
-// sync is an optimization, never a failure mode.
+// MemoSegment returns the valid prefix of the shared pool's memo file
+// and its record count, for shipping warm state to shared-nothing
+// workers (distrib memo sync). Returns (nil, 0) when no memo is
+// attached, its file holds no record, or it cannot be read — sync is
+// an optimization, never a failure mode.
 func MemoSegment() ([]byte, int) {
-	d := Default().cache.DiskMemo()
+	d := Default().cache.disk.Load()
 	if d == nil {
 		return nil, 0
 	}
-	n := d.Len()
-	if n == 0 {
-		return nil, 0
-	}
-	seg, err := d.Segment()
-	if err != nil {
-		return nil, 0
-	}
-	return seg, n
+	return d.segment()
 }
 
-// ImportMemoSegment merges a serialized memo segment into the shared
-// pool's attached memo, attaching an in-memory one first when none is
-// present (the shared-nothing worker case). Returns records merged.
-func ImportMemoSegment(data []byte) (int, error) {
-	d := Default().cache.DiskMemo()
-	if d == nil {
-		d = NewMemoryMemo()
-		Default().SetDiskMemo(d)
-	}
-	return d.ImportSegment(data)
-}
+// ImportMemoSegment publishes a shipped memo segment's records into
+// the shared pool's memo, each marked as loaded from disk (the
+// shared-nothing worker case). Returns the records added.
+func ImportMemoSegment(data []byte) (int, error) { return Default().importSegment(data) }
 
 // CountersSnapshot returns the shared engine's cache counters — the
 // single accessor CLIs and the serving daemon read instead of

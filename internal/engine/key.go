@@ -4,11 +4,13 @@ import "math"
 
 // appendJobKey appends the canonical binary encoding of a job's
 // identity to buf and returns the extended slice. The encoding is the
-// persistent memo's content key, so it must be:
+// engine memo's key, in memory and in the persistent memo's file, so
+// it must be:
 //
 //   - total: every field of every nested struct participates (a
 //     reflection test walks the structs and asserts each perturbation
-//     changes the key), so two jobs encode equal iff they are equal;
+//     changes the key), so two jobs encode equal iff they are equal,
+//     and distinct jobs never share a memo entry;
 //   - stable: fixed-width little-endian integers, IEEE-754 bit
 //     patterns for floats and length-prefixed strings — no maps, no
 //     hashing, no platform dependence — so keys written by one run

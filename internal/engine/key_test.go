@@ -41,12 +41,13 @@ func perturb(v reflect.Value) {
 	}
 }
 
-// TestJobKeyCoversEveryField pins the persistent memo's content key
-// to the full Job identity: perturbing ANY leaf field of the job (or
-// of any nested struct) must change the encoded key. The walk is
-// reflective, so adding a field to Job, cost.Options, hw.Wafer, etc.
+// TestJobKeyCoversEveryField pins the memo key to the full Job
+// identity: perturbing ANY leaf field of the job (or of any nested
+// struct) must change the encoded key. The key is both the in-memory
+// memo's identity and the persistent memo's content key, so the walk
+// is reflective: adding a field to Job, cost.Options, hw.Wafer, etc.
 // without extending appendJobKey fails this test instead of silently
-// aliasing distinct jobs on disk.
+// serving one job's result for another, in memory or on disk.
 func TestJobKeyCoversEveryField(t *testing.T) {
 	base := Job{
 		Model: model.GPT3_6_7B(),
@@ -78,7 +79,7 @@ func TestJobKeyCoversEveryField(t *testing.T) {
 		}
 		perturb(v)
 		if got := string(appendJobKey(nil, cp)); got == baseKey {
-			t.Errorf("perturbing Job%s does not change the disk-memo key", name)
+			t.Errorf("perturbing Job%s does not change the memo key", name)
 		}
 	}
 }

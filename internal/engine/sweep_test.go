@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"temp/internal/cost"
@@ -46,14 +47,23 @@ func TestSweepBatchesMisses(t *testing.T) {
 
 // TestSweepHitAllocs pins the warm hit path, which served pool sweeps
 // run on every request: a sweep whose jobs are all memoized allocates
-// its result and normalized-job slices and nothing else.
+// its result and normalized-job slices and nothing else. So does a
+// sweep on a pool attached to a memo of its jobs, both the first,
+// which the disk memo's records serve, and the second, whose jobs are
+// memory hits.
 func TestSweepHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the hit path")
 	}
 	jobs := testJobs(t)
 	p := New(4)
+	dir := t.TempDir()
+	d, err := p.AttachDiskMemo(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Sweep(jobs)
+	d.Close()
 	for _, n := range []int{1, 8, 32} {
 		if n > len(jobs) {
 			t.Fatalf("need %d jobs, have %d", n, len(jobs))
@@ -63,7 +73,34 @@ func TestSweepHitAllocs(t *testing.T) {
 		if avg > 2 {
 			t.Errorf("warm sweep of %d jobs allocates %.1f objects/op, want ≤ 2", n, avg)
 		}
+
+		warm := New(4)
+		wd, err := warm.AttachDiskMemo(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass, want := range []Stats{{DiskHits: int64(n)}, {Hits: int64(n), DiskHits: int64(n)}} {
+			if got := mallocs(func() { warm.Sweep(batch) }); got > 2 {
+				t.Errorf("sweep %d of %d jobs on a warm disk memo allocates %d objects, want ≤ 2", pass+1, n, got)
+			}
+			if s := warm.Cache().Stats(); s.Hits != want.Hits || s.DiskHits != want.DiskHits || s.Misses != 0 {
+				t.Errorf("sweep %d of %d jobs on a warm disk memo: %d hits, %d disk hits, %d misses; want %d, %d, 0",
+					pass+1, n, s.Hits, s.DiskHits, s.Misses, want.Hits, want.DiskHits)
+			}
+		}
+		wd.Close()
 	}
+}
+
+// mallocs returns the heap allocations one call of f makes, counted
+// on one thread as testing.AllocsPerRun does.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestSweepDuplicateJobs: duplicate jobs in one sweep share one

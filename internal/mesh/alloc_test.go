@@ -319,7 +319,67 @@ func TestInternSemantics(t *testing.T) {
 			t.Errorf("link %v: SeqTimeLowered = %+v, unshared SeqTime = %+v", tp.link.Bandwidth, got, want)
 		}
 	}
-	if p := tmpl.prof.Load(); p == nil || p.next != nil {
-		t.Error("two link specs of one grid compiled more than one profile of a template")
+	if p := tmpl.prof.Load(); p == nil || p.topo != a {
+		t.Error("a template timed under two link specs of one grid cached no profile of their owner")
+	}
+}
+
+// TestTemplateCachesOneProfile times one template on three topologies:
+// its owner, a link variant of it, and a frozen faulted clone, which
+// is another routing owner. Each time equals SeqTime of the
+// materialized phases; the variant reuses the owner's cached profile,
+// and the clone neither replaces it nor is served it. A template whose
+// first timing is on the clone caches the clone's profile, and the
+// owner's timing still compiles its own.
+func TestTemplateCachesOneProfile(t *testing.T) {
+	owner := Shared(4, 8, hw.TableID2D())
+	l2 := hw.TableID2D()
+	l2.Bandwidth /= 3
+	variant := Shared(4, 8, l2)
+	c := owner.Clone()
+	c.SetLinkAlive(Link{From: 9, To: 1}, false)
+	faulted := c.Intern()
+	if variant.owner != owner || faulted.owner == owner {
+		t.Fatal("the variant must share the grid's owner and the faulted clone own itself")
+	}
+	phases := []Phase{benchPhase(owner), benchPhase(owner)}
+	check := func(tmpl *PhaseTemplate, tp *Topology, name string) {
+		t.Helper()
+		seq := []LoweredSeq{{Tmpl: tmpl, Bytes: 1e7 / 3}}
+		if got, want := tp.SeqTimeLowered(seq), tp.SeqTime(MaterializeSeq(seq)); got != want {
+			t.Errorf("%s: SeqTimeLowered = %+v, materialized SeqTime = %+v", name, got, want)
+		}
+	}
+
+	tmpl := NewPhaseTemplate(phases)
+	check(tmpl, owner, "owner")
+	cached := tmpl.prof.Load()
+	if cached == nil || cached.topo != owner {
+		t.Fatal("the owner's timing cached no profile of its own")
+	}
+	for _, tc := range []struct {
+		tp   *Topology
+		name string
+	}{{variant, "link variant"}, {faulted, "faulted clone"}, {faulted, "faulted clone again"}, {owner, "owner again"}} {
+		check(tmpl, tc.tp, tc.name)
+		if tmpl.prof.Load() != cached {
+			t.Fatalf("timing on the %s replaced the cached profile", tc.name)
+		}
+	}
+
+	first := NewPhaseTemplate(phases)
+	check(first, faulted, "faulted clone first")
+	if p := first.prof.Load(); p == nil || p.topo != faulted {
+		t.Fatal("a first timing on the faulted clone cached no profile of it")
+	}
+	check(first, owner, "owner after the faulted clone")
+	check(first, variant, "link variant after the faulted clone")
+	if first.prof.Load().topo != faulted {
+		t.Error("timing on the owner replaced the faulted clone's cached profile")
+	}
+	for _, tp := range []*Topology{owner, variant} {
+		if p := tp.profileFor(first); p.topo != owner {
+			t.Error("the owner's timing was served the faulted clone's profile")
+		}
 	}
 }

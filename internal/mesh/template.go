@@ -23,9 +23,9 @@ import (
 type PhaseTemplate struct {
 	phases []Phase
 	flows  []Flow
-	// prof heads a tiny list of SoA link-load profiles, one per routing
-	// owner (almost always exactly one: templates are compiled from one
-	// owner's routes and only ever timed on it or its link variants).
+	// prof is the SoA link-load profile on the routing owner of the
+	// template's first timing. Templates are compiled from one owner's
+	// routes and timed on it or its link variants, which share it.
 	prof atomic.Pointer[LinkProfile]
 }
 
@@ -52,27 +52,22 @@ type LinkProfile struct {
 	flows []int32
 	travs []int32
 	hops  []int32
-	// next links profiles for other routing owners (rare; bounded by
-	// the number of grids and frozen faulted meshes that time the
-	// template).
-	next *LinkProfile
 }
 
-// profileFor returns the template's SoA profile on t's routing owner,
-// compiling it on first use. Lookup is one atomic load plus a pointer
-// compare, so the steady-state evaluation path stays allocation-free.
+// profileFor returns the template's SoA profile on t's routing owner.
+// The first timing compiles and caches it; a lookup is then one atomic
+// load plus a pointer compare, so the steady-state evaluation path
+// stays allocation-free. A timing on any other owner compiles a
+// profile it does not cache, so the cached one is never replaced and
+// never returned for the wrong owner.
 func (t *Topology) profileFor(tmpl *PhaseTemplate) *LinkProfile {
-	head := tmpl.prof.Load()
-	for p := head; p != nil; p = p.next {
-		if p.topo == t.owner {
-			return p
-		}
+	if p := tmpl.prof.Load(); p != nil && p.topo == t.owner {
+		return p
 	}
 	p := t.CompileProfile(tmpl.phases)
-	p.next = head
 	// A lost race leaves the other builder's profile installed; ours
-	// is still correct for this call and simply rebuilt next time.
-	tmpl.prof.CompareAndSwap(head, p)
+	// is still correct for this call.
+	tmpl.prof.CompareAndSwap(nil, p)
 	return p
 }
 
