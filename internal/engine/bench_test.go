@@ -54,3 +54,21 @@ func BenchmarkSweepCached(b *testing.B) {
 		p.Sweep(jobs)
 	}
 }
+
+// BenchmarkAttachDiskMemo measures the disk tier's start-up cost: each
+// iteration attaches a memo of 1,024 records into a fresh pool, as a
+// tempserve start or a warm CLI run does before serving its first job.
+func BenchmarkAttachDiskMemo(b *testing.B) {
+	dir := b.TempDir()
+	seg := segmentOf(b, dir, 1024)
+	b.SetBytes(int64(len(seg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := New(1).AttachDiskMemo(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Close()
+	}
+}

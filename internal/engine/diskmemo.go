@@ -3,10 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -22,16 +22,22 @@ import (
 //
 //	header : "TEMPMEMO" magic + 1 schema-version byte
 //	record : keyLen u32le | valLen u32le | crc32(key‖val) u32le | key | val
+//	val    : model str | 10 ints | 22 floats | 2 bools | hasErr bool [| err str]
 //
-// Keys are the canonical binary job encoding (appendJobKey); values
-// are one self-contained gob stream per record (a fresh encoder each
-// time, so records decode independently of their predecessors). The
-// schema version covers both sides: bump it whenever Job's key
-// encoding or the stored record shape changes, and old files are
-// simply ignored instead of misread.
+// Keys are the canonical binary job encoding (appendJobKey). Values
+// are the fixed-layout Result encoding (appendResult) in the same
+// helpers: ints as u64le, floats as their IEEE-754 bits in a u64le,
+// bools as one 0/1 byte and strings as a u64le length and the bytes;
+// the error text follows only when hasErr is 1. So every record decodes
+// on its own, and decodeResult accepts only a value that parses
+// exactly. The schema version covers both sides: bump it whenever
+// Job's key encoding or the stored result layout changes, and old
+// files are simply ignored instead of misread. Version 5 replaced
+// version 4's per-record gob streams, which re-sent the Breakdown's
+// type descriptor in every record.
 const (
 	diskMemoMagic   = "TEMPMEMO"
-	diskMemoVersion = 4
+	diskMemoVersion = 5
 	// diskMemoMaxFrame bounds a frame's key/value lengths; anything
 	// larger is corruption, not data.
 	diskMemoMaxFrame = 1 << 28
@@ -53,26 +59,16 @@ const diskMemoFile = "costmemo.bin"
 // their live content.
 const compactMinRecords = 64
 
-// diskRecord is the stored shape of one Result. Errors are persisted
-// as text — the cost model's errors are deterministic descriptions
-// ("no viable placement", OOM), so a warm run reconstructs the same
-// failures without re-pricing anything.
-type diskRecord struct {
-	Breakdown cost.Breakdown
-	ErrMsg    string
-	HasErr    bool
-}
-
 // DiskMemo is the append log of a pool's memo: attaching it loads the
 // file into the memo once, and every fresh result is appended with one
 // O_APPEND write. It keeps no per-record state, so results live in
 // memory once, in the memo. Cross-process appenders are safe because
 // each record is written whole and readers validate frames.
 type DiskMemo struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	buf  bytes.Buffer // the frame being appended
+	mu    sync.Mutex
+	f     *os.File
+	path  string
+	frame []byte // the frame being appended, reused by every append
 
 	records   int // live records at attach plus records appended since
 	dropped   int // trailing bytes discarded on attach
@@ -181,18 +177,132 @@ func parseMemo(data []byte, rec func(key []byte, r Result, frame []byte)) int {
 		if crc32.ChecksumIEEE(body) != crc {
 			break
 		}
-		var dr diskRecord
-		if err := gob.NewDecoder(bytes.NewReader(body[keyLen:])).Decode(&dr); err != nil {
+		r, ok := decodeResult(body[keyLen:])
+		if !ok {
 			break
-		}
-		r := Result{Breakdown: dr.Breakdown}
-		if dr.HasErr {
-			r.Err = errors.New(dr.ErrMsg)
 		}
 		rec(body[:keyLen], r, data[off:end])
 		off = end
 	}
 	return off
+}
+
+// appendResult appends r's record value to buf: the Breakdown's model
+// name, its fields in breakdownFields order, then the error flag and
+// text. Errors persist as text because the cost model's errors are
+// deterministic descriptions ("no viable placement", OOM), so a warm
+// run reconstructs the same failures without re-pricing anything.
+// Breakdown.TCME.Phase is not stored: pricing never sets it.
+// TestResultRecordCoversEveryField fails when a Breakdown field is
+// missing here.
+func appendResult(buf []byte, r Result) []byte {
+	ints, floats, bools := breakdownFields(&r.Breakdown)
+	buf = appendString(buf, r.Breakdown.Model)
+	for _, v := range ints {
+		buf = appendInt(buf, *v)
+	}
+	for _, v := range floats {
+		buf = appendFloat(buf, *v)
+	}
+	for _, v := range bools {
+		buf = appendBool(buf, *v)
+	}
+	buf = appendBool(buf, r.Err != nil)
+	if r.Err != nil {
+		buf = appendString(buf, r.Err.Error())
+	}
+	return buf
+}
+
+// decodeResult decodes one record value appendResult wrote. It accepts
+// only a value that parses exactly, so every accepted value re-encodes
+// to its own bytes: no read past the end, no bool byte other than 0 or
+// 1 and no trailing bytes.
+func decodeResult(val []byte) (Result, bool) {
+	rd := valueReader{b: val}
+	var r Result
+	b := &r.Breakdown
+	ints, floats, bools := breakdownFields(b)
+	b.Model = rd.readString()
+	for _, v := range ints {
+		*v = rd.readInt()
+	}
+	for _, v := range floats {
+		*v = rd.readFloat()
+	}
+	for _, v := range bools {
+		*v = rd.readBool()
+	}
+	if rd.readBool() {
+		r.Err = errors.New(rd.readString())
+	}
+	if rd.bad || len(rd.b) != 0 {
+		return Result{}, false
+	}
+	return r, true
+}
+
+// breakdownFields lists b's stored int, float and bool fields in their
+// stored order, so the encoder and the decoder share one layout.
+func breakdownFields(b *cost.Breakdown) (ints [10]*int, floats [22]*float64, bools [2]*bool) {
+	c, m, t := &b.Config, &b.Memory, &b.TCME
+	ints = [...]*int{
+		&c.DP, &c.TP, &c.SP, &c.CP, &c.TATP, &c.PP, (*int)(&b.Engine),
+		&t.Iterations, &t.MergedFlows, &t.ReroutedFlows,
+	}
+	floats = [...]*float64{
+		&b.StepTime, &b.ComputeTime, &b.StreamTime, &b.CollectiveTime,
+		&b.P2PTime, &b.BubbleTime, &b.OptimizerTime,
+		&m.Weights, &m.Grads, &m.Optimizer, &m.Activations, &m.StreamBuf, &m.Capacity,
+		&b.EnergyCompute, &b.EnergyComm, &b.EnergyDRAM,
+		&b.ThroughputTokens, &b.Power, &b.PowerEfficiency, &b.BWUtilization,
+		&t.InitialMaxLoad, &t.FinalMaxLoad,
+	}
+	bools = [...]*bool{&c.FSDP, &c.MegatronSP}
+	return ints, floats, bools
+}
+
+// valueReader is a bounds-checked cursor over one record value, the
+// inverse of the append helpers. A read past the end or a bool byte
+// other than 0 or 1 marks it bad, and every later read fails too.
+type valueReader struct {
+	b   []byte
+	bad bool
+}
+
+func (rd *valueReader) readU64() uint64 {
+	if len(rd.b) < 8 {
+		rd.bad, rd.b = true, nil
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(rd.b)
+	rd.b = rd.b[8:]
+	return v
+}
+
+func (rd *valueReader) readInt() int { return int(int64(rd.readU64())) }
+
+func (rd *valueReader) readFloat() float64 { return math.Float64frombits(rd.readU64()) }
+
+func (rd *valueReader) readBool() bool {
+	if len(rd.b) == 0 || rd.b[0] > 1 {
+		rd.bad, rd.b = true, nil
+		return false
+	}
+	v := rd.b[0] == 1
+	rd.b = rd.b[1:]
+	return v
+}
+
+func (rd *valueReader) readString() string {
+	n := rd.readU64()
+	if n > uint64(len(rd.b)) {
+		rd.bad, rd.b = true, nil
+		return ""
+	}
+	s := string(rd.b[:n])
+	rd.b = rd.b[n:]
+	return s
 }
 
 // importSegment publishes a shipped segment's records into the pool's
@@ -267,21 +377,13 @@ func (d *DiskMemo) append(key string, r Result) error {
 	if d.f == nil {
 		return nil
 	}
-	dr := diskRecord{Breakdown: r.Breakdown}
-	if r.Err != nil {
-		dr.HasErr = true
-		dr.ErrMsg = r.Err.Error()
-	}
 	// Encode the frame in place: a zeroed length and checksum prefix,
 	// the key and the value, then fill the prefix in.
 	var prefix [frameHeader]byte
-	d.buf.Reset()
-	d.buf.Write(prefix[:])
-	d.buf.WriteString(key)
-	if err := gob.NewEncoder(&d.buf).Encode(dr); err != nil {
-		return fmt.Errorf("engine: disk memo encode: %w", err)
-	}
-	frame := d.buf.Bytes()
+	frame := append(d.frame[:0], prefix[:]...)
+	frame = append(frame, key...)
+	frame = appendResult(frame, r)
+	d.frame = frame
 	binary.LittleEndian.PutUint32(frame[0:], uint32(len(key)))
 	binary.LittleEndian.PutUint32(frame[4:], uint32(len(frame)-frameHeader-len(key)))
 	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(frame[frameHeader:]))

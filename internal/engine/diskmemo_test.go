@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -29,7 +31,8 @@ func diskJob(i int) Job {
 }
 
 // diskResult fabricates a result with distinctive bit patterns,
-// including an infinity (gob must round-trip every float exactly).
+// including an infinity (the record value codec must round-trip every
+// float exactly).
 func diskResult(i int) Result {
 	var b cost.Breakdown
 	b.Model = fmt.Sprintf("m-%d", i)
@@ -185,9 +188,8 @@ func TestDiskMemoCorruptTail(t *testing.T) {
 
 // TestDiskMemoCorruptHeader: a file from another schema (or plain
 // garbage) is ignored wholesale rather than misread. The previous
-// version's keys also encode three TCME option fields (an iteration
-// cap and two ablation switches) that the current key layout drops, so
-// they do not spell any current job's key.
+// version stored each value as a gob stream under the same keys, so
+// only its header keeps its records from being misread.
 func TestDiskMemoCorruptHeader(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -480,5 +482,131 @@ func TestDiskMemoCompactionThreshold(t *testing.T) {
 	}
 	if got := fileSize(t, dir2); got != before {
 		t.Fatalf("under the minimum-record floor the file changed: %d -> %d bytes", before, got)
+	}
+}
+
+// TestResultRecordCoversEveryField pins the record value layout to
+// cost.Breakdown as TestJobKeyCoversEveryField pins the key to Job:
+// perturbing any leaf field of the Breakdown (or of a struct nested in
+// it), or the persisted error, must change the encoded value, and every
+// perturbed value must decode to itself bit for bit, with NaN, ±Inf and
+// −0 in every float field too. TCME.Phase is the one exemption:
+// pricing never sets it, so it is not stored. A field added to
+// Breakdown, MemoryBreakdown, parallel.Config or tcme.Result without
+// extending appendResult fails here instead of being dropped on disk.
+func TestResultRecordCoversEveryField(t *testing.T) {
+	base, err := New(1).EvaluateJob(testJobs(t)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseVal := string(appendResult(nil, Result{Breakdown: base}))
+
+	var paths [][]int
+	var names []string
+	for _, path := range keyLeafPaths(reflect.TypeOf(base), nil) {
+		name := ""
+		tt := reflect.TypeOf(base)
+		for _, i := range path {
+			name += "." + tt.Field(i).Name
+			tt = tt.Field(i).Type
+		}
+		if strings.HasPrefix(name, ".TCME.Phase.") {
+			continue
+		}
+		paths = append(paths, path)
+		names = append(names, name)
+	}
+	if len(paths) < 30 {
+		t.Fatalf("leaf walk found only %d fields — walker broken?", len(paths))
+	}
+
+	// roundTrip checks that r decodes from its encoding bit for bit and
+	// re-encodes to the same bytes.
+	roundTrip := func(what string, r Result) {
+		t.Helper()
+		val := appendResult(nil, r)
+		got, ok := decodeResult(val)
+		if !ok {
+			t.Errorf("%s: the decoder rejects its own encoding", what)
+			return
+		}
+		if !bytes.Equal(appendResult(nil, got), val) {
+			t.Errorf("%s: the decoded value re-encodes differently", what)
+		}
+		gb, rb := reflect.ValueOf(got.Breakdown), reflect.ValueOf(r.Breakdown)
+		for k, path := range paths {
+			x, y := gb.FieldByIndex(path), rb.FieldByIndex(path)
+			same := x.Interface() == y.Interface()
+			if x.Kind() == reflect.Float64 {
+				same = math.Float64bits(x.Float()) == math.Float64bits(y.Float())
+			}
+			if !same {
+				t.Errorf("%s: Breakdown%s decodes to %v, want %v", what, names[k], x, y)
+			}
+		}
+		if !reflect.DeepEqual(got.Breakdown.TCME.Phase, base.TCME.Phase) {
+			t.Errorf("%s: TCME.Phase decodes to %+v, want the empty phase", what, got.Breakdown.TCME.Phase)
+		}
+		if (got.Err == nil) != (r.Err == nil) || got.Err != nil && got.Err.Error() != r.Err.Error() {
+			t.Errorf("%s: error decodes to %v, want %v", what, got.Err, r.Err)
+		}
+	}
+
+	roundTrip("priced result", Result{Breakdown: base})
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for k, path := range paths {
+		cp := base
+		leaf := reflect.ValueOf(&cp).Elem().FieldByIndex(path)
+		perturb(leaf)
+		if string(appendResult(nil, Result{Breakdown: cp})) == baseVal {
+			t.Errorf("perturbing Breakdown%s does not change the stored value", names[k])
+		}
+		roundTrip("perturbed Breakdown"+names[k], Result{Breakdown: cp})
+		if leaf.Kind() == reflect.Float64 {
+			for _, v := range specials {
+				leaf.SetFloat(v)
+				roundTrip(fmt.Sprintf("Breakdown%s = %v", names[k], v), Result{Breakdown: cp})
+			}
+		}
+	}
+
+	// The persisted error: its presence and its text are both stored.
+	vals := map[string]string{"no error": baseVal}
+	for _, msg := range []string{"", "cost: no viable placement", "cost: no viable placement\x01"} {
+		r := Result{Breakdown: base, Err: errors.New(msg)}
+		what := fmt.Sprintf("error %q", msg)
+		val := string(appendResult(nil, r))
+		for prev, pv := range vals {
+			if pv == val {
+				t.Errorf("%s and %s store the same value", what, prev)
+			}
+		}
+		vals[what] = val
+		roundTrip(what, r)
+	}
+}
+
+// TestDiskMemoAppendAllocs pins the append path, which serve's fresh
+// requests run for every job they price: each frame is encoded into
+// the memo's one reused buffer, so an append allocates nothing.
+func TestDiskMemoAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the append path")
+	}
+	_, d := attach(t, t.TempDir())
+	defer d.Close()
+	key := string(appendJobKey(nil, diskJob(0)))
+	for what, r := range map[string]Result{
+		"a priced result":   diskResult(1),
+		"a persisted error": {Err: errors.New("cost: no viable placement")},
+	} {
+		avg := testing.AllocsPerRun(100, func() {
+			if err := d.append(key, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("appending %s allocates %.1f objects/op, want 0", what, avg)
+		}
 	}
 }

@@ -1,6 +1,11 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -113,10 +118,26 @@ func TestMemoSegmentRejectsCorruption(t *testing.T) {
 	}
 }
 
+// frameOf returns one record frame with a valid length and checksum
+// prefix, whatever the key and value hold.
+func frameOf(key, val []byte) []byte {
+	fr := make([]byte, frameHeader, frameHeader+len(key)+len(val))
+	fr = append(append(fr, key...), val...)
+	binary.LittleEndian.PutUint32(fr[0:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(fr[4:], uint32(len(val)))
+	binary.LittleEndian.PutUint32(fr[8:], crc32.ChecksumIEEE(fr[frameHeader:]))
+	return fr
+}
+
 // FuzzImportMemoSegment: a shipped memo segment is untrusted input.
 // Importing one into a fresh pool never panics; a rejected segment
 // leaves the pool's memo empty, and an accepted one adds exactly the
-// records it memoized, and nothing when imported again.
+// records it memoized, and nothing when imported again. Decoding is
+// canonical: every record of an accepted segment re-encodes to exactly
+// its stored value bytes, and so does the input itself when it decodes
+// as a bare record value (a frame's checksum hides most value
+// mutations from the import, so the bare decode is where the fuzzer
+// reaches the value decoder).
 func FuzzImportMemoSegment(f *testing.F) {
 	seg := segmentOf(f, f.TempDir(), 3)
 	hdr := len(headerBytes())
@@ -128,7 +149,45 @@ func FuzzImportMemoSegment(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(flipped)
 	f.Add(append(headerBytes(), seg...))
+
+	// Records with a persisted error and with non-finite floats, as a
+	// segment and as bare values.
+	special := diskResult(1)
+	special.Breakdown.StepTime = math.NaN()
+	special.Breakdown.Power = math.Inf(-1)
+	special.Breakdown.Memory.Capacity = math.Copysign(0, -1)
+	const msg = "cost: no viable placement for dp1"
+	failed := Result{Err: errors.New(msg)}
+	p := New(1)
+	d, err := p.AttachDiskMemo(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, r := range []Result{special, failed} {
+		if err := storeRecord(p, diskJob(i), r); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(appendResult(nil, r))
+	}
+	oddSeg, _ := d.segment()
+	d.Close()
+	f.Add(oddSeg)
+
+	// Checksummed frames whose values are not canonical: a bool byte of
+	// 2, an error text running past the value, a trailing byte.
+	key := appendJobKey(nil, diskJob(0))
+	val := appendResult(nil, failed)
+	badBool := append([]byte(nil), val...)
+	badBool[len(badBool)-len(msg)-9] = 2 // the error flag
+	for _, v := range [][]byte{badBool, val[:len(val)-1], append(append([]byte(nil), val...), 0)} {
+		f.Add(v)
+		f.Add(append(headerBytes(), frameOf(key, v)...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if r, ok := decodeResult(data); ok && !bytes.Equal(appendResult(nil, r), data) {
+			t.Fatalf("value %x decodes to a result that re-encodes differently", data)
+		}
 		p := New(1)
 		added, err := p.importSegment(data)
 		if err != nil {
@@ -140,6 +199,11 @@ func FuzzImportMemoSegment(f *testing.F) {
 		if added != p.cache.len() {
 			t.Fatalf("import reported %d records, memo holds %d", added, p.cache.len())
 		}
+		parseMemo(data, func(key []byte, r Result, frame []byte) {
+			if val := frame[frameHeader+len(key):]; !bytes.Equal(appendResult(nil, r), val) {
+				t.Fatalf("record %x decodes to a result that re-encodes differently", key)
+			}
+		})
 		if again, err := p.importSegment(data); err != nil || again != 0 {
 			t.Fatalf("second import added %d records (err %v), want 0", again, err)
 		}
