@@ -324,49 +324,35 @@ func runScenarios(c *cli.Config, specs []spec.ScenarioSpec, jsonPath string) err
 	if jsonPath != "" {
 		stats := engine.CountersSnapshot()
 		rec := toRecord(tab, time.Since(start))
-		ov, _ := c.Overrides() // RunSpecs validated them
-		override, costStage, _ := ov.Stages()
-		switch {
-		case costStage != nil && costStage.Key != "":
-			rec.Backend = costStage.Key
-		case costStage == nil:
-			// No CLI override: label from the spec-declared cost stages,
-			// but only when the whole batch shares one tier — a mixed
-			// batch keeps the default label rather than misattributing
-			// timings to one spec's tier.
-			uniform := ""
-			for i, s := range specs {
-				key := ""
-				if s.Cost != nil {
-					key = s.Cost.Key()
-				}
-				if i > 0 && key != uniform {
-					uniform = ""
-					break
-				}
-				uniform = key
+		// Label the backend and the strategy only when the whole batch
+		// shares one (a -backend or -strategy flag is written into
+		// every spec): a mixed batch keeps the default backend label
+		// and no strategy rather than misattributing timings to one
+		// spec's choice.
+		backend := ""
+		for i, s := range specs {
+			key := ""
+			if s.Cost != nil {
+				key = s.Cost.Key()
 			}
-			if uniform != "" {
-				rec.Backend = uniform
+			if i > 0 && key != backend {
+				backend = ""
+				break
 			}
+			backend = key
 		}
-		if override != nil {
-			rec.Strategy = override.Name
-		} else {
-			// Label the strategy only when every solver-staged scenario
-			// in the batch used the same one.
-			uniform := ""
-			for _, r := range results {
-				if r.Solver == nil {
-					continue
-				}
-				if uniform != "" && r.Solver.Strategy != uniform {
-					uniform = ""
-					break
-				}
-				uniform = r.Solver.Strategy
+		if backend != "" {
+			rec.Backend = backend
+		}
+		for _, r := range results {
+			if r.Solver == nil {
+				continue
 			}
-			rec.Strategy = uniform
+			if rec.Strategy != "" && r.Solver.Strategy != rec.Strategy {
+				rec.Strategy = ""
+				break
+			}
+			rec.Strategy = r.Solver.Strategy
 		}
 		out := output{
 			Workers:      c.Workers,

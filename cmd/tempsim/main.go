@@ -1,9 +1,9 @@
 // Command tempsim evaluates one training configuration on the wafer
 // simulator and prints the latency/memory/power breakdown. Models and
 // wafers resolve through the scenario registry, and whole scenarios
-// can be supplied as JSON files. -strategy adds (or overrides) a
-// partition-mapping search stage on scenario runs, solved by any
-// registered strategy under an optional -budget.
+// can be supplied as JSON files. -strategy or -budget writes a
+// partition-mapping search stage into every scenario run (replacing a
+// declared one), solved by any registered strategy under the budget.
 //
 //	tempsim -model gpt3-6.7b -dp 4 -tatp 8
 //	tempsim -model llama3-70b -engine smap -tp 8 -dp 4 -recompute none
@@ -199,8 +199,7 @@ func main() {
 			if res.Err != nil {
 				c.Fail(res.Err)
 			}
-			ov, _ := c.Overrides() // RunSpecs validated them
-			sc, err := ov.Scenario(specs[0])
+			sc, err := specs[0].Resolve()
 			if err != nil {
 				c.Fail(err)
 			}

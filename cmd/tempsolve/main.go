@@ -4,8 +4,9 @@
 // racing them) over the hybrid strategy space, followed by a
 // full-simulator evaluation of the best uniform configuration. Models
 // and wafers resolve through the scenario registry; -scenario solves
-// the model/wafer pair a JSON scenario defines (honouring its solver
-// stage unless -strategy overrides it).
+// the model/wafer pair a JSON scenario defines under its solver stage,
+// which -strategy/-budget replace (a scenario without one solves with
+// the flags' stage).
 //
 //	tempsolve -model gpt3-175b
 //	tempsolve -model llama3-70b -strategy portfolio
@@ -25,6 +26,7 @@ import (
 	"temp/internal/cli"
 	"temp/internal/cost"
 	"temp/internal/distrib"
+	"temp/internal/engine"
 	"temp/internal/fault"
 	"temp/internal/hw"
 	"temp/internal/model"
@@ -81,19 +83,23 @@ func (rz *resilience) run(m model.Config, w hw.Wafer, cfg parallel.Config, o cos
 	return nil
 }
 
-// solve runs the search strategy plus full-simulator cross-check for
-// one model/wafer pair. backendKey selects the cost backend whose
-// operator model prices the search exactly ("" = analytic); the
-// multifid strategy (and the portfolio, which races it) additionally
-// screens on the surrogate tier seeded with screenSeed. Only a
-// portfolio builds the run's fabric (from -distribute or the specs'
-// distrib block), racing one strategy per worker process.
-func solve(c *cli.Config, specs []spec.ScenarioSpec, m model.Config, w hw.Wafer, st solver.Strategy, b solver.Budget, backendKey string, screenSeed int64, o cost.Options, rz *resilience) error {
+// solve runs the solver stage's search plus full-simulator
+// cross-check for one model/wafer pair. backendKey selects the cost
+// backend whose operator model prices the search exactly ("" =
+// analytic); the multifid strategy (and the portfolio, which races it)
+// additionally screens on the surrogate tier seeded with screenSeed.
+// Only a portfolio builds the run's fabric (from -distribute or the
+// specs' distrib block), racing one strategy per worker process.
+func solve(c *cli.Config, specs []spec.ScenarioSpec, m model.Config, w hw.Wafer, stage *spec.SolverStage, backendKey string, screenSeed int64, o cost.Options, rz *resilience) error {
 	ctx := c.Ctx
 	g := model.BlockGraph(m)
 	space := parallel.EnumerateConfigs(w.Dies(), true, 0)
 	if len(space) == 0 {
 		return fmt.Errorf("no power-of-two strategy space for %d dies on %s", w.Dies(), w.Name)
+	}
+	st, b := stage.Strategy, stage.Budget
+	if b.Workers == 0 {
+		b.Workers = engine.Workers()
 	}
 	cm, screen, err := solver.SearchModels(st.Name(), backendKey, m, w, screenSeed)
 	if err != nil {
@@ -112,7 +118,7 @@ func solve(c *cli.Config, specs []spec.ScenarioSpec, m model.Config, w hw.Wafer,
 	if fab != nil {
 		// Distributed racing: one racer per worker process, winner
 		// selection identical to the in-process portfolio.
-		assign, stats, err = solver.DistributedRace(ctx, fab, m, w, backendKey, c.Seed, screenSeed, b)
+		assign, stats, err = solver.DistributedRace(ctx, fab, m, w, backendKey, stage.Seed, screenSeed, b)
 		if err != nil {
 			return err
 		}
@@ -173,44 +179,36 @@ func solve(c *cli.Config, specs []spec.ScenarioSpec, m model.Config, w hw.Wafer,
 	return rz.run(m, w, best.Config, o, backendKey)
 }
 
-// solveScenario resolves a scenario spec and solves its model/wafer.
-// The scenario's own solver stage applies unless the CLI overrides
-// the strategy.
-func solveScenario(c *cli.Config, specs []spec.ScenarioSpec, ss spec.ScenarioSpec, st solver.Strategy, b solver.Budget, override bool, costStage *spec.CostStage, rz *resilience) error {
-	screenSeed := c.Seed
+// solveScenario resolves a scenario spec and solves its model/wafer
+// under its solver stage. A spec without one (no -strategy or -budget
+// wrote it) solves with the default ga seeded by -seed.
+func solveScenario(c *cli.Config, specs []spec.ScenarioSpec, ss spec.ScenarioSpec, rz *resilience) error {
+	if ss.Solver == nil {
+		ss.Solver = &spec.SolverSpec{Seed: c.Seed}
+	}
 	sc, err := ss.Resolve()
 	if err != nil {
 		return err
-	}
-	if costStage != nil {
-		sc.Cost = costStage
-	}
-	if !override && sc.Solver != nil {
-		st = sc.Solver.Strategy
-		workers := b.Workers
-		b = sc.Solver.Budget
-		if b.Workers == 0 {
-			b.Workers = workers
-		}
-		if sc.Solver.Seed != 0 {
-			screenSeed = sc.Solver.Seed
-		}
 	}
 	fmt.Printf("scenario     %s\n", sc.Name)
 	backendKey := ""
 	if sc.Cost != nil {
 		backendKey = sc.Cost.Key
 	}
-	// Cost-stage surrogate seed wins; otherwise the CLI/stage seed,
-	// matching the direct model/wafer path.
+	// Cost-stage surrogate seed wins; otherwise the stage's seed, or
+	// -seed when the stage sets none, matching the direct path.
+	screenSeed := sc.Solver.Seed
+	if screenSeed == 0 {
+		screenSeed = c.Seed
+	}
 	if s := sc.Cost.SurrogateSeed(); s != 0 {
 		screenSeed = s
 	}
-	return solve(c, specs, sc.Model, sc.Wafer, st, b, backendKey, screenSeed, sc.System.Opts, rz)
+	return solve(c, specs, sc.Model, sc.Wafer, sc.Solver, backendKey, screenSeed, sc.System.Opts, rz)
 }
 
 func main() {
-	c := cli.Config{Name: "tempsolve", Model: "gpt3-6.7b", Strategy: "ga"}
+	c := cli.Config{Name: "tempsolve", Model: "gpt3-6.7b"}
 	c.RegisterBatch(flag.CommandLine)
 	var (
 		rows      = flag.Int("rows", 4, "wafer die rows")
@@ -226,39 +224,15 @@ func main() {
 		return
 	}
 
-	strategyName := c.Strategy
-	overridden := *noGA
-	strategySet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "strategy" || f.Name == "budget" {
-			overridden = true
-		}
-		if f.Name == "strategy" {
-			strategySet = true
-		}
-	})
 	if *noGA {
-		if strategySet && strategyName != "dp" {
-			c.Fail(fmt.Errorf("-no-ga conflicts with -strategy %s (it is an alias for -strategy dp)", strategyName))
+		if c.Strategy != "" && (spec.SolverSpec{Strategy: c.Strategy}).StrategyName() != "dp" {
+			c.Fail(fmt.Errorf("-no-ga conflicts with -strategy %s (it is an alias for -strategy dp)", c.Strategy))
 		}
-		strategyName = "dp"
+		c.Strategy = "dp"
 	}
-	st, err := solver.NewStrategy(strategyName, solver.Params{"seed": float64(c.Seed)})
+	specs, err := c.Specs()
 	if err != nil {
 		c.Fail(err)
-	}
-	b, err := spec.ParseBudget(c.Budget)
-	if err != nil {
-		c.Fail(err)
-	}
-	b.Workers = c.Workers
-	costStage, err := spec.CostOverride(c.Backend, c.Seed)
-	if err != nil {
-		c.Fail(err)
-	}
-	backendKey := ""
-	if costStage != nil {
-		backendKey = costStage.Key
 	}
 	rz := &resilience{
 		repair:       c.Repair,
@@ -269,16 +243,12 @@ func main() {
 		workers:      c.Workers,
 	}
 
-	specs, err := c.Specs()
-	if err != nil {
-		c.Fail(err)
-	}
 	if len(specs) > 0 {
 		for i, ss := range specs {
 			if i > 0 {
 				fmt.Println()
 			}
-			if err := solveScenario(&c, specs, ss, st, b, overridden, costStage, rz); err != nil {
+			if err := solveScenario(&c, specs, ss, rz); err != nil {
 				c.Fail(err)
 			}
 		}
@@ -295,7 +265,23 @@ func main() {
 			c.Fail(err)
 		}
 	}
-	if err := solve(&c, nil, m, w, st, b, backendKey, c.Seed, baselines.TEMP().Opts, rz); err != nil {
+	sol, err := c.SolverSpec()
+	if err != nil {
+		c.Fail(err)
+	}
+	stage, err := sol.Build()
+	if err != nil {
+		c.Fail(err)
+	}
+	costStage, err := spec.CostOverride(c.Backend, c.Seed)
+	if err != nil {
+		c.Fail(err)
+	}
+	backendKey := ""
+	if costStage != nil {
+		backendKey = costStage.Key
+	}
+	if err := solve(&c, nil, m, w, stage, backendKey, c.Seed, baselines.TEMP().Opts, rz); err != nil {
 		c.Fail(err)
 	}
 }

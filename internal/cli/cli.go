@@ -92,7 +92,7 @@ func (c *Config) RegisterBatch(fs *flag.FlagSet) {
 	fs.StringVar(&c.Wafer, "wafer", "", "registered wafer name (-list-wafers)")
 	fs.StringVar(&c.Scenario, "scenario", "", "run one scenario JSON file")
 	fs.StringVar(&c.Scenarios, "scenarios", "", "run every *.json scenario in a directory")
-	fs.StringVar(&c.Strategy, "strategy", c.Strategy, "search strategy (-list-strategies); adds or overrides a scenario's solver stage")
+	fs.StringVar(&c.Strategy, "strategy", c.Strategy, "search strategy (-list-strategies; empty means ga); adds or replaces a scenario's solver stage")
 	fs.StringVar(&c.Budget, "budget", "", "search budget: eval count, duration, or both (\"20000,30s\")")
 	fs.Int64Var(&c.Seed, "seed", 7, "search and surrogate-training randomness seed")
 	fs.StringVar(&c.Backend, "backend", "", "cost backend (-list-backends); accepts name or name@seed=N")
@@ -175,12 +175,44 @@ func (c *Config) list() bool {
 	return true
 }
 
+// SolverSpec is the solver block the -strategy, -budget and -seed flags
+// describe; an empty -strategy is the spec's default, ga.
+func (c *Config) SolverSpec() (spec.SolverSpec, error) {
+	b, err := spec.ParseBudget(c.Budget)
+	if err != nil {
+		return spec.SolverSpec{}, err
+	}
+	return spec.SolverSpec{Strategy: c.Strategy, Seed: c.Seed, Budget: &b}, nil
+}
+
 // Specs loads the -scenario file or the -scenarios directory (nil when
-// neither is set) with the resilience stages the flags ask for: -repair
-// rides on an existing fault stage; -fault-campaign adds a default-grid
-// campaign, creating an empty fault stage where there is none (a
-// campaign needs no injection rates).
+// neither is set) and writes the flags into every spec. -strategy or
+// -budget replaces the solver block with SolverSpec, and -backend
+// replaces the cost block with the backend seeded by -seed; both
+// blocks are validated first, so a bad flag fails before anything is
+// loaded or priced. -repair rides on an existing fault stage;
+// -fault-campaign adds a default-grid campaign, creating an empty
+// fault stage where there is none (a campaign needs no injection
+// rates).
 func (c *Config) Specs() ([]spec.ScenarioSpec, error) {
+	var sol *spec.SolverSpec
+	if c.Strategy != "" || c.Budget != "" {
+		ss, err := c.SolverSpec()
+		if err == nil {
+			err = ss.Validate()
+		}
+		if err != nil {
+			return nil, err
+		}
+		sol = &ss
+	}
+	var cst *spec.CostSpec
+	if c.Backend != "" {
+		cst = &spec.CostSpec{Backend: c.Backend, Seed: c.Seed}
+		if err := cst.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	var specs []spec.ScenarioSpec
 	switch {
 	case c.Scenario != "":
@@ -196,6 +228,12 @@ func (c *Config) Specs() ([]spec.ScenarioSpec, error) {
 		}
 	}
 	for i := range specs {
+		if sol != nil {
+			specs[i].Solver = sol
+		}
+		if cst != nil {
+			specs[i].Cost = cst
+		}
 		f := specs[i].Fault
 		if c.Repair && f != nil && f.Repair == nil {
 			f.Repair = &spec.RepairSpec{}
@@ -213,24 +251,11 @@ func (c *Config) Specs() ([]spec.ScenarioSpec, error) {
 	return specs, nil
 }
 
-// Overrides is the -strategy/-budget/-seed/-workers/-backend override
-// set for scenario batches, validated so an invalid value fails before
-// any scenario runs.
-func (c *Config) Overrides() (sim.Overrides, error) {
-	ov := sim.Overrides{Strategy: c.Strategy, Budget: c.Budget, Seed: c.Seed, Workers: c.Workers, Backend: c.Backend}
-	_, _, err := ov.Stages()
-	return ov, err
-}
-
-// RunSpecs runs a loaded scenario batch: overrides validated first,
-// then the fabric per the policy, results in spec order, and the
-// -fault-campaign artifact with one entry per campaign-staged scenario.
+// RunSpecs runs a loaded scenario batch: the fabric per the policy,
+// results in spec order, and the -fault-campaign artifact with one
+// entry per campaign-staged scenario.
 func (c *Config) RunSpecs(specs []spec.ScenarioSpec) ([]sim.ScenarioResult, error) {
-	ov, err := c.Overrides()
-	if err != nil {
-		return nil, err
-	}
-	results := sim.RunScenarioSpecs(c.Ctx, c.Fabric(specs), specs, ov)
+	results := sim.RunScenarioSpecs(c.Ctx, c.Fabric(specs), specs)
 	if c.FaultCampaign != "" {
 		var crs []fault.CampaignResult
 		for _, r := range results {

@@ -83,7 +83,8 @@ func writeSpecs(t *testing.T, raw map[string]string) string {
 }
 
 // TestInvalidOverridesFailBeforeRunning: a bad -strategy, -budget or
-// -backend is an error before any scenario prices anything.
+// -backend fails Specs, which returns no specs, before any scenario
+// prices anything.
 func TestInvalidOverridesFailBeforeRunning(t *testing.T) {
 	dir := writeSpecs(t, map[string]string{
 		"a.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8","config":{"dp":4,"tatp":8}}`,
@@ -95,18 +96,64 @@ func TestInvalidOverridesFailBeforeRunning(t *testing.T) {
 	} {
 		c := bad
 		c.Scenarios, c.Ctx = dir, context.Background()
-		specs, err := c.Specs()
-		if err != nil {
-			t.Fatal(err)
-		}
 		before := engine.CountersSnapshot()
-		results, err := c.RunSpecs(specs)
-		if err == nil || results != nil {
-			t.Errorf("%+v: got %d results, err %v; want an error and no results", bad, len(results), err)
+		specs, err := c.Specs()
+		if err == nil || specs != nil {
+			t.Errorf("%+v: got %d specs, err %v; want an error and no specs", bad, len(specs), err)
 		}
 		if after := engine.CountersSnapshot(); after.Hits != before.Hits || after.Misses != before.Misses {
 			t.Errorf("%+v: a scenario ran before the override failed", bad)
 		}
+	}
+}
+
+// TestOverridesReplaceInvalidBlocks: a spec whose own solver or cost
+// block would not build runs when a flag replaces that block.
+func TestOverridesReplaceInvalidBlocks(t *testing.T) {
+	dir := writeSpecs(t, map[string]string{
+		"a.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8","config":{"dp":4,"tatp":8},
+		  "solver":{"strategy":"no-such-strategy"},"cost":{"backend":"no-such-backend"}}`,
+	})
+	c := Config{Scenarios: dir, Strategy: "dp", Backend: "replay", Ctx: context.Background()}
+	specs, err := c.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := c.RunSpecs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[0]
+	if r.Err != nil || r.Solver == nil || r.Solver.Strategy != "dp" || r.Solver.Backend != "replay" {
+		t.Fatalf("replaced blocks did not run: err %v, solver %+v", r.Err, r.Solver)
+	}
+}
+
+// TestStrategyOverrideIgnoresCase: -strategy names a strategy in any
+// case, so -strategy Multifid runs the screened search -strategy
+// multifid runs, not an unscreened fallback.
+func TestStrategyOverrideIgnoresCase(t *testing.T) {
+	dir := writeSpecs(t, map[string]string{
+		"a.json": `{"model":"llama2-7b","wafer":"wsc-4x8"}`,
+	})
+	screened := map[string]int{}
+	for _, name := range []string{"multifid", "Multifid"} {
+		c := Config{Scenarios: dir, Strategy: name, Budget: "2000", Seed: 3, Ctx: context.Background()}
+		specs, err := c.Specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := c.RunSpecs(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := results[0]; r.Err != nil || r.Solver == nil {
+			t.Fatalf("-strategy %s: err %v, solver %+v", name, r.Err, r.Solver)
+		}
+		screened[name] = results[0].Solver.ScreenEvaluations
+	}
+	if screened["multifid"] == 0 || screened["Multifid"] != screened["multifid"] {
+		t.Errorf("screen evaluations by -strategy spelling: %v; want equal and non-zero", screened)
 	}
 }
 
@@ -168,6 +215,62 @@ func TestSpecsAttachResilience(t *testing.T) {
 	}
 	if specs, _ := (&Config{Scenarios: dir}).Specs(); specs[0].Fault != nil || specs[1].Fault.Repair != nil {
 		t.Error("stages attached without -repair/-fault-campaign")
+	}
+}
+
+// TestSpecsWriteStageFlags table-tests the solver and cost edits:
+// -strategy/-budget replace every spec's solver block, a declared one
+// included, seeded by -seed; -backend replaces only the cost block,
+// seeded by -seed; without these flags the specs stay as loaded.
+func TestSpecsWriteStageFlags(t *testing.T) {
+	dir := writeSpecs(t, map[string]string{
+		"a.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8"}`,
+		"b.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8",
+		  "solver":{"strategy":"hillclimb","seed":3,"budget":{"evals":400}},
+		  "cost":{"backend":"surrogate","seed":9}}`,
+	})
+	loaded, err := (&Config{Scenarios: dir}).Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		c      Config
+		solver *spec.SolverSpec // every spec's solver block; nil: as loaded
+		cost   *spec.CostSpec   // every spec's cost block; nil: as loaded
+	}{
+		{name: "no stage flags", c: Config{Seed: 5, Repair: true}},
+		{name: "strategy", c: Config{Strategy: "anneal", Seed: 5},
+			solver: &spec.SolverSpec{Strategy: "anneal", Seed: 5, Budget: &spec.BudgetSpec{}}},
+		{name: "budget alone", c: Config{Budget: "2000,30s", Seed: 5},
+			solver: &spec.SolverSpec{Seed: 5, Budget: &spec.BudgetSpec{Evals: 2000, Time: "30s"}}},
+		{name: "backend", c: Config{Backend: "replay", Seed: 5},
+			cost: &spec.CostSpec{Backend: "replay", Seed: 5}},
+		{name: "all three", c: Config{Strategy: "dp", Budget: "300", Backend: "analytic", Seed: 11},
+			solver: &spec.SolverSpec{Strategy: "dp", Seed: 11, Budget: &spec.BudgetSpec{Evals: 300}},
+			cost:   &spec.CostSpec{Backend: "analytic", Seed: 11}},
+	} {
+		c := tc.c
+		c.Scenarios = dir
+		specs, err := c.Specs()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, s := range specs {
+			wantSolver, wantCost := loaded[i].Solver, loaded[i].Cost
+			if tc.solver != nil {
+				wantSolver = tc.solver
+			}
+			if tc.cost != nil {
+				wantCost = tc.cost
+			}
+			if !reflect.DeepEqual(s.Solver, wantSolver) {
+				t.Errorf("%s: %s solver block %+v, want %+v", tc.name, s.Name, s.Solver, wantSolver)
+			}
+			if !reflect.DeepEqual(s.Cost, wantCost) {
+				t.Errorf("%s: %s cost block %+v, want %+v", tc.name, s.Name, s.Cost, wantCost)
+			}
+		}
 	}
 }
 

@@ -121,9 +121,6 @@ type Wafer struct {
 // Dies returns the number of compute dies on the wafer.
 func (w Wafer) Dies() int { return w.Rows * w.Cols }
 
-// TotalHBMBytes returns the aggregate wafer memory.
-func (w Wafer) TotalHBMBytes() float64 { return float64(w.Dies()) * w.Die.MemCapacity() }
-
 // TotalPeakFLOPS returns the aggregate wafer compute.
 func (w Wafer) TotalPeakFLOPS() float64 { return float64(w.Dies()) * w.Die.PeakFLOPS }
 

@@ -96,9 +96,6 @@ func TestEvaluationWafer(t *testing.T) {
 	if got := w.TotalPeakFLOPS(); got != 32*1800*unit.TFLOPS {
 		t.Errorf("TotalPeakFLOPS = %v", got)
 	}
-	if got := w.TotalHBMBytes(); got != 32*144*unit.GB {
-		t.Errorf("TotalHBMBytes = %v", got)
-	}
 }
 
 func TestReferenceWaferGrid(t *testing.T) {

@@ -31,7 +31,9 @@ type Phase struct {
 	// Label is always empty: no lowering writes it and nothing reads
 	// it. It stays because cost.Breakdown serializes tcme.Result's
 	// (empty) Phase, so dropping the field would change the bytes of
-	// every served and persisted result.
+	// every served result and of every other JSON encoding of a
+	// Breakdown (the benchmark's result digests hash them). The disk
+	// memo does not store that Phase, so no memo file depends on it.
 	Label string
 	Flows []Flow
 }

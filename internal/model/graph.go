@@ -89,12 +89,6 @@ type Op struct {
 // HasWeight reports whether the op carries trainable parameters.
 func (o Op) HasWeight() bool { return o.Weight.Elems() > 0 }
 
-// IOBytes returns the forward dataflow bytes (input + weight +
-// output), the quantity DRAM traffic scales with.
-func (o Op) IOBytes() float64 {
-	return o.Input.Bytes() + o.Weight.Bytes() + o.Output.Bytes()
-}
-
 // Graph is the operator chain of one transformer block, executed
 // Layers times per training step.
 type Graph struct {

@@ -123,7 +123,7 @@ func TestFlashFusedOpsMarked(t *testing.T) {
 func TestIOBytesPositive(t *testing.T) {
 	g := BlockGraph(Llama2_7B())
 	for _, o := range g.Ops {
-		if o.IOBytes() <= 0 {
+		if o.Input.Bytes() <= 0 || o.Output.Bytes() <= 0 {
 			t.Errorf("op %s has non-positive IO bytes", o.Name)
 		}
 		if o.FLOPs <= 0 {

@@ -6,11 +6,7 @@
 // — are what the wafer cost model consumes.
 package model
 
-import (
-	"fmt"
-
-	"temp/internal/unit"
-)
+import "fmt"
 
 // Config describes one transformer language model (Table II).
 type Config struct {
@@ -65,21 +61,6 @@ func (c Config) LayerFLOPs() float64 {
 	gemms := 2 * b * m * (3*h*h + h*h + h*f + f*h) // QKV, proj, FC1, FC2
 	attn := 2 * b * m * m * h * 2                  // Q·Kᵀ and Score·V
 	return gemms + attn
-}
-
-// TrainFLOPs returns FLOPs for one full training step of the whole
-// model using the standard 3× forward rule (forward + 2× backward).
-func (c Config) TrainFLOPs() float64 {
-	return 3 * float64(c.Layers) * c.LayerFLOPs()
-}
-
-// ActivationBytesPerLayer returns the activation memory one
-// transformer block must retain for the backward pass, per the
-// selective-recomputation-free mixed-precision estimate of
-// Korthikanti et al.: s·b·h·(34 + 5·a·s/h) bytes.
-func (c Config) ActivationBytesPerLayer() float64 {
-	s, b, h, a := float64(c.Seq), float64(c.Batch), float64(c.Hidden), float64(c.Heads)
-	return s * b * h * (34 + 5*a*s/h)
 }
 
 // Table II models.
@@ -218,11 +199,6 @@ func (c Config) WithSeq(seq, batch int) Config {
 	}
 	c.Name = fmt.Sprintf("%s(S=%d)", c.Name, seq)
 	return c
-}
-
-// ParamBytes returns the FP16 weight bytes of the full model.
-func (c Config) ParamBytes() float64 {
-	return float64(c.Params()) * unit.FP16.Size()
 }
 
 // String implements fmt.Stringer.

@@ -157,46 +157,11 @@ func (c Config) WeightShardWays() int {
 	return w
 }
 
-// WeightReplicas returns how many dies hold each weight shard:
-// everything that is not a weight-sharding dimension replicates it.
-func (c Config) WeightReplicas() int {
-	c = c.Normalize()
-	r := c.SP * c.CP
-	if !c.FSDP {
-		r *= c.DP
-	}
-	return r
-}
-
-// ActShardWays returns how many ways activations are sharded: DP
-// splits batch, SP/CP split sequence, TATP stream-splits sequence.
-// Megatron-style TP without SP leaves activations whole on every TP
-// rank.
-func (c Config) ActShardWays() int {
-	c = c.Normalize()
-	w := c.DP * c.SP * c.CP * c.TATP
-	if c.MegatronSP {
-		// Megatron-3 SP additionally sequence-splits the non-TP
-		// regions across the TP group.
-		w *= c.TP
-	}
-	return w
-}
-
-// ActReplicas returns how many dies hold each activation shard.
-func (c Config) ActReplicas() int {
-	c = c.Normalize()
-	if c.MegatronSP {
-		return 1
-	}
-	return c.TP
-}
-
 // Group is one communication group of a strategy: the dies that
 // exchange data for it, listed in logical ring/chain order.
 type Group struct {
 	Strategy Strategy
-	// Dies in logical order (ring order when Contig is a
+	// Dies in logical order (ring order when Rect is a
 	// ring-capable rectangle).
 	Dies []mesh.DieID
 	// Rect is the bounding rectangle when the group is a contiguous
@@ -206,9 +171,6 @@ type Group struct {
 
 // Size returns the group cardinality.
 func (g Group) Size() int { return len(g.Dies) }
-
-// Contiguous reports whether the group occupies a full rectangle.
-func (g Group) Contiguous() bool { return g.Rect != nil }
 
 // Placement maps logical parallel coordinates to physical dies.
 type Placement struct {
@@ -230,17 +192,6 @@ type Placement struct {
 
 // Groups returns the communication groups of strategy s.
 func (p *Placement) Groups(s Strategy) []Group { return p.groups[s] }
-
-// AllGroups returns every group of every active (>1 degree) strategy.
-func (p *Placement) AllGroups() []Group {
-	var out []Group
-	for _, s := range Strategies() {
-		if p.Cfg.DegreeOf(s) > 1 {
-			out = append(out, p.groups[s]...)
-		}
-	}
-	return out
-}
 
 // DieAt returns the physical die at the given logical coordinates
 // (index per strategy).

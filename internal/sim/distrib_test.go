@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,37 +14,59 @@ import (
 	"temp/internal/spec"
 )
 
-// stagedSpecs extends the mixed batch with scenarios loaded the way
-// the CLIs load them under -repair and -fault-campaign, so the batch
-// carries every optional stage: a declared solver stage, a fault stage
-// with an attached repair block and a declared campaign, and
-// loader-attached default-grid campaigns.
-func stagedSpecs(t *testing.T) []spec.ScenarioSpec {
+// stagedSpecs loads the mixed batch and scenarios carrying every
+// optional stage the way the CLIs load them, with the flags in edit
+// written into every spec. The staged scenarios are loaded under
+// -repair and -fault-campaign as well: a declared solver stage, a
+// fault stage with an attached repair block and a declared campaign,
+// and loader-attached default-grid campaigns.
+func stagedSpecs(t *testing.T, edit cli.Config) []spec.ScenarioSpec {
 	t.Helper()
-	dir := t.TempDir()
-	for name, raw := range map[string]string{
+	batch := map[string]string{}
+	for i, s := range sim.BatchSpecs(t) {
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[fmt.Sprintf("%d-%s.json", i, s.Name)] = string(raw)
+	}
+	staged := map[string]string{
 		"solved.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8",
 		  "solver":{"strategy":"hillclimb","seed":3,"budget":{"evals":400}}}`,
 		"faulted.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8","config":{"dp":4,"tatp":8},
 		  "fault":{"link_rate":0.15,"trials":2,"seed":3,
 		           "campaign":{"link_rates":[0,0.2],"core_rates":[0],"trials":2,"seed":5}}}`,
 		"pinned.json": `{"model":"llama2-7b","wafer":"wsc-4x8","config":{"dp":4,"tatp":8}}`,
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(raw), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
-	c := cli.Config{Scenarios: dir, Repair: true, FaultCampaign: filepath.Join(dir, "campaigns.out")}
-	staged, err := c.Specs()
+	c := edit
+	c.Scenarios = writeSpecs(t, batch)
+	out, err := c.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range staged {
+	c.Scenarios, c.Repair, c.FaultCampaign = writeSpecs(t, staged), true, filepath.Join(t.TempDir(), "campaigns.out")
+	more, err := c.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range more {
 		if s.Fault == nil || s.Fault.Campaign == nil {
 			t.Fatalf("loader left %s without a campaign stage", s.Name)
 		}
 	}
-	return append(sim.BatchSpecs(t), staged...)
+	return append(out, more...)
+}
+
+// writeSpecs writes raw scenario JSON files into a fresh directory.
+func writeSpecs(t *testing.T, raw map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, body := range raw {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // canonical zeroes the wall-clock fields of a result, as
@@ -65,53 +89,41 @@ func canonical(r sim.ScenarioResult) sim.ScenarioResult {
 // the sim.scenario task codec (JSON spec in, gob wire out) on the
 // in-process path reproduces the direct run over resolved scenarios
 // bit-for-bit (modulo wall-clock) for every stage — solver, fault,
-// repair, campaign — with and without strategy/budget/backend
-// overrides.
+// repair, campaign — both as declared and with -strategy, -budget,
+// -seed and -backend written into every spec, so the override stages
+// ride inside each task's spec.
 func TestRunScenarioSpecsOnMatchesDirect(t *testing.T) {
 	ctx := context.Background()
-	specs := stagedSpecs(t)
-	for _, ov := range []sim.Overrides{
+	for _, edit := range []cli.Config{
 		{},
-		{Strategy: "anneal", Budget: "300", Seed: 11, Workers: 2, Backend: "replay"},
+		{Strategy: "anneal", Budget: "300", Seed: 11, Backend: "replay"},
 	} {
+		specs := stagedSpecs(t, edit)
 		scs := make([]spec.Scenario, len(specs))
 		for i, ss := range specs {
-			sc, err := ov.Scenario(ss)
+			sc, err := ss.Resolve()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if edit.Strategy != "" && (sc.Solver == nil || sc.Solver.Name != "anneal" || sc.Cost == nil || sc.Cost.Key != "replay") {
+				t.Fatalf("%s: flags not written into the spec: %+v %+v", ss.Name, sc.Solver, sc.Cost)
 			}
 			scs[i] = sc
 		}
 		direct := sim.RunScenarios(ctx, scs)
-		dist := sim.RunScenarioSpecs(ctx, nil, specs, ov)
+		dist := sim.RunScenarioSpecs(ctx, nil, specs)
 		if len(dist) != len(direct) {
 			t.Fatalf("result count %d, want %d", len(dist), len(direct))
 		}
 		for i := range direct {
 			if direct[i].Err != nil || dist[i].Err != nil {
 				t.Fatalf("%+v: scenario %s errored: direct %v, distributed %v",
-					ov, specs[i].Name, direct[i].Err, dist[i].Err)
+					edit, specs[i].Name, direct[i].Err, dist[i].Err)
 			}
 			if !reflect.DeepEqual(canonical(direct[i]), canonical(dist[i])) {
 				t.Errorf("%+v: scenario %s differs through the task codec:\n got %+v\nwant %+v",
-					ov, specs[i].Name, dist[i], direct[i])
+					edit, specs[i].Name, dist[i], direct[i])
 			}
 		}
-	}
-}
-
-// TestOverridesStages: empty overrides build no stages; a backend
-// override builds only the cost stage.
-func TestOverridesStages(t *testing.T) {
-	sol, cst, err := sim.Overrides{}.Stages()
-	if err != nil || sol != nil || cst != nil {
-		t.Fatalf("empty overrides: %v %v %v", sol, cst, err)
-	}
-	sol, cst, err = sim.Overrides{Backend: "analytic"}.Stages()
-	if err != nil || sol != nil || cst == nil {
-		t.Fatalf("backend override: %v %v %v", sol, cst, err)
-	}
-	if _, _, err := (sim.Overrides{Strategy: "no-such-strategy"}).Stages(); err == nil {
-		t.Fatal("bogus strategy should not build")
 	}
 }

@@ -46,9 +46,9 @@ func TestRunScenariosDeterministic(t *testing.T) {
 	defer engine.SetWorkers(prev)
 
 	engine.SetWorkers(1)
-	serial := RunScenarioSpecs(context.Background(), nil, specs, Overrides{})
+	serial := RunScenarioSpecs(context.Background(), nil, specs)
 	engine.SetWorkers(8)
-	parallel8 := RunScenarioSpecs(context.Background(), nil, specs, Overrides{})
+	parallel8 := RunScenarioSpecs(context.Background(), nil, specs)
 
 	if len(serial) != len(specs) || len(parallel8) != len(specs) {
 		t.Fatalf("result count: serial %d, parallel %d, want %d", len(serial), len(parallel8), len(specs))
@@ -111,7 +111,7 @@ func TestScenarioFaultStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})
+	rs := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss})
 	if rs[0].Err != nil {
 		t.Fatal(rs[0].Err)
 	}
@@ -137,9 +137,9 @@ func TestScenarioSolverStage(t *testing.T) {
 	defer engine.SetWorkers(prev)
 
 	engine.SetWorkers(1)
-	serial := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})[0]
+	serial := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss})[0]
 	engine.SetWorkers(8)
-	parallel8 := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})[0]
+	parallel8 := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss})[0]
 
 	for _, r := range []ScenarioResult{serial, parallel8} {
 		if r.Err != nil {
@@ -164,15 +164,6 @@ func TestScenarioSolverStage(t *testing.T) {
 		t.Errorf("solver stage differs across worker counts:\n  %+v\n  %+v",
 			serial.Solver, parallel8.Solver)
 	}
-
-	// The strategy override replaces the declared stage.
-	over := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{Strategy: "dp"})[0]
-	if over.Err != nil {
-		t.Fatal(over.Err)
-	}
-	if over.Solver == nil || over.Solver.Strategy != "dp" {
-		t.Fatalf("override not applied: %+v", over.Solver)
-	}
 }
 
 // TestScenarioCostStage: a scenario's cost stage retargets evaluation
@@ -187,14 +178,14 @@ func TestScenarioCostStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{})[0]
+	base := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss})[0]
 	if base.Err != nil {
 		t.Fatal(base.Err)
 	}
 
 	withReplay := ss
 	withReplay.Cost = &spec.CostSpec{Backend: "replay"}
-	rp := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{withReplay}, Overrides{})[0]
+	rp := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{withReplay})[0]
 	if rp.Err != nil {
 		t.Fatal(rp.Err)
 	}
@@ -205,19 +196,10 @@ func TestScenarioCostStage(t *testing.T) {
 		t.Errorf("replay stage %v worse than analytic %v", rp.Result.StepTime, base.Result.StepTime)
 	}
 
-	// CLI-style override: same effect without touching the spec.
-	over := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{ss}, Overrides{Backend: "replay"})[0]
-	if over.Err != nil {
-		t.Fatal(over.Err)
-	}
-	if over.Result.StepTime != rp.Result.StepTime {
-		t.Errorf("cost override %v ≠ spec-declared stage %v", over.Result.StepTime, rp.Result.StepTime)
-	}
-
 	mf := ss
 	mf.Cost = &spec.CostSpec{Backend: "surrogate", Seed: 42}
 	mf.Solver = &spec.SolverSpec{Strategy: "multifid", Seed: 7}
-	r := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{mf}, Overrides{})[0]
+	r := RunScenarioSpecs(context.Background(), nil, []spec.ScenarioSpec{mf})[0]
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

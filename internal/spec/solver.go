@@ -126,38 +126,15 @@ func (s SolverSpec) Build() (*SolverStage, error) {
 	return stage, nil
 }
 
-// SolverOverride builds the stage the CLI -strategy/-budget flags
-// inject into scenario runs (overriding any spec-declared stage);
-// nil when both flags are unset.
-func SolverOverride(strategy, budget string, seed int64, workers int) (*SolverStage, error) {
-	if strategy == "" && budget == "" {
-		return nil, nil
-	}
-	if strategy == "" {
-		strategy = "ga"
-	}
-	st, err := solver.NewStrategy(strategy, solver.Params{"seed": float64(seed)})
-	if err != nil {
-		return nil, err
-	}
-	b, err := ParseBudget(budget)
-	if err != nil {
-		return nil, err
-	}
-	b.Workers = workers
-	return &SolverStage{Name: strategy, Strategy: st, Budget: b, Seed: seed}, nil
-}
-
-// ParseBudget parses a CLI -budget flag: an integer evaluation cap
-// ("20000"), a Go duration deadline ("30s"), or both comma-separated
-// ("20000,30s"). Empty means unlimited. Zero or negative caps and
-// deadlines are rejected, as is naming either key twice ("10,20" or
-// "5s,30s") — a duplicate almost always means a typo'd mixed budget,
-// and silently keeping the last value would bound the search
-// differently than the user asked.
-func ParseBudget(s string) (solver.Budget, error) {
-	var b solver.Budget
-	haveEvals, haveDeadline := false, false
+// ParseBudget parses a CLI -budget flag into the budget block it
+// writes: an integer evaluation cap ("20000"), a Go duration deadline
+// ("30s"), or both comma-separated ("20000,30s"). Empty means
+// unlimited. Zero or negative caps and deadlines are rejected, as is
+// naming either key twice ("10,20" or "5s,30s") — a duplicate almost
+// always means a typo'd mixed budget, and silently keeping the last
+// value would bound the search differently than the user asked.
+func ParseBudget(s string) (BudgetSpec, error) {
+	var b BudgetSpec
 	for _, tok := range strings.Split(s, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -165,27 +142,25 @@ func ParseBudget(s string) (solver.Budget, error) {
 		}
 		if n, err := strconv.Atoi(tok); err == nil {
 			if n <= 0 {
-				return solver.Budget{}, fmt.Errorf("spec: budget evals %d is not positive", n)
+				return BudgetSpec{}, fmt.Errorf("spec: budget evals %d is not positive", n)
 			}
-			if haveEvals {
-				return solver.Budget{}, fmt.Errorf("spec: budget %q sets the eval cap twice (%d and %d)", s, b.MaxEvals, n)
+			if b.Evals != 0 {
+				return BudgetSpec{}, fmt.Errorf("spec: budget %q sets the eval cap twice (%d and %d)", s, b.Evals, n)
 			}
-			haveEvals = true
-			b.MaxEvals = n
+			b.Evals = n
 			continue
 		}
 		d, err := time.ParseDuration(tok)
 		if err != nil {
-			return solver.Budget{}, fmt.Errorf("spec: budget %q is neither an eval count nor a duration", tok)
+			return BudgetSpec{}, fmt.Errorf("spec: budget %q is neither an eval count nor a duration", tok)
 		}
 		if d <= 0 {
-			return solver.Budget{}, fmt.Errorf("spec: budget deadline %q is not positive", tok)
+			return BudgetSpec{}, fmt.Errorf("spec: budget deadline %q is not positive", tok)
 		}
-		if haveDeadline {
-			return solver.Budget{}, fmt.Errorf("spec: budget %q sets the deadline twice (%s and %s)", s, b.Deadline, d)
+		if b.Time != "" {
+			return BudgetSpec{}, fmt.Errorf("spec: budget %q sets the deadline twice (%s and %s)", s, b.Time, tok)
 		}
-		haveDeadline = true
-		b.Deadline = d
+		b.Time = tok
 	}
 	return b, nil
 }

@@ -102,7 +102,8 @@ func TestScenarioSpecSolverStage(t *testing.T) {
 }
 
 // TestParseBudget covers the CLI budget grammar, including the
-// rejection of zero/negative deadlines and duplicate keys.
+// rejection of zero/negative deadlines and duplicate keys; every
+// accepted flag writes a budget block that builds.
 func TestParseBudget(t *testing.T) {
 	cases := []struct {
 		in       string
@@ -128,7 +129,7 @@ func TestParseBudget(t *testing.T) {
 		{in: "100,1s,200", wantErr: "sets the eval cap twice"},
 	}
 	for _, tc := range cases {
-		b, err := ParseBudget(tc.in)
+		bs, err := ParseBudget(tc.in)
 		if tc.wantErr != "" {
 			if err == nil {
 				t.Errorf("ParseBudget(%q) accepted, want error containing %q", tc.in, tc.wantErr)
@@ -139,6 +140,11 @@ func TestParseBudget(t *testing.T) {
 		}
 		if err != nil {
 			t.Errorf("ParseBudget(%q): %v", tc.in, err)
+			continue
+		}
+		b, err := bs.Budget()
+		if err != nil {
+			t.Errorf("ParseBudget(%q) = %+v does not build: %v", tc.in, bs, err)
 			continue
 		}
 		if b.MaxEvals != tc.evals || b.Deadline != tc.deadline {

@@ -149,10 +149,6 @@ func (p Partition) Ways() int {
 	return w
 }
 
-// Devices returns the number of device slots the partition occupies
-// (shards × replicas).
-func (p Partition) Devices() int { return p.Ways() * p.Replicas }
-
 // String renders e.g. "split[B/2 K/4]×2rep".
 func (p Partition) String() string {
 	var sb strings.Builder
@@ -196,14 +192,6 @@ func (p Partition) ShardShape(s Shape) Shape {
 // how many devices hold the same shard).
 func (p Partition) ShardBytes(s Shape) float64 {
 	return p.ShardShape(s).Bytes()
-}
-
-// GroupBytes returns the total bytes materialized across the whole
-// group: shards × replicas. For a replication-free partition this is
-// exactly s.Bytes(); replication inflates it, which is the memory
-// waste Fig. 4(c) quantifies.
-func (p Partition) GroupBytes(s Shape) float64 {
-	return p.ShardShape(s).Bytes() * float64(p.Ways()) * float64(p.Replicas)
 }
 
 // ReshardBytes estimates the per-device data volume that must move to

@@ -41,14 +41,6 @@ func TestPartitionWays(t *testing.T) {
 	if got := p.Ways(); got != 8 {
 		t.Errorf("Ways() = %d, want 8", got)
 	}
-	if got := p.Devices(); got != 8 {
-		t.Errorf("Devices() = %d, want 8", got)
-	}
-	pr := p
-	pr.Replicas = 2
-	if got := pr.Devices(); got != 16 {
-		t.Errorf("Devices() with replicas = %d, want 16", got)
-	}
 }
 
 func TestShardShape(t *testing.T) {
@@ -70,18 +62,6 @@ func TestShardShapeRaggedCeil(t *testing.T) {
 	p := Partition{Split: [numDims]int{1, 1, 3, 1}, Replicas: 1}
 	if got := p.ShardShape(s).Ext[N]; got != 4 {
 		t.Errorf("ragged shard extent = %d, want ceil(10/3)=4", got)
-	}
-}
-
-func TestGroupBytesReplicationInflation(t *testing.T) {
-	s := Activation("act", 8, 2048, 4096, unit.FP16)
-	noRep := Partition{Split: [numDims]int{1, 4, 1, 1}, Replicas: 1}
-	rep := Partition{Split: [numDims]int{1, 1, 1, 1}, Replicas: 4}
-	if got, want := noRep.GroupBytes(s), s.Bytes(); got != want {
-		t.Errorf("replication-free GroupBytes = %v, want %v", got, want)
-	}
-	if got, want := rep.GroupBytes(s), 4*s.Bytes(); got != want {
-		t.Errorf("replicated GroupBytes = %v, want %v", got, want)
 	}
 }
 

@@ -275,9 +275,6 @@ type (
 	Scenario = spec.Scenario
 	// ScenarioResult pairs one scenario with its evaluation outcome.
 	ScenarioResult = sim.ScenarioResult
-	// ScenarioOverrides carries the CLI -strategy/-budget/-seed/
-	// -workers/-backend overrides applied to every spec of a batch.
-	ScenarioOverrides = sim.Overrides
 	// SystemEnvelope caps a system's swept configuration space.
 	SystemEnvelope = baselines.Envelope
 )
@@ -293,9 +290,9 @@ var (
 	// batch out over the evaluation engine in input order.
 	RunScenario  = sim.RunScenario
 	RunScenarios = sim.RunScenarios
-	// RunScenarioSpecs resolves and runs serialized specs under the
-	// CLI overrides, across a fabric's workers or (nil fabric)
-	// in-process.
+	// RunScenarioSpecs resolves and runs serialized specs across a
+	// fabric's workers or (nil fabric) in-process. An override is an
+	// edit of a spec's solver or cost block.
 	RunScenarioSpecs = sim.RunScenarioSpecs
 	// RegisteredWafers/Models/Systems are the name-keyed registries,
 	// pre-populated with every paper constructor.
