@@ -29,14 +29,11 @@ import (
 	"strings"
 	"time"
 
-	"temp/internal/baselines"
 	"temp/internal/cli"
 	"temp/internal/collective"
 	"temp/internal/distrib"
 	"temp/internal/engine"
 	"temp/internal/experiments"
-	"temp/internal/fault"
-	"temp/internal/hw"
 	"temp/internal/sim"
 	"temp/internal/spec"
 	"temp/internal/unit"
@@ -257,58 +254,27 @@ func scenarioTable(results []sim.ScenarioResult) *experiments.Table {
 	return t
 }
 
-// runStandaloneCampaign runs a fault campaign outside the scenario
-// path: baselines.Best picks the mapping for the selected model/wafer
-// pair, then the campaign sweeps it over the default (-quick: reduced)
-// grid and writes the survivability artifact.
-func runStandaloneCampaign(c *cli.Config, quick bool) error {
+// campaignSpec is the scenario -fault-campaign runs when no scenario is
+// given: TEMP's best mapping of the first -model (default gpt3-6.7b)
+// on -wafer (default wsc-4x8), swept over the default grid seeded by
+// -seed, or under -quick a reduced one.
+func campaignSpec(c *cli.Config, quick bool) spec.ScenarioSpec {
 	name := "gpt3-6.7b"
 	if c.Model != "" {
 		name = strings.TrimSpace(strings.Split(c.Model, ",")[0])
 	}
-	m, err := spec.LookupModel(name)
-	if err != nil {
-		return err
+	wafer := c.Wafer
+	if wafer == "" {
+		wafer = "wsc-4x8"
 	}
-	w := hw.EvaluationWafer()
-	if c.Wafer != "" {
-		if w, err = spec.LookupWafer(c.Wafer); err != nil {
-			return err
-		}
-	}
-	stage, err := spec.CostOverride(c.Backend, c.Seed)
-	if err != nil {
-		return err
-	}
-	key := ""
-	if stage != nil {
-		key = stage.Key
-	}
-	sys := baselines.TEMP()
-	best, err := baselines.Best(sys, m, w)
-	if err != nil {
-		return err
-	}
-	camp := fault.Campaign{
-		Model: m, Wafer: w, Config: best.Config, Opts: sys.Opts,
-		Backend: key, Seed: c.Seed, Workers: c.Workers,
-	}
+	cs := &spec.CampaignSpec{Seed: c.Seed}
 	if quick {
-		camp.LinkRates = []float64{0, 0.2, 0.4}
-		camp.CoreRates = []float64{0, 0.1}
-		camp.Trials = 4
+		cs.LinkRates, cs.CoreRates, cs.Trials = []float64{0, 0.2, 0.4}, []float64{0, 0.1}, 4
 	}
-	cr, err := camp.RunOn(c.Fabric(nil))
-	if err != nil {
-		return err
+	return spec.ScenarioSpec{
+		Name: name, Model: spec.ModelRef{Name: name}, Wafer: spec.WaferRef{Name: wafer},
+		Fault: &spec.FaultSpec{Campaign: cs},
 	}
-	fmt.Printf("fault campaign: %s on %s, config %s (%d trials/cell, seed %d, backend %s)\n",
-		cr.Model, cr.Wafer, cr.Config, cr.Trials, cr.Seed, cr.Backend)
-	for _, cl := range cr.Cells {
-		fmt.Printf("  link %4.0f%% core %4.0f%%: functional %5.1f%%  mean %.3f  p5 %.3f  min %.3f\n",
-			cl.LinkRate*100, cl.CoreRate*100, cl.FunctionalRate*100, cl.MeanNorm, cl.P5Norm, cl.MinNorm)
-	}
-	return cli.WriteJSON(c.FaultCampaign, []fault.CampaignResult{cr})
 }
 
 // runScenarios runs a scenario batch, prints it as a table and, with
@@ -407,9 +373,10 @@ func main() {
 		}
 	}
 
-	switch {
-	case c.Scenario != "" || c.Scenarios != "":
-		specs, err := c.Specs()
+	if c.Scenario != "" || c.Scenarios != "" || c.FaultCampaign != "" {
+		// Without a scenario, -fault-campaign runs the flag-built
+		// campaignSpec: the CI survivability artifact path.
+		specs, err := c.Specs(campaignSpec(&c, *quick))
 		if err == nil {
 			err = runScenarios(&c, specs, *jsonPath)
 		}
@@ -417,16 +384,11 @@ func main() {
 			c.Fail(err)
 		}
 		return
-	case c.FaultCampaign != "":
-		// Standalone campaign: the best TEMP mapping of the selected
-		// model/wafer pair, swept over the default (or -quick reduced)
-		// grid — the CI survivability artifact path.
-		if err := runStandaloneCampaign(&c, *quick); err != nil {
-			c.Fail(err)
-		}
-		return
 	}
 
+	if err := c.RejectStageFlags(); err != nil {
+		c.Fail(err)
+	}
 	if err := applyOverrides(c.Model, c.Wafer, c.Backend); err != nil {
 		c.Fail(err)
 	}

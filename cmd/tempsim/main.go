@@ -15,7 +15,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"strings"
@@ -247,16 +246,16 @@ func main() {
 		o.Recompute = cost.RecomputeSelective
 	}
 
-	stage, err := spec.CostOverride(c.Backend, c.Seed)
+	if err := c.RejectStageFlags(); err != nil {
+		c.Fail(err)
+	}
+	cs, err := c.CostSpec()
 	if err != nil {
 		c.Fail(err)
 	}
 	key := ""
-	if stage != nil {
-		key = stage.Key
-	}
-	if c.Repair {
-		c.Fail(errors.New("-repair needs a scenario with a fault stage (-scenario/-scenarios)"))
+	if cs != nil {
+		key = cs.Key()
 	}
 	b, err := engine.EvaluateJob(engine.Job{Model: m, Wafer: w, Config: cfg, Opts: o, Backend: key})
 	if err != nil {

@@ -9,6 +9,7 @@ package cli
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -61,6 +62,10 @@ type Config struct {
 	// WorkerInit runs in worker mode before serving; tempbench applies
 	// its replicated -model/-wafer/-backend experiment overrides here.
 	WorkerInit func() error
+	// RepairFault is the fault stage -repair writes into a spec that
+	// has none (tempsolve's -fault-link/-fault-core/-fault-seed
+	// injection); when nil, -repair rides existing fault stages only.
+	RepairFault *spec.FaultSpec
 
 	// Ctx ends at the first SIGINT/SIGTERM after Setup, or at Close.
 	Ctx context.Context
@@ -175,43 +180,64 @@ func (c *Config) list() bool {
 	return true
 }
 
-// SolverSpec is the solver block the -strategy, -budget and -seed flags
-// describe; an empty -strategy is the spec's default, ga.
-func (c *Config) SolverSpec() (spec.SolverSpec, error) {
+// SolverSpec is the validated solver block -strategy, -budget and -seed
+// describe; nil when neither -strategy nor -budget is set. An empty
+// -strategy is the spec's default, ga.
+func (c *Config) SolverSpec() (*spec.SolverSpec, error) {
+	if c.Strategy == "" && c.Budget == "" {
+		return nil, nil
+	}
 	b, err := spec.ParseBudget(c.Budget)
 	if err != nil {
-		return spec.SolverSpec{}, err
+		return nil, err
 	}
-	return spec.SolverSpec{Strategy: c.Strategy, Seed: c.Seed, Budget: &b}, nil
+	ss := &spec.SolverSpec{Strategy: c.Strategy, Seed: c.Seed, Budget: &b}
+	if err := ss.Validate(); err != nil {
+		return nil, err
+	}
+	return ss, nil
 }
 
-// Specs loads the -scenario file or the -scenarios directory (nil when
-// neither is set) and writes the flags into every spec. -strategy or
-// -budget replaces the solver block with SolverSpec, and -backend
-// replaces the cost block with the backend seeded by -seed; both
-// blocks are validated first, so a bad flag fails before anything is
-// loaded or priced. -repair rides on an existing fault stage;
-// -fault-campaign adds a default-grid campaign, creating an empty
-// fault stage where there is none (a campaign needs no injection
-// rates).
-func (c *Config) Specs() ([]spec.ScenarioSpec, error) {
-	var sol *spec.SolverSpec
-	if c.Strategy != "" || c.Budget != "" {
-		ss, err := c.SolverSpec()
-		if err == nil {
-			err = ss.Validate()
-		}
-		if err != nil {
-			return nil, err
-		}
-		sol = &ss
+// CostSpec is the validated cost block -backend describes, seeded by
+// -seed; nil when -backend is unset.
+func (c *Config) CostSpec() (*spec.CostSpec, error) {
+	if c.Backend == "" {
+		return nil, nil
 	}
-	var cst *spec.CostSpec
-	if c.Backend != "" {
-		cst = &spec.CostSpec{Backend: c.Backend, Seed: c.Seed}
-		if err := cst.Validate(); err != nil {
-			return nil, err
-		}
+	cs := &spec.CostSpec{Backend: c.Backend, Seed: c.Seed}
+	if err := cs.Validate(); err != nil {
+		return nil, err
+	}
+	return cs, nil
+}
+
+// RejectStageFlags fails a run that builds no scenario but was given
+// -strategy, -budget or -repair, which only a scenario's stages read.
+func (c *Config) RejectStageFlags() error {
+	if c.Strategy != "" || c.Budget != "" || c.Repair {
+		return errors.New("-strategy, -budget and -repair need a scenario (-scenario/-scenarios)")
+	}
+	return nil
+}
+
+// Specs loads the -scenario file or the -scenarios directory, or takes
+// the command's flag-built fallback batch when neither is set, and
+// writes the flags into every spec. -strategy or -budget replaces the
+// solver block with SolverSpec, and -backend replaces the cost block
+// with CostSpec; both blocks are validated first, so a bad flag fails
+// before anything is loaded or priced. -repair adds a repair stage
+// seeded by -seed to each fault stage, writing RepairFault where a
+// spec has none; -fault-campaign adds a default-grid campaign,
+// creating an empty fault stage where there is none (a campaign needs
+// no injection rates).
+func (c *Config) Specs(fallback ...spec.ScenarioSpec) ([]spec.ScenarioSpec, error) {
+	sol, err := c.SolverSpec()
+	if err != nil {
+		return nil, err
+	}
+	cst, err := c.CostSpec()
+	if err != nil {
+		return nil, err
 	}
 	var specs []spec.ScenarioSpec
 	switch {
@@ -222,10 +248,11 @@ func (c *Config) Specs() ([]spec.ScenarioSpec, error) {
 		}
 		specs = []spec.ScenarioSpec{ss}
 	case c.Scenarios != "":
-		var err error
 		if specs, err = spec.LoadScenarioDir(c.Scenarios); err != nil {
 			return nil, err
 		}
+	default:
+		specs = append(specs, fallback...)
 	}
 	for i := range specs {
 		if sol != nil {
@@ -235,8 +262,13 @@ func (c *Config) Specs() ([]spec.ScenarioSpec, error) {
 			specs[i].Cost = cst
 		}
 		f := specs[i].Fault
+		if c.Repair && f == nil && c.RepairFault != nil {
+			rf := *c.RepairFault
+			f = &rf
+			specs[i].Fault = f
+		}
 		if c.Repair && f != nil && f.Repair == nil {
-			f.Repair = &spec.RepairSpec{}
+			f.Repair = &spec.RepairSpec{Seed: c.Seed}
 		}
 		if c.FaultCampaign != "" {
 			if f == nil {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,14 +195,14 @@ func TestFaultCampaignArray(t *testing.T) {
 }
 
 // TestSpecsAttachResilience: -repair rides an existing fault stage
-// only; -fault-campaign adds a campaign everywhere, keeping a declared
-// one.
+// only, seeded by -seed; -fault-campaign adds a campaign everywhere,
+// keeping a declared one.
 func TestSpecsAttachResilience(t *testing.T) {
 	dir := writeSpecs(t, map[string]string{
 		"a.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8"}`,
 		"b.json": `{"model":"gpt3-6.7b","wafer":"wsc-4x8","fault":{"link_rate":0.1,"campaign":{"trials":3}}}`,
 	})
-	c := Config{Scenarios: dir, Repair: true, FaultCampaign: "out.json"}
+	c := Config{Scenarios: dir, Repair: true, FaultCampaign: "out.json", Seed: 5}
 	specs, err := c.Specs()
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +213,81 @@ func TestSpecsAttachResilience(t *testing.T) {
 	}
 	if b.Repair == nil || b.Campaign == nil || b.Campaign.Trials != 3 {
 		t.Errorf("faulted spec: got %+v, want repair attached and the declared campaign kept", b)
+	} else if b.Repair.Seed != c.Seed {
+		t.Errorf("repair block seed %d, want -seed %d", b.Repair.Seed, c.Seed)
 	}
 	if specs, _ := (&Config{Scenarios: dir}).Specs(); specs[0].Fault != nil || specs[1].Fault.Repair != nil {
 		t.Error("stages attached without -repair/-fault-campaign")
+	}
+}
+
+// TestSpecsFallback: with neither -scenario nor -scenarios, the
+// command's flag-built spec gets the edits a loaded spec gets: its
+// solver block from -strategy/-budget/-seed, its cost block from
+// -backend, and under -repair the RepairFault stage with a repair
+// block seeded by -seed. With -scenario set, the fallback is ignored.
+func TestSpecsFallback(t *testing.T) {
+	fallback := spec.ScenarioSpec{Name: "flags", Model: spec.ModelRef{Name: "gpt3-6.7b"}, Wafer: spec.WaferRef{Name: "wsc-4x8"}}
+	if specs, err := (&Config{Seed: 5}).Specs(fallback); err != nil || len(specs) != 1 || !reflect.DeepEqual(specs[0], fallback) {
+		t.Errorf("without stage flags: got %+v, %v; want the fallback as given", specs, err)
+	}
+
+	c := Config{Strategy: "anneal", Budget: "300", Backend: "replay", Seed: 5, Repair: true,
+		RepairFault: &spec.FaultSpec{LinkRate: 0.1, Seed: 3}}
+	specs, err := c.Specs(fallback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 1 || specs[0].Name != "flags" {
+		t.Fatalf("got %d specs, want the fallback alone", len(specs))
+	}
+	s := specs[0]
+	if want := (&spec.SolverSpec{Strategy: "anneal", Seed: 5, Budget: &spec.BudgetSpec{Evals: 300}}); !reflect.DeepEqual(s.Solver, want) {
+		t.Errorf("solver block %+v, want %+v", s.Solver, want)
+	}
+	if want := (&spec.CostSpec{Backend: "replay", Seed: 5}); !reflect.DeepEqual(s.Cost, want) {
+		t.Errorf("cost block %+v, want %+v", s.Cost, want)
+	}
+	if want := (&spec.FaultSpec{LinkRate: 0.1, Seed: 3, Repair: &spec.RepairSpec{Seed: 5}}); !reflect.DeepEqual(s.Fault, want) {
+		t.Errorf("fault stage %+v, want %+v", s.Fault, want)
+	}
+	if c.RepairFault.Repair != nil {
+		t.Error("Specs wrote the repair block into the RepairFault template")
+	}
+
+	c.Scenario = filepath.Join(writeSpecs(t, map[string]string{"a.json": `{"model":"llama2-7b","wafer":"wsc-4x8"}`}), "a.json")
+	specs, err = c.Specs(fallback)
+	if err != nil || len(specs) != 1 || specs[0].Name != "a" || specs[0].Model.Name != "llama2-7b" {
+		t.Errorf("with -scenario: got %+v, %v; want the loaded file alone", specs, err)
+	}
+}
+
+// TestCostSpecFlag: no -backend gives a nil cost block; -backend gives
+// the block seeded by -seed, validated.
+func TestCostSpecFlag(t *testing.T) {
+	if cs, err := (&Config{Seed: 7}).CostSpec(); cs != nil || err != nil {
+		t.Errorf("without -backend: got %+v, %v; want a nil block", cs, err)
+	}
+	cs, err := (&Config{Backend: "surrogate", Seed: 7}).CostSpec()
+	if want := (&spec.CostSpec{Backend: "surrogate", Seed: 7}); err != nil || !reflect.DeepEqual(cs, want) {
+		t.Errorf("-backend surrogate: got %+v, %v; want %+v", cs, err, want)
+	}
+	if _, err := (&Config{Backend: "warp-drive"}).CostSpec(); err == nil {
+		t.Error("unknown -backend accepted")
+	}
+}
+
+// TestRejectStageFlags: a run that builds no scenario refuses
+// -strategy, -budget and -repair instead of ignoring them.
+func TestRejectStageFlags(t *testing.T) {
+	if err := (&Config{Model: "gpt3-6.7b", Backend: "replay", Seed: 3}).RejectStageFlags(); err != nil {
+		t.Errorf("no stage flags: %v", err)
+	}
+	for _, c := range []Config{{Strategy: "nope"}, {Budget: "5"}, {Repair: true}} {
+		err := c.RejectStageFlags()
+		if err == nil || !strings.Contains(err.Error(), "need a scenario (-scenario/-scenarios)") {
+			t.Errorf("%+v: got %v, want a need-a-scenario error", c, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package distrib is a coordinator/worker fabric that shards
 // engine-shaped workloads (experiment tables, scenario batches, fault
-// campaigns, solver races) across worker processes and merges their
-// results deterministically.
+// campaigns) across worker processes and merges their results
+// deterministically.
 //
 // The wire protocol is deliberately small: length-prefixed,
 // checksummed frames, each carrying one gob-encoded envelope. Every

@@ -81,12 +81,6 @@ func DecodeGob[T any](b []byte) (T, error) {
 // f is nil or has no live workers) and decodes the outputs back into
 // their input order. errs[i] is non-nil when task i's handler failed.
 func RunTasks[I, O any](f *Fabric, kind string, inputs []I) ([]O, []error) {
-	return RunTasksCtx[I, O](context.Background(), f, kind, inputs)
-}
-
-// RunTasksCtx is RunTasks with cancellation: unfinished tasks report
-// ctx.Err() once the context ends.
-func RunTasksCtx[I, O any](ctx context.Context, f *Fabric, kind string, inputs []I) ([]O, []error) {
 	payloads := make([][]byte, len(inputs))
 	outs := make([]O, len(inputs))
 	errs := make([]error, len(inputs))
@@ -98,7 +92,7 @@ func RunTasksCtx[I, O any](ctx context.Context, f *Fabric, kind string, inputs [
 		}
 		payloads[i] = b
 	}
-	raw, rawErrs := f.RunCtx(ctx, kind, payloads)
+	raw, rawErrs := f.Run(kind, payloads)
 	for i := range raw {
 		if rawErrs[i] != nil {
 			errs[i] = rawErrs[i]

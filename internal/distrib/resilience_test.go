@@ -325,13 +325,21 @@ func TestDrainFinishesInFlight(t *testing.T) {
 // fabric shut-downable.
 func TestRunCtxCancelAbandonsShards(t *testing.T) {
 	f := newTestFabric(t, 2, 2)
+	var payloads [][]byte
+	for _, in := range squares(24, 150) {
+		b, err := EncodeGob(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(60 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, errs := RunTasksCtx[squareIn, squareOut](ctx, f, testKind, squares(24, 150))
+	_, errs := f.RunCtx(ctx, testKind, payloads)
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("cancelled run still took %s", d)
 	}

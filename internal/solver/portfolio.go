@@ -86,11 +86,11 @@ func (s *Portfolio) Solve(ctx context.Context, p Problem, b Budget) (Assignment,
 	return raceResult(assigns, subStats)
 }
 
-// raceResult folds a race's per-racer results into the portfolio's,
-// in-process or distributed: strictly lower FinalCost wins and ties
-// break toward the earlier racer, the winner's search stats are the
-// race's, evaluation counts sum over racers, Elapsed is the slowest
-// racer's, and Sub carries every racer's stats.
+// raceResult folds a race's per-racer results into the portfolio's:
+// strictly lower FinalCost wins and ties break toward the earlier
+// racer, the winner's search stats are the race's, evaluation counts
+// sum over racers, Elapsed is the slowest racer's, and Sub carries
+// every racer's stats.
 func raceResult(assigns []Assignment, subs []Stats) (Assignment, Stats) {
 	winner := 0
 	for i := 1; i < len(subs); i++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -175,52 +174,6 @@ func TestPortfolioNeverWorseThanGA(t *testing.T) {
 	}
 	if got := pf.Sub[0].FinalCost; got != ga.FinalCost {
 		t.Errorf("portfolio's GA racer cost %v ≠ standalone GA %v", got, ga.FinalCost)
-	}
-}
-
-// TestDistributedRaceMatchesPortfolio pins DistributedRace to the
-// in-process portfolio: on a nil fabric its racers run through the
-// registered task handler, each rebuilding its cost models from
-// (model, wafer, backend, screen seed), and the race must return the
-// same assignment and the same stats, per racer too, up to wall-clock
-// time.
-func TestDistributedRaceMatchesPortfolio(t *testing.T) {
-	m := model.Llama2_7B()
-	w := hw.EvaluationWafer()
-	const seed, screenSeed = 1, 3
-	exact, screen, err := SearchModels("portfolio", "", m, w, screenSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Problem{Graph: model.BlockGraph(m), Space: parallel.EnumerateConfigs(w.Dies(), true, 0), Model: exact, Screen: screen}
-	want, wantStats := (&Portfolio{Seed: seed}).Solve(context.Background(), p, Budget{})
-	got, gotStats, err := DistributedRace(context.Background(), nil, m, w, "", seed, screenSeed, Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("assignment %v, want the portfolio's %v", got, want)
-	}
-	clearElapsed(&gotStats)
-	clearElapsed(&wantStats)
-	if !reflect.DeepEqual(gotStats, wantStats) {
-		t.Errorf("stats diverged from the portfolio's:\n got %+v\nwant %+v", gotStats, wantStats)
-	}
-	if len(gotStats.Sub) != 4 || gotStats.ScreenEvaluations == 0 {
-		t.Errorf("race ran %d racers with %d screen evaluations, want 4 racers with multifid screening",
-			len(gotStats.Sub), gotStats.ScreenEvaluations)
-	}
-}
-
-// clearElapsed zeroes the wall-clock fields of s, its checkpoints and
-// every racer's stats.
-func clearElapsed(s *Stats) {
-	s.Elapsed = 0
-	for i := range s.Checkpoints {
-		s.Checkpoints[i].Elapsed = 0
-	}
-	for i := range s.Sub {
-		clearElapsed(&s.Sub[i])
 	}
 }
 

@@ -82,13 +82,3 @@ func (s CostSpec) Build() (*CostStage, error) {
 	}
 	return &CostStage{Key: key, Backend: be}, nil
 }
-
-// CostOverride builds the stage the CLI -backend flag injects into
-// scenario runs (overriding any spec-declared stage); nil when the
-// flag is unset.
-func CostOverride(backend string, seed int64) (*CostStage, error) {
-	if backend == "" {
-		return nil, nil
-	}
-	return CostSpec{Backend: backend, Seed: seed}.Build()
-}

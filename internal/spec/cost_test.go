@@ -83,19 +83,3 @@ func TestScenarioCostStageRoundTrip(t *testing.T) {
 		t.Error("unknown backend resolved")
 	}
 }
-
-func TestCostOverride(t *testing.T) {
-	if stage, err := CostOverride("", 7); err != nil || stage != nil {
-		t.Errorf("empty override = %v, %v; want nil, nil", stage, err)
-	}
-	stage, err := CostOverride("surrogate", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stage.Key != "surrogate@seed=7" {
-		t.Errorf("override key %q", stage.Key)
-	}
-	if _, err := CostOverride("warp-drive", 7); err == nil {
-		t.Error("unknown override accepted")
-	}
-}

@@ -326,10 +326,10 @@ var (
 )
 
 // Distributed sweep fabric: a coordinator that shards engine-shaped
-// workloads (scenario batches, experiment suites, fault campaigns,
-// solver races) across worker processes with work stealing, bounded
-// requeue on worker loss, and deterministic index-addressed merges. A
-// nil *Fabric is valid and runs everything in-process.
+// workloads (scenario batches, experiment suites, fault campaigns)
+// across worker processes with work stealing, bounded requeue on
+// worker loss, and deterministic index-addressed merges. A nil
+// *Fabric is valid and runs everything in-process.
 type (
 	// Fabric is the coordinator handle.
 	Fabric = distrib.Fabric
@@ -368,7 +368,4 @@ var (
 	RunCampaignOn = fault.Campaign.RunOn
 	// RunExperimentOn regenerates one experiment through a fabric.
 	RunExperimentOn = experiments.ByIDOn
-	// DistributedRace races the portfolio's strategies across worker
-	// processes instead of goroutines.
-	DistributedRace = solver.DistributedRace
 )
